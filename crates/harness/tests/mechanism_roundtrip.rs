@@ -1,13 +1,17 @@
 //! `MechanismKind` round-trip acceptance: the refresh mechanism chosen
 //! at config time must arrive unchanged in the metrics a run reports,
 //! in the JSONL store, and in the `rop-sweep export` CSV — the zoo
-//! figures and the verify-mech gate are both keyed on that column.
+//! figures are keyed on that column. Runs record the mechanism's
+//! metrics label (Elastic and REFpb record as `allbank`, the command
+//! family they issue); the verify-mech gate keys on the kind's label.
 
 use rop_harness::cli::export_csv;
 use rop_harness::{job_id, Record, Status, Store};
 use rop_memctrl::MechanismKind;
 use rop_sim_system::experiments::driver::plan_jobs;
 use rop_sim_system::runner::{LocalExecutor, RunSpec, SweepExecutor, SweepJob};
+use rop_sim_system::SystemKind;
+use rop_trace::Benchmark;
 
 fn tiny_spec() -> RunSpec {
     RunSpec {
@@ -53,18 +57,33 @@ fn the_mechanisms_experiment_plans_the_full_zoo() {
 fn mechanism_labels_survive_run_store_and_export() {
     let jobs = plan_jobs("mechanisms", tiny_spec()).expect("plan");
     // The first four cells are the stock shape on one benchmark, one
-    // per roster mechanism.
-    let four: Vec<SweepJob> = jobs.into_iter().take(4).collect();
-    let expected: Vec<&'static str> = four.iter().map(|j| resolved_mechanism(j).label()).collect();
-    assert_eq!(expected.len(), 4);
+    // per roster mechanism; Elastic and REFpb all-bank complete the
+    // zoo.
+    let zoo: Vec<SweepJob> = jobs
+        .into_iter()
+        .take(4)
+        .chain(
+            [SystemKind::ElasticRefresh, SystemKind::PerBankRefresh]
+                .map(|k| SweepJob::single("zoo", Benchmark::Libquantum, k, tiny_spec())),
+        )
+        .collect();
+    let mut kinds: Vec<&str> = zoo.iter().map(|j| resolved_mechanism(j).label()).collect();
+    kinds.sort_unstable();
+    assert_eq!(
+        kinds,
+        ["allbank", "allbank-pb", "darp", "elastic", "raidr", "sarp"]
+    );
+    let expected: Vec<&'static str> = zoo
+        .iter()
+        .map(|j| resolved_mechanism(j).metrics_label())
+        .collect();
 
     // Config → run: the live controller reports the configured
     // mechanism in its metrics.
-    let metrics = LocalExecutor.execute(four.clone());
-    for (j, m) in four.iter().zip(&metrics) {
+    let metrics = LocalExecutor.execute(zoo.clone());
+    for ((j, m), want) in zoo.iter().zip(&metrics).zip(&expected) {
         assert_eq!(
-            m.mechanism,
-            resolved_mechanism(j).label(),
+            &m.mechanism, want,
             "job {} ran a different mechanism than configured",
             j.label
         );
@@ -75,7 +94,7 @@ fn mechanism_labels_survive_run_store_and_export() {
     path.push(format!("rop-mech-roundtrip-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let store = Store::open(&path);
-    for (j, m) in four.iter().zip(&metrics) {
+    for (j, m) in zoo.iter().zip(&metrics) {
         store
             .append(&Record {
                 job: job_id(j),
@@ -91,9 +110,9 @@ fn mechanism_labels_survive_run_store_and_export() {
             .expect("append");
     }
     let contents = store.load().expect("load");
-    assert_eq!(contents.records.len(), 4);
+    assert_eq!(contents.records.len(), zoo.len());
     assert_eq!(contents.corrupt_lines, 0);
-    for (j, want) in four.iter().zip(&expected) {
+    for (j, want) in zoo.iter().zip(&expected) {
         let id = job_id(j);
         let rec = contents
             .records
@@ -111,7 +130,7 @@ fn mechanism_labels_survive_run_store_and_export() {
         .split(',')
         .position(|c| c == "mechanism")
         .expect("mechanism column in export header");
-    for (j, want) in four.iter().zip(&expected) {
+    for (j, want) in zoo.iter().zip(&expected) {
         let id = job_id(j);
         let row = csv
             .lines()

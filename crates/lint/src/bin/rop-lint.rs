@@ -17,8 +17,9 @@ use std::path::PathBuf;
 use rop_core::RopConfig;
 use rop_lint::config::{lint_jobs, RULES};
 use rop_lint::fsm::{build_rop_fsm, check_fsm};
-use rop_lint::mech::{check_mechanism, MechCheckConfig, MechKind, Mutation};
+use rop_lint::mech::{check_mechanism, parse_mechanism, zoo, MechCheckConfig, Mutation};
 use rop_lint::srclint::{compare, parse_baseline, render_baseline, scan_workspace, to_baseline};
+use rop_memctrl::MechanismKind;
 use rop_sim_system::experiments::driver::{plan_jobs, EXPERIMENTS};
 use rop_sim_system::runner::RunSpec;
 
@@ -29,7 +30,8 @@ const USAGE: &str = "usage: rop-lint <command> [args]\n\
                                  determinism/robustness source lint\n\
   verify-mech [mech...] [--mutate NAME] [--depth N] [--trace-dir DIR]\n\
                                  exhaustively model-check the refresh zoo\n\
-                                 (mechs: allbank darp sarp raidr; default all)\n\
+                                 (mechs: allbank allbank-pb elastic darp sarp\n\
+                                 raidr; default all)\n\
   rules                          list the config rule catalog";
 
 fn cmd_check_config(args: &[String]) -> Result<i32, String> {
@@ -163,7 +165,7 @@ fn cmd_src(args: &[String]) -> Result<i32, String> {
 }
 
 fn cmd_verify_mech(args: &[String]) -> Result<i32, String> {
-    let mut kinds: Vec<MechKind> = Vec::new();
+    let mut kinds: Vec<MechanismKind> = Vec::new();
     let mut mutation: Option<Mutation> = None;
     let mut depth: Option<usize> = None;
     let mut trace_dir: Option<PathBuf> = None;
@@ -192,10 +194,10 @@ fn cmd_verify_mech(args: &[String]) -> Result<i32, String> {
                 ));
             }
             name => {
-                kinds.push(MechKind::parse(name).ok_or_else(|| {
+                kinds.push(parse_mechanism(name).ok_or_else(|| {
                     format!(
                         "unknown mechanism '{name}' (expected one of: {})",
-                        MechKind::ALL.map(MechKind::label).join(" ")
+                        zoo().map(|k| k.label()).join(" ")
                     )
                 })?);
             }
@@ -205,7 +207,7 @@ fn cmd_verify_mech(args: &[String]) -> Result<i32, String> {
 
     let mut configs: Vec<MechCheckConfig> = match mutation {
         Some(m) => {
-            if !kinds.is_empty() && kinds != [m.target()] {
+            if kinds.iter().any(|k| k.label() != m.target().label()) {
                 return Err(format!(
                     "--mutate {} targets {}; don't pass other mechanisms with it",
                     m.label(),
@@ -214,7 +216,7 @@ fn cmd_verify_mech(args: &[String]) -> Result<i32, String> {
             }
             vec![MechCheckConfig::mutated(m)]
         }
-        None if kinds.is_empty() => MechKind::ALL.map(MechCheckConfig::gate).to_vec(),
+        None if kinds.is_empty() => zoo().map(MechCheckConfig::gate).to_vec(),
         None => kinds.into_iter().map(MechCheckConfig::gate).collect(),
     };
     if let Some(d) = depth {

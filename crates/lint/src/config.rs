@@ -52,11 +52,6 @@ pub struct Facts {
     pub drain_low: Iv,
     pub postpone: Iv,
     pub grace: Iv,
-    /// 0/1 indicator: 1 when the refresh mechanism and the controller's
-    /// refresh granularity agree (DARP/SARP over REFpb, RAIDR over
-    /// all-bank REF). Encoded at fact-construction time so a uniform
-    /// legal grid still proves the rule on the hull alone.
-    pub mech_gran: Iv,
     /// RAIDR's fastest bin period; `None` for every other mechanism
     /// (the bin rule is vacuous there, mirroring the ROP block).
     pub raidr_bin: Option<Iv>,
@@ -124,14 +119,6 @@ impl Facts {
             lines_per_row: pu(g.lines_per_row),
             line_bytes: pu(g.line_bytes),
             subarrays: pu(g.subarrays_per_bank),
-            mech_gran: {
-                let ok = match cfg.mechanism {
-                    MechanismKind::AllBank => true,
-                    MechanismKind::Darp | MechanismKind::Sarp => cfg.per_bank_refresh,
-                    MechanismKind::Raidr { .. } => !cfg.per_bank_refresh,
-                };
-                Iv::point(if ok { 1.0 } else { 0.0 })
-            },
             raidr_bin: match cfg.mechanism {
                 MechanismKind::Raidr { bin_period, .. } => Some(p(bin_period)),
                 _ => None,
@@ -202,8 +189,7 @@ impl Facts {
             drain_high,
             drain_low,
             postpone,
-            grace,
-            mech_gran
+            grace
         );
         self.raidr_bin = match (self.raidr_bin, other.raidr_bin) {
             (Some(a), Some(b)) => Some(a.hull(b)),
@@ -384,11 +370,6 @@ pub const RULES: &[Rule] = &[
                 _ => Tri::Unknown,
             },
         },
-    },
-    Rule {
-        id: "mc-mech-gran",
-        summary: "refresh mechanism and granularity must agree (DARP/SARP require REFpb, RAIDR requires all-bank REF)",
-        check: |f| f.mech_gran.ge(Iv::point(1.0)),
     },
     Rule {
         id: "rop-window",

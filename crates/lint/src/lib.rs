@@ -37,5 +37,5 @@ pub mod srclint;
 
 pub use config::{lint_config, lint_grid, lint_jobs, GridReport, Violation};
 pub use fsm::{build_rop_fsm, check_fsm, Fsm, FsmReport};
-pub use mech::{check_mechanism, MechCheckConfig, MechKind, MechReport, MechUnderTest, Mutation};
+pub use mech::{check_mechanism, MechCheckConfig, MechReport, MechUnderTest, Mutation};
 pub use srclint::{compare, scan_workspace, Finding, SrcReport};

@@ -19,7 +19,10 @@
 //! Invariants (stable IDs, catalogued in DESIGN.md §17):
 //!
 //! * `mech-postpone` — no refresh issues later than `max_postpone`
-//!   (itself ≤ the 8×tREFI JEDEC budget) past its due time.
+//!   (itself ≤ the 8×tREFI JEDEC budget) past the start of its drain;
+//!   under a debt-postponing mechanism (Elastic) the owed-refresh debt
+//!   also stays within the bound the dynamic [`Auditor`] enforces
+//!   ([`AuditorConfig::debt_bound`]).
 //! * `mech-retention` — every row keeps being recharged inside its
 //!   retention window: schedules advance in exact tREFI steps, SARP's
 //!   rotation revisits each subarray within `subarrays` rounds and
@@ -46,8 +49,10 @@ use std::fmt;
 
 use rop_dram::TimingParams;
 use rop_events::{Cycle, EventSink, TraceEvent};
-use rop_memctrl::mechanism::{AllBank, Darp, Raidr, Sarp};
-use rop_memctrl::{RefreshManager, RefreshMechanism, RefreshScope, RefreshState, RoundShape};
+use rop_memctrl::mechanism::{AllBank, Darp, Elastic, Raidr, Sarp};
+use rop_memctrl::{
+    MechanismKind, RefreshManager, RefreshMechanism, RefreshScope, RefreshState, RoundShape,
+};
 use rop_sim_system::{Auditor, AuditorConfig};
 
 use crate::explore::{fingerprint, SearchGraph, VisitedSet};
@@ -66,64 +71,48 @@ impl<T: RefreshMechanism + Clone + 'static> MechUnderTest for T {
     }
 }
 
-/// Which zoo member a check targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MechKind {
-    /// Baseline all-bank (per-rank REF) auto-refresh.
-    AllBank,
-    /// DARP out-of-order per-bank refresh with idle pull-in.
-    Darp,
-    /// SARP subarray-rotating per-bank refresh.
-    Sarp,
-    /// RAIDR retention-binned scaled/skipped rounds.
-    Raidr,
+/// The DRAM timing every gate check runs on (DDR4-1600).
+fn gate_timing() -> TimingParams {
+    TimingParams::ddr4_1600_8gb()
 }
 
-impl MechKind {
-    /// Every zoo member, in gate order.
-    pub const ALL: [MechKind; 4] = [
-        MechKind::AllBank,
-        MechKind::Darp,
-        MechKind::Sarp,
-        MechKind::Raidr,
-    ];
-
-    /// CLI name.
-    pub fn label(self) -> &'static str {
-        match self {
-            MechKind::AllBank => "allbank",
-            MechKind::Darp => "darp",
-            MechKind::Sarp => "sarp",
-            MechKind::Raidr => "raidr",
-        }
+/// RAIDR at its gate parameters: a fixed retention-profile seed and a
+/// shortest-bin period of two tREFI.
+fn gate_raidr() -> MechanismKind {
+    MechanismKind::Raidr {
+        seed: 0x5241_4944, // "RAID"
+        bin_period: 2 * gate_timing().t_refi(),
     }
+}
 
-    /// Parses a CLI name.
-    pub fn parse(s: &str) -> Option<MechKind> {
-        MechKind::ALL.into_iter().find(|k| k.label() == s)
-    }
+/// Every zoo member `verify-mech` covers, at its gate parameters, in
+/// gate order. Members are told apart by [`MechanismKind::label`].
+pub fn zoo() -> [MechanismKind; 6] {
+    [
+        MechanismKind::AllBank { per_bank: false },
+        MechanismKind::AllBank { per_bank: true },
+        MechanismKind::Elastic,
+        MechanismKind::Darp,
+        MechanismKind::Sarp,
+        gate_raidr(),
+    ]
+}
 
-    /// The checker target for a controller-config mechanism choice.
-    pub fn of(kind: &rop_memctrl::MechanismKind) -> MechKind {
-        match kind {
-            rop_memctrl::MechanismKind::AllBank => MechKind::AllBank,
-            rop_memctrl::MechanismKind::Darp => MechKind::Darp,
-            rop_memctrl::MechanismKind::Sarp => MechKind::Sarp,
-            rop_memctrl::MechanismKind::Raidr { .. } => MechKind::Raidr,
-        }
-    }
+/// The zoo member named `label` (a CLI name).
+pub fn parse_mechanism(label: &str) -> Option<MechanismKind> {
+    zoo().into_iter().find(|k| k.label() == label)
 }
 
 /// The distinct zoo members a job set will build, in gate order — the
 /// coverage the pre-sweep verify-mech gate needs.
-pub fn mechanisms_in_jobs(jobs: &[rop_sim_system::runner::SweepJob]) -> Vec<MechKind> {
-    let present: Vec<MechKind> = jobs
+pub fn mechanisms_in_jobs(jobs: &[rop_sim_system::runner::SweepJob]) -> Vec<MechanismKind> {
+    let present: Vec<&str> = jobs
         .iter()
-        .map(|j| MechKind::of(&crate::config::resolve_ctrl(j).mechanism))
+        .map(|j| crate::config::resolve_ctrl(j).mechanism.label())
         .collect();
-    MechKind::ALL
+    zoo()
         .into_iter()
-        .filter(|k| present.contains(k))
+        .filter(|k| present.contains(&k.label()))
         .collect()
 }
 
@@ -147,10 +136,10 @@ pub fn gate_jobs(jobs: &[rop_sim_system::runner::SweepJob]) -> Result<Vec<MechRe
     }
 }
 
-/// One seeded bug per zoo member: each wraps the *real* mechanism and
-/// perturbs exactly one behaviour through the public trait surface.
-/// All four must yield Auditor-confirmed counterexamples — they are
-/// the mutation self-test the CI gate runs.
+/// Seeded bugs in the zoo: each wraps (or re-parameterises) the *real*
+/// mechanism and perturbs exactly one behaviour. All five must yield
+/// Auditor-confirmed counterexamples — they are the mutation self-test
+/// the CI gate runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
     /// AllBank issues REF commands with a 1-cycle lock: the rank is
@@ -168,24 +157,29 @@ pub enum Mutation {
     /// only every fourth cover round actually refreshes, so the 64 ms
     /// bin overshoots its deadline (`mech-retention`).
     WidenedSkip,
+    /// Elastic ignores its debt cap: a rank that never goes idle never
+    /// pays, and its debt grows past the bound (`mech-postpone`).
+    UncappedDebt,
 }
 
 impl Mutation {
     /// Every seeded mutation, in gate order.
-    pub const ALL: [Mutation; 4] = [
+    pub const ALL: [Mutation; 5] = [
         Mutation::ShortRef,
         Mutation::TruncatedPullIn,
         Mutation::RotateOverflow,
         Mutation::WidenedSkip,
+        Mutation::UncappedDebt,
     ];
 
     /// The zoo member this mutation perturbs.
-    pub fn target(self) -> MechKind {
+    pub fn target(self) -> MechanismKind {
         match self {
-            Mutation::ShortRef => MechKind::AllBank,
-            Mutation::TruncatedPullIn => MechKind::Darp,
-            Mutation::RotateOverflow => MechKind::Sarp,
-            Mutation::WidenedSkip => MechKind::Raidr,
+            Mutation::ShortRef => MechanismKind::AllBank { per_bank: false },
+            Mutation::TruncatedPullIn => MechanismKind::Darp,
+            Mutation::RotateOverflow => MechanismKind::Sarp,
+            Mutation::WidenedSkip => gate_raidr(),
+            Mutation::UncappedDebt => MechanismKind::Elastic,
         }
     }
 
@@ -196,6 +190,7 @@ impl Mutation {
             Mutation::TruncatedPullIn => "truncated-pull-in",
             Mutation::RotateOverflow => "rotate-overflow",
             Mutation::WidenedSkip => "widened-skip",
+            Mutation::UncappedDebt => "uncapped-debt",
         }
     }
 
@@ -210,8 +205,9 @@ impl Mutation {
 /// bounds.
 #[derive(Debug, Clone)]
 pub struct MechCheckConfig {
-    /// Zoo member under test.
-    pub kind: MechKind,
+    /// Zoo member under test, with its parameters (RAIDR's seed and
+    /// shortest-bin period, a multiple of tREFI).
+    pub kind: MechanismKind,
     /// Seeded bug to inject, for the mutation self-test.
     pub mutation: Option<Mutation>,
     /// Ranks in the abstract system.
@@ -226,10 +222,6 @@ pub struct MechCheckConfig {
     /// Drain-before-refresh postpone budget (cycles); must stay within
     /// the 8×tREFI JEDEC budget and on the decision lattice.
     pub max_postpone: Cycle,
-    /// RAIDR retention-profile seed.
-    pub raidr_seed: u64,
-    /// RAIDR shortest-bin period (multiple of tREFI).
-    pub raidr_bin_period: Cycle,
     /// RAIDR rows per rank in the abstract retention profile.
     pub raidr_rows: usize,
     /// Depth bound: decision steps explored from the initial state.
@@ -244,23 +236,20 @@ impl MechCheckConfig {
     /// one rank × four banks for the per-bank ones (sibling
     /// interactions), depth generous enough that the canonical state
     /// space closes well before the bound.
-    pub fn gate(kind: MechKind) -> Self {
-        let timing = TimingParams::ddr4_1600_8gb();
-        let t_refi = timing.t_refi();
-        let (ranks, banks) = match kind {
-            MechKind::AllBank | MechKind::Raidr => (2, 4),
-            MechKind::Darp | MechKind::Sarp => (1, 4),
+    pub fn gate(kind: MechanismKind) -> Self {
+        let timing = gate_timing();
+        let ranks = match kind.scope() {
+            RefreshScope::PerRank => 2,
+            RefreshScope::PerBank => 1,
         };
         MechCheckConfig {
             kind,
             mutation: None,
             ranks,
-            banks_per_rank: banks,
+            banks_per_rank: 4,
             subarrays: 4,
             timing,
-            max_postpone: 2 * t_refi,
-            raidr_seed: 0x5241_4944, // "RAID"
-            raidr_bin_period: 2 * t_refi,
+            max_postpone: 2 * timing.t_refi(),
             raidr_rows: 256,
             max_steps: 400,
             max_states: 500_000,
@@ -322,7 +311,7 @@ pub struct MechReplay {
 #[derive(Debug)]
 pub struct MechReport {
     /// Zoo member checked.
-    pub kind: MechKind,
+    pub kind: MechanismKind,
     /// Seeded mutation, when this was a self-test run.
     pub mutation: Option<Mutation>,
     /// Distinct canonical states visited.
@@ -411,11 +400,13 @@ struct Env {
     raidr_stride: Option<u64>,
     /// Oracle choices per decision step.
     choices: usize,
+    /// Owed-refresh bound, for a debt-postponing mechanism.
+    debt_bound: Option<u64>,
 }
 
 impl Env {
-    fn new(cfg: &MechCheckConfig, scope: RefreshScope) -> Env {
-        let per_bank = scope == RefreshScope::PerBank;
+    fn new(cfg: &MechCheckConfig) -> Env {
+        let per_bank = cfg.kind.scope() == RefreshScope::PerBank;
         let slots = if per_bank {
             cfg.ranks * cfg.banks_per_rank
         } else {
@@ -434,14 +425,21 @@ impl Env {
         assert!(cfg.max_postpone.is_multiple_of(quantum));
         assert!(cfg.timing.t_rfc() <= quantum, "tRFC must fit one quantum");
         assert!(cfg.subarrays <= 8, "fingerprint packs 8-bit lanes");
-        let raidr_stride = (cfg.kind == MechKind::Raidr).then(|| {
-            assert!(cfg.raidr_bin_period.is_multiple_of(t_refi));
-            cfg.raidr_bin_period / t_refi
-        });
+        let raidr_stride = match cfg.kind {
+            MechanismKind::Raidr { bin_period, .. } => {
+                assert!(bin_period.is_multiple_of(t_refi));
+                Some(bin_period / t_refi)
+            }
+            _ => None,
+        };
         // The write-drain flag only changes DARP's pull-in window;
         // branching on it elsewhere doubles the edge count for nothing.
-        let wd = if cfg.kind == MechKind::Darp { 2 } else { 1 };
-        Env {
+        let wd = if cfg.kind == MechanismKind::Darp {
+            2
+        } else {
+            1
+        };
+        let mut env = Env {
             ranks: cfg.ranks,
             slots,
             slots_per_rank: slots / cfg.ranks,
@@ -456,7 +454,10 @@ impl Env {
             quantum,
             raidr_stride,
             choices: (1 << slots) * wd,
-        }
+            debt_bound: None,
+        };
+        env.debt_bound = audit_config(cfg, &env).debt_bound();
+        env
     }
 
     fn rank_of(&self, slot: usize) -> usize {
@@ -477,46 +478,63 @@ impl Env {
     }
 }
 
+/// The dynamic Auditor's view of the abstract system — the replay
+/// checker, and the source of the debt bound the search enforces.
+fn audit_config(cfg: &MechCheckConfig, env: &Env) -> AuditorConfig {
+    AuditorConfig {
+        timing: cfg.timing,
+        ranks: env.ranks,
+        banks_per_rank: env.banks_per_rank,
+        per_bank: env.per_bank,
+        max_refresh_postpone: env.max_postpone,
+        max_debt: cfg.kind.debt_cap(),
+        observational_window: None,
+        rows_per_subarray: 1024,
+        subarrays_per_bank: env.subarrays,
+        raidr_bin_period: env.raidr_stride.map(|s| s * env.t_refi),
+    }
+}
+
 fn build_mech(cfg: &MechCheckConfig) -> Box<dyn MechUnderTest> {
     let t_refi = cfg.timing.t_refi();
     let slots = cfg.ranks * cfg.banks_per_rank;
-    match cfg.mutation {
-        None => match cfg.kind {
-            MechKind::AllBank => Box::new(AllBank::new(RefreshScope::PerRank)),
-            MechKind::Darp => Box::new(Darp::new(slots, cfg.banks_per_rank, t_refi)),
-            MechKind::Sarp => Box::new(Sarp::new(cfg.subarrays)),
-            MechKind::Raidr => Box::new(Raidr::new(
-                cfg.ranks,
-                cfg.raidr_seed,
-                cfg.raidr_bin_period,
-                t_refi,
-                cfg.timing.t_rfc(),
-                cfg.raidr_rows,
-            )),
-        },
-        Some(Mutation::ShortRef) => Box::new(MutShortRef {
-            inner: AllBank::new(RefreshScope::PerRank),
-        }),
-        Some(Mutation::TruncatedPullIn) => Box::new(MutTruncatedPullIn {
+    let raidr = |seed, bin_period| {
+        Raidr::new(
+            cfg.ranks,
+            seed,
+            bin_period,
+            t_refi,
+            cfg.timing.t_rfc(),
+            cfg.raidr_rows,
+        )
+    };
+    match (cfg.mutation, cfg.kind) {
+        (None, MechanismKind::AllBank { .. }) => Box::new(AllBank),
+        (None, MechanismKind::Elastic) => Box::new(Elastic::new(cfg.ranks)),
+        (None, MechanismKind::Darp) => Box::new(Darp::new(slots, cfg.banks_per_rank, t_refi)),
+        (None, MechanismKind::Sarp) => Box::new(Sarp::new(cfg.subarrays)),
+        (None, MechanismKind::Raidr { seed, bin_period }) => Box::new(raidr(seed, bin_period)),
+        (Some(Mutation::ShortRef), _) => Box::new(MutShortRef { inner: AllBank }),
+        (Some(Mutation::TruncatedPullIn), _) => Box::new(MutTruncatedPullIn {
             inner: Darp::new(slots, cfg.banks_per_rank, t_refi),
             pulled: vec![false; slots],
         }),
-        Some(Mutation::RotateOverflow) => Box::new(MutRotateOverflow {
+        (Some(Mutation::RotateOverflow), _) => Box::new(MutRotateOverflow {
             inner: Sarp::new(cfg.subarrays),
             subarrays: cfg.subarrays,
         }),
-        Some(Mutation::WidenedSkip) => Box::new(MutWidenedSkip {
-            inner: Raidr::new(
-                cfg.ranks,
-                cfg.raidr_seed,
-                cfg.raidr_bin_period,
-                t_refi,
-                cfg.timing.t_rfc(),
-                cfg.raidr_rows,
-            ),
-            widen: 4 * (cfg.raidr_bin_period / t_refi),
-            rounds: vec![0; cfg.ranks],
-        }),
+        (Some(Mutation::WidenedSkip), MechanismKind::Raidr { seed, bin_period }) => {
+            Box::new(MutWidenedSkip {
+                inner: raidr(seed, bin_period),
+                widen: 4 * (bin_period / t_refi),
+                rounds: vec![0; cfg.ranks],
+            })
+        }
+        // The real Elastic with its cap lifted out of reach.
+        (Some(Mutation::UncappedDebt), _) => Box::new(Elastic::with_max_debt(cfg.ranks, u32::MAX)),
+        // `check_mechanism` runs a mutation only on its target.
+        // rop-lint: allow(no-panic)
+        (Some(m), kind) => panic!("mutation {} on {}", m.label(), kind.label()),
     }
 }
 
@@ -528,10 +546,6 @@ struct MutShortRef {
 }
 
 impl RefreshMechanism for MutShortRef {
-    fn scope(&self) -> RefreshScope {
-        self.inner.scope()
-    }
-
     fn poll_due(
         &mut self,
         base: &mut RefreshManager,
@@ -573,10 +587,6 @@ struct MutTruncatedPullIn {
 }
 
 impl RefreshMechanism for MutTruncatedPullIn {
-    fn scope(&self) -> RefreshScope {
-        self.inner.scope()
-    }
-
     fn poll_due(
         &mut self,
         base: &mut RefreshManager,
@@ -640,10 +650,6 @@ struct MutRotateOverflow {
 }
 
 impl RefreshMechanism for MutRotateOverflow {
-    fn scope(&self) -> RefreshScope {
-        self.inner.scope()
-    }
-
     fn poll_due(
         &mut self,
         base: &mut RefreshManager,
@@ -690,10 +696,6 @@ struct MutWidenedSkip {
 }
 
 impl RefreshMechanism for MutWidenedSkip {
-    fn scope(&self) -> RefreshScope {
-        self.inner.scope()
-    }
-
     fn poll_due(
         &mut self,
         base: &mut RefreshManager,
@@ -849,10 +851,14 @@ fn step(
         }
     }
 
-    // Due-time bookkeeping: new drains and (DARP) pull-ins.
+    // Due-time bookkeeping: new drains, (DARP) pull-ins and (Elastic)
+    // postponements into debt.
     let mut newly = Vec::new();
     w.mech
         .poll_due(&mut w.mgr, now, &busy, write_drain, &mut newly);
+    if let Some(v) = record_postponed(env, w, now, rec.as_deref_mut()) {
+        return (false, Some(v));
+    }
     for &s in &newly {
         // RAIDR rounds with no retention bin due resolve at poll time,
         // exactly like the real controller: no drain, no bus command,
@@ -868,10 +874,7 @@ fn step(
                     )),
                 );
             }
-            let due = match w.mgr.state(s) {
-                RefreshState::Draining { due } => due,
-                _ => now,
-            };
+            let due = w.mgr.next_due(s);
             w.mech.on_refresh_skipped(&mut w.mgr, s, now);
             if let Some(r) = rec.as_deref_mut() {
                 r.events.push(TraceEvent::RetentionRound {
@@ -914,8 +917,16 @@ fn step(
                 }
             }
         }
-        if let Some((slot, due)) = pick {
-            let v = issue_round(env, w, slot, due, now, rec.as_deref_mut(), &mut progress);
+        if let Some((slot, drain_from)) = pick {
+            let v = issue_round(
+                env,
+                w,
+                slot,
+                drain_from,
+                now,
+                rec.as_deref_mut(),
+                &mut progress,
+            );
             if v.is_some() {
                 return (progress, v);
             }
@@ -926,20 +937,54 @@ fn step(
     (progress, None)
 }
 
+/// Records the debt growth the last poll reported (the controller's
+/// `RefreshPostponed` trace) and checks it against the Auditor's debt
+/// bound (`mech-postpone`).
+fn record_postponed(
+    env: &Env,
+    w: &World,
+    now: Cycle,
+    rec: Option<&mut Recorder>,
+) -> Option<MechViolation> {
+    let postponed = w.mech.postponed();
+    if let Some(r) = rec {
+        r.events.extend(
+            postponed
+                .iter()
+                .map(|&(s, debt)| TraceEvent::RefreshPostponed {
+                    cycle: now,
+                    rank: env.rank_of(s),
+                    debt,
+                }),
+        );
+    }
+    let bound = env.debt_bound?;
+    postponed.iter().find(|&&(_, debt)| debt > bound).map(|&(s, debt)| {
+        viol(
+            "mech-postpone",
+            now,
+            format!(
+                "slot {s} owes {debt} postponed refreshes (debt bound {bound}; JEDEC allows 8 outstanding)"
+            ),
+        )
+    })
+}
+
 /// Puts `slot`'s current round on the bus (or skips it) and checks the
-/// safety invariants. Events are recorded *before* the checks so a
+/// safety invariants. `drain_from` is the cycle the slot's drain
+/// deadline counts from. Events are recorded *before* the checks so a
 /// violating command reaches the replay Auditor.
 fn issue_round(
     env: &Env,
     w: &mut World,
     slot: usize,
-    due: Cycle,
+    drain_from: Cycle,
     now: Cycle,
     rec: Option<&mut Recorder>,
     progress: &mut bool,
 ) -> Option<MechViolation> {
     let rank = env.rank_of(slot);
-    let late = now.saturating_sub(due);
+    let late = now.saturating_sub(drain_from);
     let shape = w.mech.round_shape(&w.mgr, slot);
 
     if let RoundShape::Skip { .. } = shape {
@@ -1002,7 +1047,7 @@ fn issue_round(
             "mech-postpone",
             now,
             format!(
-                "slot {slot} refresh issued {late} cycles past its due time (postpone budget {}, JEDEC 8×tREFI {})",
+                "slot {slot} refresh issued {late} cycles after its drain began (postpone budget {}, JEDEC 8×tREFI {})",
                 env.max_postpone,
                 8 * env.t_refi
             ),
@@ -1052,6 +1097,7 @@ fn issue_round(
         }
     }
 
+    let due = w.mgr.next_due(slot);
     w.mech.on_refresh_issued(&mut w.mgr, slot, now, until);
     w.engine_free[rank] = until;
     *progress = true;
@@ -1088,9 +1134,9 @@ fn issue_round(
     None
 }
 
-/// `mech-retention`: every issue/skip must move the slot's schedule by
-/// exactly one tREFI — a mechanism that jumps further silently drops
-/// refresh rounds.
+/// `mech-retention`: every issue/skip must move the slot's schedule
+/// (the due time of its oldest refresh not yet issued) by exactly one
+/// tREFI — a mechanism that jumps further silently drops refresh rounds.
 fn check_due_advance(
     env: &Env,
     mgr: &RefreshManager,
@@ -1167,15 +1213,14 @@ fn canon_words(env: &Env, w: &World) -> Vec<u64> {
                     RefreshState::Draining { due } => (1, enc(due)),
                     RefreshState::Refreshing { until } => (2, until.saturating_sub(w.now)),
                 };
-                let sa_pack =
-                    if env.subarrays > 0 && matches!(w.mech.scope(), RefreshScope::PerBank) {
-                        w.sarp_since[s * env.subarrays..(s + 1) * env.subarrays]
-                            .iter()
-                            .enumerate()
-                            .fold(0u64, |acc, (i, &c)| acc | (u64::from(c) << (8 * i)))
-                    } else {
-                        0
-                    };
+                let sa_pack = if env.subarrays > 0 && env.per_bank {
+                    w.sarp_since[s * env.subarrays..(s + 1) * env.subarrays]
+                        .iter()
+                        .enumerate()
+                        .fold(0u64, |acc, (i, &c)| acc | (u64::from(c) << (8 * i)))
+                } else {
+                    0
+                };
                 [tag, delta, w.mech.mech_state(&w.mgr, w.now, s), sa_pack]
             })
             .collect();
@@ -1200,21 +1245,24 @@ fn canon_words(env: &Env, w: &World) -> Vec<u64> {
 pub fn check_mechanism(cfg: &MechCheckConfig) -> MechReport {
     if let Some(m) = cfg.mutation {
         assert_eq!(
-            m.target(),
-            cfg.kind,
+            m.target().label(),
+            cfg.kind.label(),
             "mutation {} targets {}, not {}",
             m.label(),
             m.target().label(),
             cfg.kind.label()
         );
     }
-    let scope = build_mech(cfg).scope();
-    let env = Env::new(cfg, scope);
-    let root = World::new(cfg, &env);
+    search(cfg, &Env::new(cfg))
+}
+
+/// The search behind [`check_mechanism`], over an explicit environment.
+fn search(cfg: &MechCheckConfig, env: &Env) -> MechReport {
+    let root = World::new(cfg, env);
 
     let mut visited = VisitedSet::new();
     let mut graph = SearchGraph::new();
-    let (fresh, id0) = visited.intern(fingerprint(&canon_words(&env, &root)));
+    let (fresh, id0) = visited.intern(fingerprint(&canon_words(env, &root)));
     debug_assert!(fresh && id0 == 0);
 
     let mut queue: VecDeque<(usize, usize, World)> = VecDeque::new();
@@ -1232,7 +1280,7 @@ pub fn check_mechanism(cfg: &MechCheckConfig) -> MechReport {
         depth_seen = depth_seen.max(depth + 1);
         for choice in 0..env.choices {
             let mut succ = w.clone();
-            let (progress, v) = step(&env, &mut succ, choice, None);
+            let (progress, v) = step(env, &mut succ, choice, None);
             transitions += 1;
             if let Some(mut v) = v {
                 let mut path = graph.path_to(node);
@@ -1241,7 +1289,7 @@ pub fn check_mechanism(cfg: &MechCheckConfig) -> MechReport {
                 violation = Some(v);
                 break 'search;
             }
-            let fp = fingerprint(&canon_words(&env, &succ));
+            let fp = fingerprint(&canon_words(env, &succ));
             let (new, id) = visited.intern(fp);
             if new {
                 let got = graph.add_node(node, choice);
@@ -1274,7 +1322,7 @@ pub fn check_mechanism(cfg: &MechCheckConfig) -> MechReport {
     let replay = violation
         .as_ref()
         .filter(|v| v.invariant != "mech-liveness")
-        .map(|v| replay_counterexample(cfg, &env, &v.path));
+        .map(|v| replay_counterexample(cfg, env, &v.path));
 
     MechReport {
         kind: cfg.kind,
@@ -1316,19 +1364,7 @@ fn replay_counterexample(cfg: &MechCheckConfig, env: &Env, path: &[usize]) -> Me
     }
     let events = rec.finish();
 
-    let audit_cfg = AuditorConfig {
-        timing: cfg.timing,
-        ranks: env.ranks,
-        banks_per_rank: env.banks_per_rank,
-        per_bank: env.per_bank,
-        max_refresh_postpone: env.max_postpone,
-        elastic_max_debt: None,
-        observational_window: None,
-        rows_per_subarray: 1024,
-        subarrays_per_bank: env.subarrays,
-        raidr_bin_period: env.raidr_stride.map(|s| s * env.t_refi),
-    };
-    let mut auditor = Auditor::new(audit_cfg);
+    let mut auditor = Auditor::new(audit_config(cfg, env));
     for e in &events {
         auditor.record(*e);
     }
@@ -1349,18 +1385,12 @@ mod tests {
     use super::*;
 
     /// A compact environment so debug-mode tests close quickly.
-    fn compact(kind: MechKind) -> MechCheckConfig {
+    fn compact(kind: MechanismKind) -> MechCheckConfig {
         let mut cfg = MechCheckConfig::gate(kind);
-        match kind {
-            MechKind::AllBank | MechKind::Raidr => {
-                cfg.ranks = 1;
-                cfg.banks_per_rank = 2;
-            }
-            MechKind::Darp | MechKind::Sarp => {
-                cfg.ranks = 1;
-                cfg.banks_per_rank = 2;
-                cfg.subarrays = 2;
-            }
+        cfg.ranks = 1;
+        cfg.banks_per_rank = 2;
+        if kind.scope() == RefreshScope::PerBank {
+            cfg.subarrays = 2;
         }
         cfg
     }
@@ -1369,6 +1399,10 @@ mod tests {
         let mut cfg = compact(m.target());
         cfg.mutation = Some(m);
         cfg
+    }
+
+    fn labels(kinds: &[MechanismKind]) -> Vec<&'static str> {
+        kinds.iter().map(|k| k.label()).collect()
     }
 
     #[test]
@@ -1380,27 +1414,138 @@ mod tests {
             max_cycles: 1000,
             seed: 1,
         };
-        // The mechanism head-to-head builds the whole zoo; the gate
-        // must cover all of it, in roster order.
+        // The mechanism head-to-head builds the compared roster; the
+        // gate must cover all of it, in zoo order.
         let jobs = plan_jobs("mechanisms", spec).expect("plan");
-        assert_eq!(mechanisms_in_jobs(&jobs), MechKind::ALL.to_vec());
+        assert_eq!(
+            labels(&mechanisms_in_jobs(&jobs)),
+            ["allbank", "darp", "sarp", "raidr"]
+        );
         // A single-core sweep only ever builds all-bank refresh, and
         // its (much smaller) gate passes.
         let jobs = plan_jobs("single", spec).expect("plan");
-        assert_eq!(mechanisms_in_jobs(&jobs), vec![MechKind::AllBank]);
+        assert_eq!(labels(&mechanisms_in_jobs(&jobs)), ["allbank"]);
         let reports = gate_jobs(&jobs).expect("all-bank gate is clean");
         assert_eq!(reports.len(), 1);
         assert!(reports[0].complete);
     }
 
     #[test]
+    fn refpb_jobs_gate_at_per_bank_scope() {
+        use rop_sim_system::runner::{RunSpec, SweepJob};
+        use rop_sim_system::SystemKind;
+        use rop_trace::Benchmark;
+        let spec = RunSpec {
+            instructions: 1000,
+            max_cycles: 1000,
+            seed: 1,
+        };
+        // Plain REFpb and ROP on REFpb are both all-bank refresh at
+        // per-bank scope: the gate must check the per-bank member, not
+        // the per-rank one.
+        for kind in [
+            SystemKind::PerBankRefresh,
+            SystemKind::RopPerBank { buffer: 64 },
+        ] {
+            let jobs = [SweepJob::single("t", Benchmark::Libquantum, kind, spec)];
+            let gated = mechanisms_in_jobs(&jobs);
+            assert_eq!(
+                gated,
+                [MechanismKind::AllBank { per_bank: true }],
+                "{kind:?}"
+            );
+            let cfg = MechCheckConfig::gate(gated[0]);
+            assert!(Env::new(&cfg).per_bank);
+        }
+        let jobs = [SweepJob::single(
+            "t",
+            Benchmark::Libquantum,
+            SystemKind::ElasticRefresh,
+            spec,
+        )];
+        assert_eq!(mechanisms_in_jobs(&jobs), [MechanismKind::Elastic]);
+    }
+
+    #[test]
     fn clean_mechanisms_verify_clean() {
-        for kind in MechKind::ALL {
+        // Elastic is the one zoo member with a standing counterexample;
+        // `elastic_debt_outgrows_its_bound` pins it.
+        for kind in zoo().into_iter().filter(|&k| k != MechanismKind::Elastic) {
             let report = check_mechanism(&compact(kind));
             assert!(report.ok(), "{} failed:\n{}", kind.label(), report.render());
             assert!(report.complete, "{} did not reach fixpoint", kind.label());
             assert!(report.states > 10, "{} explored too little", kind.label());
         }
+    }
+
+    #[test]
+    fn elastic_debt_outgrows_its_bound() {
+        // Elastic pays a cap-forced refresh only after a drain that may
+        // run to the full postpone deadline (two tREFI here), while one
+        // refresh accrues per tREFI: a rank that stays busy through
+        // every forced drain outruns the Auditor's debt bound. The
+        // counterexample goes through forced drains — unlike the
+        // uncapped-debt mutant's, which never starts one.
+        let report = check_mechanism(&compact(MechanismKind::Elastic));
+        let v = report
+            .violation
+            .as_ref()
+            .expect("elastic debt counterexample");
+        assert_eq!(v.invariant, "mech-postpone", "{v}");
+        let replay = report.replay.as_ref().expect("replay");
+        assert!(replay.confirmed, "{}", replay.report);
+        assert!(replay
+            .auditor_invariants
+            .contains(&"refresh.postpone-bound"));
+        assert!(replay
+            .events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::DrainStart { .. })));
+    }
+
+    /// The longest run of decision quanta without a refresh on any
+    /// oracle path to depth 200, with the debt bound lifted.
+    fn longest_refresh_gap(cfg: &MechCheckConfig) -> u64 {
+        let mut env = Env::new(cfg);
+        env.debt_bound = None;
+        let mut seen = std::collections::HashSet::new();
+        let mut queue = VecDeque::from([(0usize, 0u64, World::new(cfg, &env))]);
+        let mut longest = 0;
+        while let Some((depth, gap, w)) = queue.pop_front() {
+            if depth == 200 {
+                continue;
+            }
+            for choice in 0..env.choices {
+                let mut succ = w.clone();
+                let (progress, v) = step(&env, &mut succ, choice, None);
+                if let Some(v) = v {
+                    panic!("{v}");
+                }
+                let gap = if progress { 0 } else { gap + 1 };
+                longest = longest.max(gap);
+                if seen.insert((fingerprint(&canon_words(&env, &succ)), gap)) {
+                    queue.push_back((depth + 1, gap, succ));
+                }
+            }
+        }
+        longest
+    }
+
+    #[test]
+    fn elastic_keeps_refreshing_while_its_debt_grows() {
+        // The debt counterexample stops the gate search before liveness
+        // is judged, and with the debt bound lifted the space never
+        // closes: under unbroken demand the debt grows without bound
+        // (EXPERIMENTS.md, D3). Check bounded response instead: a
+        // refresh issues at least once per window — the cap's worth of
+        // postponed rounds, then one forced drain to its deadline. The
+        // uncapped mutant never pays while busy and overruns it.
+        let cfg = compact(MechanismKind::Elastic);
+        let quantum = Env::new(&cfg).quantum;
+        let cap = u64::from(rop_memctrl::ELASTIC_MAX_DEBT);
+        let window = (cap * cfg.timing.t_refi() + cfg.max_postpone) / quantum;
+        assert_eq!(longest_refresh_gap(&cfg), window);
+        assert!(longest_refresh_gap(&compact_mutated(Mutation::UncappedDebt)) > window);
     }
 
     #[test]
@@ -1417,6 +1562,11 @@ mod tests {
                 Mutation::WidenedSkip,
                 "mech-retention",
                 "raidr.bin-deadline",
+            ),
+            (
+                Mutation::UncappedDebt,
+                "mech-postpone",
+                "refresh.postpone-bound",
             ),
         ];
         for (m, static_inv, dynamic_inv) in expect {
@@ -1448,6 +1598,19 @@ mod tests {
     }
 
     #[test]
+    fn the_uncapped_mutant_never_pays() {
+        // Ignoring the cap, an always-busy rank is never drained: the
+        // violating path reaches the bound with no drain at all.
+        let report = check_mechanism(&compact_mutated(Mutation::UncappedDebt));
+        let replay = report.replay.as_ref().expect("replay");
+        let violation_at = report.violation.as_ref().expect("counterexample").cycle;
+        assert!(!replay
+            .events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::DrainStart { cycle, .. } if *cycle <= violation_at)));
+    }
+
+    #[test]
     fn counterexample_paths_replay_deterministically() {
         let report = check_mechanism(&compact_mutated(Mutation::ShortRef));
         let a = report.replay.as_ref().unwrap().events.clone();
@@ -1459,25 +1622,29 @@ mod tests {
     }
 
     #[test]
-    fn mutation_targets_cover_the_zoo() {
-        let mut kinds: Vec<&str> = Mutation::ALL.iter().map(|m| m.target().label()).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        assert_eq!(kinds.len(), MechKind::ALL.len());
+    fn mutation_targets_are_zoo_members() {
+        let zoo_labels = labels(&zoo());
+        let mut targets: Vec<&str> = Mutation::ALL.iter().map(|m| m.target().label()).collect();
+        targets.sort_unstable();
+        targets.dedup();
+        assert_eq!(targets.len(), Mutation::ALL.len(), "one mutant per target");
+        assert!(targets.iter().all(|t| zoo_labels.contains(t)));
         for m in Mutation::ALL {
             assert_eq!(Mutation::parse(m.label()), Some(m));
+            assert_eq!(parse_mechanism(m.target().label()), Some(m.target()));
         }
-        for k in MechKind::ALL {
-            assert_eq!(MechKind::parse(k.label()), Some(k));
+        for k in zoo() {
+            assert_eq!(parse_mechanism(k.label()), Some(k));
         }
+        assert_eq!(parse_mechanism("nonsense"), None);
     }
 
     #[test]
     fn symmetry_reduction_collapses_sibling_banks() {
         // Two sibling banks with mirrored (state, due) assignments must
         // canonicalize identically.
-        let cfg = compact(MechKind::Darp);
-        let env = Env::new(&cfg, RefreshScope::PerBank);
+        let cfg = compact(MechanismKind::Darp);
+        let env = Env::new(&cfg);
         let mut a = World::new(&cfg, &env);
         let mut b = World::new(&cfg, &env);
         // Drive both worlds one step with mirrored busy masks; the

@@ -68,8 +68,6 @@ fn known_bad_table() -> Vec<(&'static str, MemCtrlConfig)> {
             bin_period: c.dram.timing.t_refi() + 1,
         };
     });
-    // DARP over all-bank REF has no per-bank refreshes to reorder.
-    push("mc-mech-gran", &|c| c.mechanism = MechanismKind::Darp);
     // Observational window stretched to a full tREFI.
     push("rop-window", &|c| {
         if let Some(r) = c.rop.as_mut() {

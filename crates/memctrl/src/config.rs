@@ -1,21 +1,38 @@
 //! Controller configuration.
 
 use crate::address::MappingScheme;
-use crate::refresh::RefreshPolicy;
+use crate::mechanism::RefreshScope;
 use crate::Cycle;
 use rop_core::RopConfig;
 use rop_dram::DramConfig;
 
+/// Elastic Refresh's debt cap: the JEDEC DDR4 budget of eight
+/// outstanding postponed refreshes.
+pub const ELASTIC_MAX_DEBT: u32 = 8;
+
 /// Which refresh *mechanism* drives the controller's Refresh Manager —
-/// the seam along which the paper's baseline and the related-work
-/// rivals (DARP, SARP, RAIDR) are compared head to head.
+/// the one config axis for "how refresh behaves": issue policy and
+/// granularity together, so a mechanism can never be paired with a
+/// granularity it does not run at. It is the seam along which the
+/// paper's baseline and the related-work rivals (Elastic Refresh,
+/// REFpb, DARP, SARP, RAIDR) are compared head to head.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MechanismKind {
-    /// Auto-refresh exactly as before this seam existed: one REF per
-    /// rank per tREFI (or one REFpb per bank when
-    /// [`MemCtrlConfig::per_bank_refresh`] is set), drain-then-refresh,
-    /// in slot order. Bit-exact with the pre-seam controller.
-    AllBank,
+    /// Auto-refresh, drain-then-refresh, in slot order: one REF per
+    /// rank per tREFI — the paper's baseline — or, with `per_bank`,
+    /// one REFpb per bank per tREFI (the paper's §VII future-work
+    /// memory model, each bank freezing only itself for `tRFCpb`).
+    AllBank {
+        /// Refresh each bank independently (REFpb) instead of the rank.
+        per_bank: bool,
+    },
+    /// Elastic Refresh (Stuecheli et al., MICRO'10) over all-bank REF:
+    /// postpone a due refresh while the rank has pending demand,
+    /// accruing a debt of owed refreshes; pay owed refreshes as soon as
+    /// the rank goes idle, and start paying regardless once the debt
+    /// reaches [`ELASTIC_MAX_DEBT`]. A forced payment still drains
+    /// first, so the debt can overshoot the cap (EXPERIMENTS.md, D3).
+    Elastic,
     /// DARP (Chang et al., HPCA'14): per-bank refresh issued *out of
     /// order* — an upcoming REFpb is pulled into the present when its
     /// bank has no queued demand, and pull-in is widened during write
@@ -25,10 +42,11 @@ pub enum MechanismKind {
     /// per-bank refresh locks only one subarray (for `tRFCsa`), rotating
     /// round-robin; accesses to the bank's other subarrays keep flowing.
     Sarp,
-    /// RAIDR (Liu et al., ISCA'12): retention-aware refresh binning.
-    /// Rows are binned 64/128/256 ms by seeded Bloom filters; each
-    /// tREFI round refreshes only the rows whose bin falls due, as a
-    /// pro-rata-shortened REF, and rounds with no due bin are skipped.
+    /// RAIDR (Liu et al., ISCA'12) over all-bank REF: retention-aware
+    /// refresh binning. Rows are binned 64/128/256 ms by seeded Bloom
+    /// filters; each tREFI round refreshes only the rows whose bin
+    /// falls due, as a pro-rata-shortened REF, and rounds with no due
+    /// bin are skipped.
     Raidr {
         /// Seed for the per-rank weak-row draw and Bloom hashing.
         seed: u64,
@@ -40,14 +58,47 @@ pub enum MechanismKind {
 }
 
 impl MechanismKind {
-    /// Short stable label for figures, exports and the sweep grid.
+    /// Short stable name, one per variant: the key `rop-lint
+    /// verify-mech` and the pre-sweep gate select zoo members by.
     pub fn label(&self) -> &'static str {
         match self {
-            MechanismKind::AllBank => "allbank",
+            MechanismKind::AllBank { per_bank: false } => "allbank",
+            MechanismKind::AllBank { per_bank: true } => "allbank-pb",
+            MechanismKind::Elastic => "elastic",
             MechanismKind::Darp => "darp",
             MechanismKind::Sarp => "sarp",
             MechanismKind::Raidr { .. } => "raidr",
         }
+    }
+
+    /// The label a run records in `RunMetrics::mechanism` (and the
+    /// sweep export's `mechanism` column): the refresh-command family.
+    /// Elastic and REFpb issue plain REF/REFpb commands and record as
+    /// `allbank`, the family they share with the baseline.
+    pub fn metrics_label(&self) -> &'static str {
+        match self {
+            MechanismKind::AllBank { .. } | MechanismKind::Elastic => "allbank",
+            other => other.label(),
+        }
+    }
+
+    /// Slot granularity the mechanism refreshes at.
+    pub fn scope(&self) -> RefreshScope {
+        match self {
+            MechanismKind::AllBank { per_bank: true }
+            | MechanismKind::Darp
+            | MechanismKind::Sarp => RefreshScope::PerBank,
+            MechanismKind::AllBank { per_bank: false }
+            | MechanismKind::Elastic
+            | MechanismKind::Raidr { .. } => RefreshScope::PerRank,
+        }
+    }
+
+    /// The cap on owed refreshes, for a mechanism that postpones
+    /// refreshes into a debt (Elastic); `None` for the drain-bounded
+    /// rest of the zoo.
+    pub fn debt_cap(&self) -> Option<u32> {
+        matches!(self, MechanismKind::Elastic).then_some(ELASTIC_MAX_DEBT)
     }
 }
 
@@ -80,16 +131,8 @@ pub struct MemCtrlConfig {
     /// dropped. Bounds the refresh delay prefetching can cause (§IV-D:
     /// JEDEC tolerates delayed refreshes; we keep the delay small).
     pub prefetch_grace: Cycle,
-    /// Refresh issue policy (Standard drain-then-refresh, or Elastic
-    /// Refresh for the related-work comparison).
-    pub refresh_policy: RefreshPolicy,
-    /// When true, refresh runs at *per-bank* granularity (REFpb): each
-    /// bank refreshes independently every tREFI for `tRFCpb`, freezing
-    /// only itself — the paper's §VII future-work memory model.
-    pub per_bank_refresh: bool,
-    /// The refresh mechanism driving the Refresh Manager (see
-    /// [`MechanismKind`]). `AllBank` reproduces the pre-seam controller
-    /// bit-exactly.
+    /// The refresh mechanism driving the Refresh Manager: issue policy
+    /// and granularity (see [`MechanismKind`]).
     pub mechanism: MechanismKind,
     /// ROP configuration; `None` disables ROP entirely (baseline system).
     pub rop: Option<RopConfig>,
@@ -108,9 +151,7 @@ impl MemCtrlConfig {
             age_cap: 2_000,
             max_refresh_postpone: 2 * 6_240,
             prefetch_grace: 560,
-            refresh_policy: RefreshPolicy::Standard,
-            per_bank_refresh: false,
-            mechanism: MechanismKind::AllBank,
+            mechanism: MechanismKind::AllBank { per_bank: false },
             rop: None,
         }
     }
@@ -118,7 +159,7 @@ impl MemCtrlConfig {
     /// Baseline controller with per-bank refresh (§VII future work).
     pub fn per_bank(dram: DramConfig) -> Self {
         MemCtrlConfig {
-            per_bank_refresh: true,
+            mechanism: MechanismKind::AllBank { per_bank: true },
             ..Self::baseline(dram)
         }
     }
@@ -127,7 +168,7 @@ impl MemCtrlConfig {
     /// each REFpb prefetches only for its own bank.
     pub fn rop_per_bank(dram: DramConfig, buffer_capacity: usize, seed: u64) -> Self {
         let mut cfg = Self::rop(dram, buffer_capacity, seed);
-        cfg.per_bank_refresh = true;
+        cfg.mechanism = MechanismKind::AllBank { per_bank: true };
         let t_rfc_pb = cfg.dram.timing.t_rfc_pb;
         let rop = cfg.rop.as_mut().expect("rop config present");
         rop.observational_window = t_rfc_pb;
@@ -135,19 +176,19 @@ impl MemCtrlConfig {
         cfg
     }
 
-    /// DARP (out-of-order per-bank refresh) on top of REFpb.
+    /// DARP (out-of-order per-bank refresh).
     pub fn darp(dram: DramConfig) -> Self {
         MemCtrlConfig {
             mechanism: MechanismKind::Darp,
-            ..Self::per_bank(dram)
+            ..Self::baseline(dram)
         }
     }
 
-    /// SARP (subarray-scoped refresh) on top of REFpb.
+    /// SARP (subarray-scoped per-bank refresh).
     pub fn sarp(dram: DramConfig) -> Self {
         MemCtrlConfig {
             mechanism: MechanismKind::Sarp,
-            ..Self::per_bank(dram)
+            ..Self::baseline(dram)
         }
     }
 
@@ -166,7 +207,7 @@ impl MemCtrlConfig {
     /// related-work refresh-hiding scheduler the paper discusses.
     pub fn elastic(dram: DramConfig) -> Self {
         MemCtrlConfig {
-            refresh_policy: RefreshPolicy::Elastic { max_debt: 8 },
+            mechanism: MechanismKind::Elastic,
             ..Self::baseline(dram)
         }
     }
@@ -217,16 +258,8 @@ impl MemCtrlConfig {
             return Err("write_drain_low must be below write_drain_high".into());
         }
         match self.mechanism {
-            MechanismKind::AllBank => {}
-            MechanismKind::Darp => {
-                if !self.per_bank_refresh {
-                    return Err("DARP requires per-bank refresh (REFpb)".into());
-                }
-            }
+            MechanismKind::AllBank { .. } | MechanismKind::Elastic | MechanismKind::Darp => {}
             MechanismKind::Sarp => {
-                if !self.per_bank_refresh {
-                    return Err("SARP requires per-bank refresh (REFpb)".into());
-                }
                 if self.dram.geometry.subarrays_per_bank < 2 {
                     return Err("SARP needs at least 2 subarrays per bank".into());
                 }
@@ -235,9 +268,6 @@ impl MemCtrlConfig {
                 }
             }
             MechanismKind::Raidr { bin_period, .. } => {
-                if self.per_bank_refresh {
-                    return Err("RAIDR runs over all-bank REF, not REFpb".into());
-                }
                 let t_refi = self.dram.timing.t_refi();
                 if bin_period == 0 || bin_period % t_refi != 0 {
                     return Err(format!(
@@ -294,18 +324,47 @@ mod tests {
     }
 
     #[test]
-    fn mechanism_granularity_is_enforced() {
-        // DARP/SARP demand REFpb.
-        let mut c = MemCtrlConfig::darp(DramConfig::baseline(1));
-        c.per_bank_refresh = false;
-        assert!(c.validate().is_err());
-        let mut c = MemCtrlConfig::sarp(DramConfig::baseline(1));
-        c.per_bank_refresh = false;
-        assert!(c.validate().is_err());
-        // RAIDR demands all-bank REF.
-        let mut c = MemCtrlConfig::raidr(DramConfig::baseline(1), 1);
-        c.per_bank_refresh = true;
-        assert!(c.validate().is_err());
+    fn every_preset_names_its_granularity() {
+        let d = || DramConfig::baseline(1);
+        let kinds = [
+            (
+                MemCtrlConfig::baseline(d()),
+                "allbank",
+                RefreshScope::PerRank,
+            ),
+            (
+                MemCtrlConfig::per_bank(d()),
+                "allbank-pb",
+                RefreshScope::PerBank,
+            ),
+            (
+                MemCtrlConfig::rop_per_bank(d(), 64, 1),
+                "allbank-pb",
+                RefreshScope::PerBank,
+            ),
+            (
+                MemCtrlConfig::elastic(d()),
+                "elastic",
+                RefreshScope::PerRank,
+            ),
+            (MemCtrlConfig::darp(d()), "darp", RefreshScope::PerBank),
+            (MemCtrlConfig::sarp(d()), "sarp", RefreshScope::PerBank),
+            (MemCtrlConfig::raidr(d(), 1), "raidr", RefreshScope::PerRank),
+        ];
+        for (cfg, label, scope) in kinds {
+            cfg.validate().unwrap();
+            assert_eq!(cfg.mechanism.label(), label);
+            assert_eq!(cfg.mechanism.scope(), scope, "{label}");
+        }
+        // Elastic and REFpb record under the all-bank family.
+        assert_eq!(MechanismKind::Elastic.metrics_label(), "allbank");
+        assert_eq!(
+            MechanismKind::AllBank { per_bank: true }.metrics_label(),
+            "allbank"
+        );
+        assert_eq!(MechanismKind::Darp.metrics_label(), "darp");
+        assert_eq!(MechanismKind::Elastic.debt_cap(), Some(ELASTIC_MAX_DEBT));
+        assert_eq!(MechanismKind::Darp.debt_cap(), None);
     }
 
     #[test]

@@ -25,10 +25,10 @@ use rop_dram::{Command, DramDevice, EnergyBreakdown};
 use rop_events::{EventSink, TraceBuffer, TraceEvent};
 use rop_stats::RatioCounter;
 
-use crate::address::AddressMapping;
+use crate::address::{AddressMapping, DecodedAddr};
 use crate::analysis::RefreshAnalysis;
 use crate::config::MemCtrlConfig;
-use crate::mechanism::{Mechanism, RefreshMechanism, RoundShape};
+use crate::mechanism::{Mechanism, RefreshMechanism, RefreshScope, RoundShape};
 use crate::refresh::{RefreshManager, RefreshState};
 use crate::request::MemRequest;
 use crate::Cycle;
@@ -119,6 +119,60 @@ struct RopState {
     latency: Cycle,
 }
 
+/// How requests map onto refresh slots: one slot per rank, or one per
+/// (rank, bank) pair when the mechanism refreshes per bank. Fixed at
+/// construction from [`crate::MechanismKind::scope`].
+#[derive(Debug, Clone, Copy)]
+struct SlotMap {
+    /// Per-bank scope: one slot per (rank, bank), else one per rank.
+    per_bank: bool,
+    /// Slots per rank: 1, or the bank count under per-bank scope.
+    per_rank: usize,
+}
+
+impl SlotMap {
+    fn new(scope: RefreshScope, banks_per_rank: usize) -> Self {
+        let per_bank = scope == RefreshScope::PerBank;
+        SlotMap {
+            per_bank,
+            per_rank: if per_bank { banks_per_rank } else { 1 },
+        }
+    }
+
+    /// The refresh slot a request belongs to.
+    // rop-lint: hot
+    #[inline]
+    fn of(self, addr: &DecodedAddr) -> usize {
+        if self.per_bank {
+            addr.rank * self.per_rank + addr.bank
+        } else {
+            addr.rank
+        }
+    }
+
+    // The per-rank case skips the division: these run per queued
+    // request per tick.
+    #[inline]
+    fn rank(self, slot: usize) -> usize {
+        if self.per_bank {
+            slot / self.per_rank
+        } else {
+            slot
+        }
+    }
+
+    /// The single bank a per-bank slot refreshes (`None`: the whole rank).
+    #[inline]
+    fn bank(self, slot: usize) -> Option<usize> {
+        self.per_bank.then(|| slot % self.per_rank)
+    }
+
+    /// The slots covering `rank`.
+    fn of_rank(self, rank: usize) -> std::ops::Range<usize> {
+        rank * self.per_rank..(rank + 1) * self.per_rank
+    }
+}
+
 /// Reusable per-tick scratch buffers. The scheduling loop runs every
 /// simulated command-bus cycle; taking these out of the controller,
 /// filling them, and putting them back keeps the steady-state hot path
@@ -165,8 +219,6 @@ struct TickScratch {
     /// frozen). Requests to other subarrays are exempt from the slot's
     /// gates.
     sa_scope: Vec<Option<usize>>,
-    /// Elastic debt snapshot (trace-only path).
-    debts: Vec<u32>,
     /// Prefetch lines whose fill landed this tick.
     filled: Vec<u64>,
     /// Read ids blocked by a just-issued refresh.
@@ -191,7 +243,6 @@ impl TickScratch {
             seen_banks: vec![false; banks],
             slots: Vec::with_capacity(slots),
             sa_scope: Vec::with_capacity(slots),
-            debts: Vec::with_capacity(slots),
             filled: Vec::with_capacity(queue_cap),
             blocked: Vec::with_capacity(queue_cap),
         }
@@ -205,10 +256,12 @@ pub struct MemController {
     device: DramDevice,
     mapping: AddressMapping,
     refresh: RefreshManager,
-    /// The refresh mechanism layered over the manager (AllBank, DARP,
-    /// SARP or RAIDR). Kept as a separate field so the tick loop can
-    /// borrow mechanism and manager disjointly.
+    /// The refresh mechanism layered over the manager (AllBank,
+    /// Elastic, DARP, SARP or RAIDR). Kept as a separate field so the
+    /// tick loop can borrow mechanism and manager disjointly.
     mech: Mechanism,
+    /// The mechanism's slot granularity.
+    slot_map: SlotMap,
     /// Per-slot issue cycle of the in-flight refresh (`Cycle::MAX` when
     /// none, or when the round was skipped) — blocked-cycle accounting.
     refresh_started_at: Vec<Cycle>,
@@ -253,26 +306,22 @@ impl MemController {
         let mapping = AddressMapping::new(cfg.dram.geometry, cfg.mapping);
         let ranks = cfg.dram.geometry.ranks;
         let banks = cfg.dram.geometry.banks_per_rank;
-        // Refresh is managed per *slot*: one slot per rank in all-bank
-        // mode, one per (rank, bank) in per-bank (REFpb) mode. Every slot
-        // owes one refresh per tREFI; the manager staggers them.
-        let slots = if cfg.per_bank_refresh {
-            ranks * banks
-        } else {
-            ranks
+        // Refresh is managed per *slot*: one slot per rank for an
+        // all-bank mechanism, one per (rank, bank) for a per-bank one.
+        // Every slot owes one refresh per tREFI; the manager staggers
+        // them.
+        let scope = cfg.mechanism.scope();
+        let slot_map = SlotMap::new(scope, banks);
+        let slots = ranks * slot_map.per_rank;
+        let t_rfc = match scope {
+            RefreshScope::PerRank => cfg.dram.timing.t_rfc(),
+            RefreshScope::PerBank => cfg.dram.timing.t_rfc_pb,
         };
-        let t_refi = cfg.dram.timing.t_refi();
-        let t_rfc = if cfg.per_bank_refresh {
-            cfg.dram.timing.t_rfc_pb
-        } else {
-            cfg.dram.timing.t_rfc()
-        };
-        let refresh = RefreshManager::with_policy(
+        let refresh = RefreshManager::new(
             slots,
-            t_refi,
+            cfg.dram.timing.t_refi(),
             cfg.max_refresh_postpone,
             cfg.dram.refresh_enabled,
-            cfg.refresh_policy,
         );
         let rop = cfg.rop.as_ref().map(|rc| {
             let mut engines: Vec<RopEngine> = (0..ranks)
@@ -287,11 +336,7 @@ impl MemController {
                 .collect();
             for (r, e) in engines.iter_mut().enumerate() {
                 // Per rank: the earliest due among the rank's slots.
-                let due = if cfg.per_bank_refresh {
-                    (0..banks).map(|b| refresh.next_due(r * banks + b)).min()
-                } else {
-                    Some(refresh.next_due(r))
-                };
+                let due = slot_map.of_rank(r).map(|s| refresh.next_due(s)).min();
                 e.set_next_refresh_due(due.expect("at least one slot"));
             }
             RopState {
@@ -318,6 +363,7 @@ impl MemController {
             mapping,
             refresh,
             mech,
+            slot_map,
             refresh_started_at: vec![Cycle::MAX; slots],
             refresh_scope_sa: vec![None; slots],
             read_q: Vec::with_capacity(cfg.read_queue_capacity),
@@ -418,42 +464,13 @@ impl MemController {
         self.drain_sets.len()
     }
 
-    #[inline]
-    fn slot_rank(&self, slot: usize) -> usize {
-        if self.cfg.per_bank_refresh {
-            slot / self.cfg.dram.geometry.banks_per_rank
-        } else {
-            slot
-        }
-    }
-
-    #[inline]
-    fn slot_bank(&self, slot: usize) -> Option<usize> {
-        if self.cfg.per_bank_refresh {
-            Some(slot % self.cfg.dram.geometry.banks_per_rank)
-        } else {
-            None
-        }
-    }
-
-    /// The refresh slot a request belongs to.
-    // rop-lint: hot
-    #[inline]
-    fn addr_slot(&self, addr: &crate::address::DecodedAddr) -> usize {
-        if self.cfg.per_bank_refresh {
-            addr.rank * self.cfg.dram.geometry.banks_per_rank + addr.bank
-        } else {
-            addr.rank
-        }
-    }
-
     /// True while `slot`'s refresh blocks this *particular* request at
     /// `now`. Identical to [`Self::slot_frozen`] except under SARP,
     /// where a subarray-scoped refresh only blocks requests whose row
     /// lives in the frozen subarray.
     // rop-lint: hot
     #[inline]
-    fn request_frozen(&self, slot: usize, addr: &crate::address::DecodedAddr, now: Cycle) -> bool {
+    fn request_frozen(&self, slot: usize, addr: &DecodedAddr, now: Cycle) -> bool {
         if !self.slot_frozen(slot, now) {
             return false;
         }
@@ -468,29 +485,22 @@ impl MemController {
     /// True while `slot`'s refresh holds its scope frozen at `now`.
     #[inline]
     fn slot_frozen(&self, slot: usize, now: Cycle) -> bool {
-        if self.cfg.per_bank_refresh {
-            self.device.is_bank_refreshing(
-                self.slot_rank(slot),
-                slot % self.cfg.dram.geometry.banks_per_rank,
-                now,
-            )
-        } else {
-            self.device.is_rank_refreshing(slot, now)
+        let rank = self.slot_map.rank(slot);
+        match self.slot_map.bank(slot) {
+            Some(bank) => self.device.is_bank_refreshing(rank, bank, now),
+            None => self.device.is_rank_refreshing(rank, now),
         }
     }
 
     /// Refreshes the engine's notion of its rank's next due time (the
     /// earliest among the rank's slots).
     fn update_engine_due(&mut self, rank: usize) {
-        let banks = self.cfg.dram.geometry.banks_per_rank;
-        let due = if self.cfg.per_bank_refresh {
-            (0..banks)
-                .map(|b| self.refresh.next_due(rank * banks + b))
-                .min()
-                .expect("banks > 0")
-        } else {
-            self.refresh.next_due(rank)
-        };
+        let due = self
+            .slot_map
+            .of_rank(rank)
+            .map(|s| self.refresh.next_due(s))
+            .min()
+            .expect("banks > 0");
         if let Some(rop) = &mut self.rop {
             rop.engines[rank].set_next_refresh_due(due);
         }
@@ -498,17 +508,14 @@ impl MemController {
 
     /// Refreshes issued on `rank` (all its slots in per-bank mode).
     pub fn refreshes_issued(&self, rank: usize) -> u64 {
-        if self.cfg.per_bank_refresh {
-            let banks = self.cfg.dram.geometry.banks_per_rank;
-            (0..banks)
-                .map(|b| self.refresh.issued(rank * banks + b))
-                .sum()
-        } else {
-            self.refresh.issued(rank)
-        }
+        self.slot_map
+            .of_rank(rank)
+            .map(|s| self.refresh.issued(s))
+            .sum()
     }
 
-    /// The refresh mechanism in force (AllBank, DARP, SARP or RAIDR).
+    /// The refresh mechanism in force (AllBank, Elastic, DARP, SARP or
+    /// RAIDR).
     pub fn mechanism(&self) -> &Mechanism {
         &self.mech
     }
@@ -580,15 +587,9 @@ impl MemController {
         b
     }
 
-    /// Drains the accumulated read completions.
-    pub fn take_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
-    }
-
-    /// Allocation-free variant of [`Self::take_completions`]: appends
-    /// the accumulated completions to `out` and clears the internal
-    /// buffer *in place*, so both sides keep their capacity across the
-    /// simulation's steady state.
+    /// Drains the accumulated read completions: appends them to `out`
+    /// and clears the internal buffer *in place*, so both sides keep
+    /// their capacity across the simulation's steady state.
     // rop-lint: hot
     pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
         out.extend_from_slice(&self.completions);
@@ -601,7 +602,7 @@ impl MemController {
     /// the SRAM buffer and may complete without touching DRAM.
     pub fn enqueue_read(&mut self, line_addr: u64, core: usize, now: Cycle) -> Option<u64> {
         let addr = self.mapping.decode(line_addr);
-        let slot = self.addr_slot(&addr);
+        let slot = self.slot_map.of(&addr);
         let refreshing = self.request_frozen(slot, &addr, now);
         if let Some(rop) = &mut self.rop {
             rop.buffer.set_trace_cycle(now);
@@ -716,7 +717,7 @@ impl MemController {
         is_read: bool,
         now: Cycle,
     ) {
-        let slot = self.addr_slot(&addr);
+        let slot = self.slot_map.of(&addr);
         self.analysis[slot].note_arrival(now, is_read);
         self.mech.on_bank_activity(slot, now);
         if let Some(rop) = &mut self.rop {
@@ -800,7 +801,7 @@ impl MemController {
         let mut i = 0;
         while i < self.read_q.len() {
             let req = self.read_q[i].req;
-            let slot = self.addr_slot(&req.addr);
+            let slot = self.slot_map.of(&req.addr);
             if self.request_frozen(slot, &req.addr, now) && filled.contains(&req.line_addr) {
                 let rop = self.rop.as_mut().expect("rop enabled");
                 rop.refresh_lookups[slot] += 1;
@@ -832,8 +833,8 @@ impl MemController {
         slots.clear();
         self.refresh.poll_complete_into(now, &mut slots);
         for &slot in &slots {
-            let rank = self.slot_rank(slot);
-            let scope_bank = self.slot_bank(slot);
+            let rank = self.slot_map.rank(slot);
+            let scope_bank = self.slot_map.bank(slot);
             // A skipped RAIDR round never started (sentinel stays at
             // `Cycle::MAX`): no RefreshEnd, nothing was blocked.
             let started = self.refresh_started_at[slot];
@@ -855,7 +856,7 @@ impl MemController {
                 let mut blocked = 0u64;
                 let mut ids = std::mem::take(&mut self.blocked_ids);
                 for q in &self.read_q {
-                    if self.addr_slot(&q.req.addr) != slot {
+                    if self.slot_map.of(&q.req.addr) != slot {
                         continue;
                     }
                     if let Some(sa) = scope_sa {
@@ -907,34 +908,23 @@ impl MemController {
 
     // rop-lint: hot
     fn handle_refresh_dues(&mut self, now: Cycle) {
-        // `busy` for the Elastic policy: does the slot's scope have
-        // pending demand?
-        let per_bank = self.cfg.per_bank_refresh;
-        let banks = self.cfg.dram.geometry.banks_per_rank;
+        // `busy` for the mechanism: does the slot's scope have pending
+        // demand?
+        let slot_map = self.slot_map;
         let read_q = &self.read_q;
         let write_q = &self.write_q;
         let busy = |slot: usize| {
-            read_q.iter().chain(write_q.iter()).any(|q| {
-                if per_bank {
-                    q.req.addr.rank * banks + q.req.addr.bank == slot
-                } else {
-                    q.req.addr.rank == slot
-                }
-            })
+            read_q
+                .iter()
+                .chain(write_q.iter())
+                .any(|q| slot_map.of(&q.req.addr) == slot)
         };
-        // Elastic-policy debt accrues inside `poll_due`; snapshot it so a
-        // postponement can be traced (only when the trace is live).
-        let mut debts_before = std::mem::take(&mut self.scratch.debts);
-        debts_before.clear();
-        if self.trace.is_enabled() {
-            debts_before.extend((0..self.refresh_slots()).map(|s| self.refresh.debt(s)));
-        }
         let mut due = std::mem::take(&mut self.scratch.slots);
         due.clear();
         self.mech
             .poll_due(&mut self.refresh, now, &busy, self.write_drain, &mut due);
         for &slot in &due {
-            let rank = self.slot_rank(slot);
+            let rank = self.slot_map.rank(slot);
             let shape = self.mech.round_shape(&self.refresh, slot);
             // RAIDR rounds with no retention bin due never touch the
             // bus: the slot cycles immediately (no drain, no freeze).
@@ -964,12 +954,7 @@ impl MemController {
             let set = &mut self.drain_sets[slot];
             set.clear();
             for q in self.read_q.iter().chain(self.write_q.iter()) {
-                let qslot = if per_bank {
-                    q.req.addr.rank * banks + q.req.addr.bank
-                } else {
-                    q.req.addr.rank
-                };
-                if qslot == slot
+                if slot_map.of(&q.req.addr) == slot
                     && sa_filter.is_none_or(|sa| geom.subarray_of_row(q.req.addr.row) == sa)
                 {
                     set.push(q.req.id);
@@ -1004,29 +989,25 @@ impl MemController {
                 }
             }
         }
-        if !debts_before.is_empty() {
-            for (slot, &before) in debts_before.iter().enumerate() {
-                let debt = u64::from(self.refresh.debt(slot));
-                if debt > u64::from(before) {
-                    let rank = self.slot_rank(slot);
-                    self.trace.emit(|| TraceEvent::RefreshPostponed {
-                        cycle: now,
-                        rank,
-                        debt,
-                    });
-                }
+        if self.trace.is_enabled() {
+            for &(slot, debt) in self.mech.postponed() {
+                let rank = slot_map.rank(slot);
+                self.trace.emit(|| TraceEvent::RefreshPostponed {
+                    cycle: now,
+                    rank,
+                    debt,
+                });
             }
         }
         self.scratch.slots = due;
-        self.scratch.debts = debts_before;
     }
 
     /// Generates the pending prefetch candidates for `rank` and queues
     /// them as prefetch requests. Called exactly once per positive
     /// decision, at the moment the demand drain completes.
     fn fill_prefetch_queue(&mut self, slot: usize, now: Cycle) {
-        let rank = self.slot_rank(slot);
-        let bank = self.slot_bank(slot);
+        let rank = self.slot_map.rank(slot);
+        let bank = self.slot_map.bank(slot);
         let grace = self.cfg.prefetch_grace;
         let capacity = self
             .cfg
@@ -1052,20 +1033,6 @@ impl MemController {
             ),
             None => rop.engines[rank].generate_candidates(now, grace),
         };
-        if std::env::var_os("ROP_DEBUG").is_some() {
-            let banks = self.cfg.dram.geometry.banks_per_rank;
-            let mut per_bank = vec![0usize; banks];
-            let mut ranges: Vec<(u64, u64)> = vec![(u64::MAX, 0); banks];
-            for c in &cands {
-                per_bank[c.bank] += 1;
-                ranges[c.bank].0 = ranges[c.bank].0.min(c.line_offset);
-                ranges[c.bank].1 = ranges[c.bank].1.max(c.line_offset);
-            }
-            eprintln!(
-                "[rop] t={now} rank={rank} generate {} candidates, per-bank {per_bank:?} ranges {ranges:?}",
-                cands.len()
-            );
-        }
         for cand in cands {
             let line_addr = self
                 .mapping
@@ -1108,7 +1075,7 @@ impl MemController {
         let prefetch_done = (!self
             .prefetch_q
             .iter()
-            .any(|q| self.addr_slot(&q.req.addr) == slot)
+            .any(|q| self.slot_map.of(&q.req.addr) == slot)
             && !self.rop.as_ref().is_some_and(|r| r.prefetch_pending[slot]))
             || self
                 .refresh
@@ -1126,7 +1093,7 @@ impl MemController {
             if !matches!(self.refresh.state(slot), RefreshState::Draining { .. }) {
                 continue;
             }
-            let rank = self.slot_rank(slot);
+            let rank = self.slot_map.rank(slot);
             // The demand drain just finished: now is the moment to
             // extrapolate the stream into prefetch candidates.
             if self.demand_drained(slot, now)
@@ -1150,7 +1117,7 @@ impl MemController {
             // a row open in the *target* subarray needs closing; rows in
             // sibling subarrays stay open through the refresh.
             let banks = self.cfg.dram.geometry.banks_per_rank;
-            let (scope_lo, scope_hi) = match self.slot_bank(slot) {
+            let (scope_lo, scope_hi) = match self.slot_map.bank(slot) {
                 Some(b) => (b, b + 1),
                 None => (0, banks),
             };
@@ -1175,7 +1142,7 @@ impl MemController {
             if all_idle {
                 let issued = match shape {
                     RoundShape::Standard => {
-                        let cmd = match self.slot_bank(slot) {
+                        let cmd = match self.slot_map.bank(slot) {
                             Some(bank) => Command::RefreshBank { rank, bank },
                             None => Command::Refresh { rank },
                         };
@@ -1189,7 +1156,7 @@ impl MemController {
                         }
                     }
                     RoundShape::Subarray { subarray } => {
-                        let bank = self.slot_bank(slot).expect("SARP refresh is per-bank");
+                        let bank = self.slot_map.bank(slot).expect("SARP refresh is per-bank");
                         match self
                             .device
                             .earliest_subarray_refresh(rank, bank, subarray, now)
@@ -1243,7 +1210,7 @@ impl MemController {
                     self.refresh_started_at[slot] = now;
                     self.refresh_scope_sa[slot] = sa_target;
                     self.analysis[slot].refresh_started(now);
-                    let scope_bank = self.slot_bank(slot);
+                    let scope_bank = self.slot_map.bank(slot);
                     self.trace
                         .emit(|| TraceEvent::DrainEnd { cycle: now, rank });
                     self.trace.emit(|| TraceEvent::RefreshStart {
@@ -1260,25 +1227,9 @@ impl MemController {
                         // Prefetches for this slot that have not issued
                         // can no longer help; drop them.
                         let before = self.prefetch_q.len();
-                        let per_bank = self.cfg.per_bank_refresh;
-                        let banks = self.cfg.dram.geometry.banks_per_rank;
-                        self.prefetch_q.retain(|q| {
-                            let qslot = if per_bank {
-                                q.req.addr.rank * banks + q.req.addr.bank
-                            } else {
-                                q.req.addr.rank
-                            };
-                            qslot != slot
-                        });
+                        let slot_map = self.slot_map;
+                        self.prefetch_q.retain(|q| slot_map.of(&q.req.addr) != slot);
                         self.stats.prefetches_dropped += (before - self.prefetch_q.len()) as u64;
-                        if std::env::var_os("ROP_DEBUG").is_some() {
-                            eprintln!(
-                                    "[rop] t={now} slot={slot} REF: buffer={} pending_fills={} dropped={}",
-                                    rop.buffer.len(),
-                                    self.pending_fills.len(),
-                                    before - self.prefetch_q.len()
-                                );
-                        }
                     }
                     self.sweep_blocked_reads(slot, now);
                     return Some(Ok(()));
@@ -1298,7 +1249,7 @@ impl MemController {
     /// lookup: hits complete from SRAM immediately, misses wait out the
     /// refresh in the queue.
     fn sweep_blocked_reads(&mut self, slot: usize, now: Cycle) {
-        let rank = self.slot_rank(slot);
+        let rank = self.slot_map.rank(slot);
         // Under SARP only reads aimed at the refreshing subarray are
         // blocked; siblings keep flowing and are not swept.
         let scope_sa = self.refresh_scope_sa[slot];
@@ -1309,7 +1260,7 @@ impl MemController {
             self.read_q
                 .iter()
                 .filter(|q| {
-                    self.addr_slot(&q.req.addr) == slot
+                    self.slot_map.of(&q.req.addr) == slot
                         && scope_sa.is_none_or(|sa| geom.subarray_of_row(q.req.addr.row) == sa)
                 })
                 .map(|q| q.req.id),
@@ -1317,27 +1268,6 @@ impl MemController {
         if blocked.is_empty() {
             self.scratch.blocked = blocked;
             return;
-        }
-        if std::env::var_os("ROP_DEBUG").is_some() {
-            let lpr = self.cfg.dram.geometry.lines_per_row;
-            let preview: Vec<_> = self
-                .read_q
-                .iter()
-                .filter(|q| self.addr_slot(&q.req.addr) == slot)
-                .take(6)
-                .map(|q| {
-                    let in_buf = self
-                        .rop
-                        .as_ref()
-                        .map(|r| r.buffer.contains(q.req.line_addr))
-                        .unwrap_or(false);
-                    (q.req.addr.bank, q.req.addr.line_in_bank(lpr), in_buf)
-                })
-                .collect();
-            eprintln!(
-                "[rop] t={now} slot={slot} sweep {} blocked (bank, off, in_buf): {preview:?}",
-                blocked.len()
-            );
         }
         self.analysis[slot].note_blocked_at_refresh_start(blocked.len() as u64);
         let Some(rop) = &mut self.rop else {
@@ -1427,8 +1357,8 @@ impl MemController {
         if !matches!(self.mech, Mechanism::Sarp(_)) {
             return None;
         }
-        let rank = self.slot_rank(slot);
-        let bank = self.slot_bank(slot)?;
+        let rank = self.slot_map.rank(slot);
+        let bank = self.slot_map.bank(slot)?;
         if self.slot_frozen(slot, now) {
             return self.device.frozen_subarray(rank, bank, now);
         }
@@ -1492,7 +1422,7 @@ impl MemController {
         };
 
         for (i, q) in self.prefetch_q.iter().enumerate() {
-            let slot = self.addr_slot(&q.req.addr);
+            let slot = self.slot_map.of(&q.req.addr);
             if !s.gates[slot].1 || sa_exempt(s.sa_scope[slot], q.req.addr.row) {
                 s.cands
                     .push(self.materialize(2, QueueKind::Prefetch, i, q, banks));
@@ -1500,7 +1430,7 @@ impl MemController {
         }
         let serve_writes = self.write_drain || self.read_q.is_empty();
         for (i, q) in self.read_q.iter().enumerate() {
-            let slot = self.addr_slot(&q.req.addr);
+            let slot = self.slot_map.of(&q.req.addr);
             let in_set = self.drain_sets[slot].contains(&q.req.id);
             let gated = if in_set {
                 s.gates[slot].1
@@ -1515,7 +1445,7 @@ impl MemController {
                 .push(self.materialize(tier, QueueKind::Read, i, q, banks));
         }
         for (i, q) in self.write_q.iter().enumerate() {
-            let slot = self.addr_slot(&q.req.addr);
+            let slot = self.slot_map.of(&q.req.addr);
             let in_set = self.drain_sets[slot].contains(&q.req.id);
             let gated = if in_set {
                 s.gates[slot].1
@@ -1711,7 +1641,7 @@ impl MemController {
         };
         let req = q.req;
         // Remove from the slot's drain set if present.
-        let slot = self.addr_slot(&req.addr);
+        let slot = self.slot_map.of(&req.addr);
         let set = &mut self.drain_sets[slot];
         if let Some(pos) = set.iter().position(|&id| id == req.id) {
             set.swap_remove(pos);
@@ -1747,6 +1677,13 @@ mod tests {
         MemController::new(MemCtrlConfig::baseline(DramConfig::baseline(1)))
     }
 
+    /// The completions delivered so far.
+    fn completions(c: &mut MemController) -> Vec<Completion> {
+        let mut out = Vec::new();
+        c.drain_completions_into(&mut out);
+        out
+    }
+
     /// Runs the controller until `pred` or `deadline`, returning when.
     fn run_until(
         c: &mut MemController,
@@ -1769,7 +1706,7 @@ mod tests {
         let mut c = baseline_1rank();
         let id = c.enqueue_read(12345, 0, 10).expect("queue empty");
         run_until(&mut c, 10, 10_000, |c| !c.completions.is_empty());
-        let comps = c.take_completions();
+        let comps = completions(&mut c);
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].id, id);
         assert!(!comps[0].from_sram);
@@ -1789,7 +1726,7 @@ mod tests {
         run_until(&mut c, 0, 10_000, |c| c.stats().reads_completed == 2);
         let s = c.stats();
         assert_eq!(s.row_buffer.hits(), 1); // second read hits the open row
-        let comps = c.take_completions();
+        let comps = completions(&mut c);
         assert_eq!(comps.len(), 2);
     }
 
@@ -1858,7 +1795,7 @@ mod tests {
         });
         // It can only have completed after the refresh ended.
         assert!(done >= c.device.refresh_done_at(0) || c.stats().reads_completed == 1);
-        let comps = c.take_completions();
+        let comps = completions(&mut c);
         assert!(comps[0].done_at > c.device.refresh_done_at(0));
     }
 
@@ -1927,7 +1864,7 @@ mod tests {
                 k += 1;
             }
             let hint = c.tick(now);
-            c.take_completions();
+            completions(&mut c);
             now = hint.max(now + 1).min(now + 40 - now % 40);
         }
         // At least one training phase completed and λ/β published. (The
@@ -1961,6 +1898,39 @@ mod tests {
     }
 
     #[test]
+    fn per_bank_scope_holds_on_a_one_bank_geometry() {
+        // One bank per rank still means per-bank scope: REFpb, DARP and
+        // SARP must issue bank- or subarray-scoped refreshes, never an
+        // all-bank REF.
+        let one_bank = || {
+            let mut d = DramConfig::baseline(1);
+            d.geometry.banks_per_rank = 1;
+            d.validate().expect("one bank per rank is a legal geometry");
+            d
+        };
+        for cfg in [
+            MemCtrlConfig::per_bank(one_bank()),
+            MemCtrlConfig::darp(one_bank()),
+            MemCtrlConfig::sarp(one_bank()),
+        ] {
+            let label = cfg.mechanism.label();
+            let mut c = MemController::new(cfg);
+            assert_eq!(c.refresh_slots(), 1, "{label}");
+            let mut now = 0;
+            let end = 5 * 6240 + 1000;
+            while now < end {
+                now = c.tick(now).min(end);
+            }
+            let counts = c.device.counts();
+            assert_eq!(counts.refreshes, 0, "{label} issued an all-bank REF");
+            assert!(
+                counts.refreshes_pb + counts.refreshes_sa >= 4,
+                "{label}: {counts:?}"
+            );
+        }
+    }
+
+    #[test]
     fn per_bank_refresh_serves_reads_on_other_banks() {
         let mut c = MemController::new(MemCtrlConfig::per_bank(DramConfig::baseline(1)));
         // Let the first REFpb start.
@@ -1983,7 +1953,7 @@ mod tests {
             done = c.tick(done);
             assert!(done < now + 10_000, "read starved");
         }
-        let comps = c.take_completions();
+        let comps = completions(&mut c);
         // Served well inside the REFpb window: the sibling bank was free.
         assert!(
             comps[0].done_at < now + t_rfc_pb,
@@ -2007,7 +1977,7 @@ mod tests {
                 k += 3;
             }
             let hint = c.tick(now);
-            c.take_completions();
+            completions(&mut c);
             now = hint.max(now + 1).min(now + 16 - now % 16);
         }
         assert!(c.rop_engine_stats(0).unwrap().trainings_completed >= 1);

@@ -35,10 +35,10 @@ pub mod request;
 
 pub use address::{AddressMapping, DecodedAddr, MappingScheme};
 pub use analysis::{RefreshAnalysis, RefreshAnalysisReport};
-pub use config::{MechanismKind, MemCtrlConfig};
+pub use config::{MechanismKind, MemCtrlConfig, ELASTIC_MAX_DEBT};
 pub use controller::{Completion, MemController, MemCtrlStats};
 pub use mechanism::{Mechanism, RefreshMechanism, RefreshScope, RetentionBins, RoundShape};
-pub use refresh::{RefreshManager, RefreshPolicy, RefreshState};
+pub use refresh::{RefreshManager, RefreshState};
 pub use request::MemRequest;
 
 /// Memory-clock cycle (same unit as `rop-dram`).

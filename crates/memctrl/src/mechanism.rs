@@ -4,13 +4,17 @@
 //!
 //! The controller owns one [`RefreshManager`] (the slot state machine:
 //! due times, Draining/Refreshing transitions, postpone deadlines) and
-//! one [`Mechanism`] layered on top of it. The mechanism intercepts
-//! exactly four points of the refresh path:
+//! one [`Mechanism`] layered on top of it, built from the config's
+//! [`MechanismKind`] — which also fixes the slot granularity
+//! ([`MechanismKind::scope`]). The mechanism intercepts exactly four
+//! points of the refresh path:
 //!
 //! 1. **`poll_due`** — which slots enter Draining this tick. `AllBank`
 //!    delegates verbatim (bit-exact with the pre-seam controller); DARP
 //!    additionally *pulls in* upcoming per-bank refreshes whose banks
-//!    are idle.
+//!    are idle; Elastic postpones due refreshes into a debt while the
+//!    rank is busy and reports the growth through
+//!    [`RefreshMechanism::postponed`].
 //! 2. **`round_shape`** — what the controller must issue for a due
 //!    slot: a standard REF/REFpb, a SARP subarray-scoped refresh, a
 //!    RAIDR pro-rata-shortened REF, or nothing at all (a skipped round).
@@ -24,7 +28,7 @@
 //! the controller's per-tick path and must stay allocation-free and
 //! branch-predictable.
 
-use crate::config::{MechanismKind, MemCtrlConfig};
+use crate::config::{MechanismKind, MemCtrlConfig, ELASTIC_MAX_DEBT};
 use crate::refresh::{RefreshManager, RefreshState};
 use crate::Cycle;
 
@@ -41,8 +45,8 @@ pub enum RefreshScope {
 /// current refresh round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundShape {
-    /// A standard REF (all-bank) or REFpb (per-bank) — whatever
-    /// [`MemCtrlConfig::per_bank_refresh`] selects. The pre-seam path.
+    /// A standard REF (per-rank scope) or REFpb (per-bank scope). The
+    /// pre-seam path.
     Standard,
     /// A SARP refresh locking only `subarray` of the slot's bank for
     /// `tRFCsa`; the bank's other subarrays stay accessible.
@@ -75,9 +79,6 @@ pub enum RoundShape {
 /// controller can keep mechanism and manager as separate fields (the
 /// borrow-splitting its tick loop needs).
 pub trait RefreshMechanism {
-    /// Slot granularity this mechanism runs at.
-    fn scope(&self) -> RefreshScope;
-
     /// Advances due-time bookkeeping at `now` and appends newly-Draining
     /// slots to `out`. `busy(slot)` reports queued demand for the slot's
     /// scope; `write_drain` is the controller's write-drain mode flag
@@ -137,6 +138,14 @@ pub trait RefreshMechanism {
         0
     }
 
+    /// Slots whose refresh debt grew during the last
+    /// [`Self::poll_due`], each with the debt it reached — the
+    /// `RefreshPostponed` trace hook. Only Elastic postpones into a
+    /// debt; everyone else reports nothing.
+    fn postponed(&self) -> &[(usize, u64)] {
+        &[]
+    }
+
     /// One word of *behaviour-relevant* mechanism state for `slot` at
     /// `now` — the `MechState` snapshot hook the model checker hashes
     /// into its visited-state fingerprints. The contract: two
@@ -154,34 +163,23 @@ pub trait RefreshMechanism {
 /// The pre-seam behaviour: slots drain when due and issue standard
 /// REF/REFpb commands, in slot order. Every hook is a verbatim
 /// delegation to the [`RefreshManager`], which is what makes the
-/// differential oracle's bit-exactness claim meaningful.
+/// differential oracle's bit-exactness claim meaningful. The same
+/// mechanism runs at either scope; the slot count the manager was
+/// built with is the only difference.
 #[derive(Debug, Clone)]
-pub struct AllBank {
-    scope: RefreshScope,
-}
-
-impl AllBank {
-    /// All-bank (or plain REFpb) auto-refresh at the given scope.
-    pub fn new(scope: RefreshScope) -> Self {
-        AllBank { scope }
-    }
-}
+pub struct AllBank;
 
 impl RefreshMechanism for AllBank {
-    fn scope(&self) -> RefreshScope {
-        self.scope
-    }
-
     // rop-lint: hot
     fn poll_due(
         &mut self,
         base: &mut RefreshManager,
         now: Cycle,
-        busy: &dyn Fn(usize) -> bool,
+        _busy: &dyn Fn(usize) -> bool,
         _write_drain: bool,
         out: &mut Vec<usize>,
     ) {
-        base.poll_due_into(now, busy, out);
+        base.poll_due_into(now, out);
     }
 
     fn round_shape(&self, _base: &RefreshManager, _slot: usize) -> RoundShape {
@@ -192,10 +190,130 @@ impl RefreshMechanism for AllBank {
         &mut self,
         base: &mut RefreshManager,
         slot: usize,
-        now: Cycle,
+        _now: Cycle,
         until: Cycle,
     ) {
-        base.refresh_issued(slot, now, until);
+        base.refresh_issued(slot, until);
+    }
+}
+
+/// Elastic Refresh (Stuecheli et al., MICRO'10) over all-bank REF. Due
+/// refreshes are not drained at once: each due time that passes adds
+/// one unit of *debt* to its rank, and an owed refresh starts draining
+/// only when the rank has no pending demand, or unconditionally once
+/// the debt reaches the cap. Each issued refresh pays the oldest owed
+/// one, so the manager's schedule still advances in exact `tREFI`
+/// steps.
+#[derive(Debug, Clone)]
+pub struct Elastic {
+    max_debt: u32,
+    /// Owed refreshes per slot: due times passed but not yet paid. The
+    /// manager's `next_due` is the oldest of them, so the next due time
+    /// not yet accrued is `next_due + debt × tREFI`.
+    debt: Vec<u32>,
+    /// Slots whose debt grew in the last poll, with the debt reached.
+    postponed: Vec<(usize, u64)>,
+}
+
+impl Elastic {
+    /// Elastic Refresh over `slots` rank slots, capped at the JEDEC
+    /// budget of [`ELASTIC_MAX_DEBT`] owed refreshes.
+    pub fn new(slots: usize) -> Self {
+        Self::with_max_debt(slots, ELASTIC_MAX_DEBT)
+    }
+
+    /// As [`Self::new`] with an explicit debt cap.
+    pub fn with_max_debt(slots: usize, max_debt: u32) -> Self {
+        assert!(max_debt >= 1, "elastic refresh needs a debt budget");
+        Elastic {
+            max_debt,
+            debt: vec![0; slots],
+            postponed: Vec::with_capacity(slots),
+        }
+    }
+
+    /// Owed refreshes on `slot`.
+    pub fn debt(&self, slot: usize) -> u32 {
+        self.debt[slot]
+    }
+}
+
+impl RefreshMechanism for Elastic {
+    // rop-lint: hot
+    fn poll_due(
+        &mut self,
+        base: &mut RefreshManager,
+        now: Cycle,
+        busy: &dyn Fn(usize) -> bool,
+        _write_drain: bool,
+        out: &mut Vec<usize>,
+    ) {
+        self.postponed.clear();
+        let t_refi = base.t_refi();
+        for slot in 0..base.ranks() {
+            // Accrue debt as due times pass (possibly several after a
+            // long fast-forward), whatever state the slot is in.
+            let before = self.debt[slot];
+            while now
+                >= base
+                    .next_due(slot)
+                    .saturating_add(u64::from(self.debt[slot]) * t_refi)
+            {
+                self.debt[slot] += 1;
+            }
+            if self.debt[slot] > before {
+                self.postponed.push((slot, u64::from(self.debt[slot])));
+            }
+            // Pay an owed refresh when the rank goes idle, or at once at
+            // the cap; the drain deadline counts from this decision.
+            let debt = self.debt[slot];
+            if debt > 0 && (debt >= self.max_debt || !busy(slot)) && base.start_drain(slot, now) {
+                out.push(slot);
+            }
+        }
+    }
+
+    fn round_shape(&self, _base: &RefreshManager, _slot: usize) -> RoundShape {
+        RoundShape::Standard
+    }
+
+    fn on_refresh_issued(
+        &mut self,
+        base: &mut RefreshManager,
+        slot: usize,
+        _now: Cycle,
+        until: Cycle,
+    ) {
+        debug_assert!(
+            self.debt[slot] > 0,
+            "elastic issued a refresh it did not owe"
+        );
+        self.debt[slot] = self.debt[slot].saturating_sub(1);
+        base.refresh_issued(slot, until);
+    }
+
+    fn next_event(&self, base: &RefreshManager, now: Cycle) -> Option<Cycle> {
+        let owed_idle =
+            (0..base.ranks()).any(|s| self.debt[s] > 0 && base.state(s) == RefreshState::Idle);
+        // Owed refreshes fire at the next idle poll. The manager's own
+        // Idle hint is the oldest owed due — already past when a debt is
+        // outstanding, so it only speaks for debt-free slots.
+        if owed_idle {
+            Some(now + 1)
+        } else {
+            base.next_event(now)
+        }
+    }
+
+    fn postponed(&self) -> &[(usize, u64)] {
+        &self.postponed
+    }
+
+    fn mech_state(&self, _base: &RefreshManager, _now: Cycle, slot: usize) -> u64 {
+        // The debt decides when the slot drains. It is not bounded on
+        // its own (see EXPERIMENTS.md); a search that enforces a debt
+        // bound keeps the word finite.
+        u64::from(self.debt[slot])
     }
 }
 
@@ -236,10 +354,6 @@ impl Darp {
 }
 
 impl RefreshMechanism for Darp {
-    fn scope(&self) -> RefreshScope {
-        RefreshScope::PerBank
-    }
-
     // rop-lint: hot
     fn poll_due(
         &mut self,
@@ -270,12 +384,12 @@ impl RefreshMechanism for Darp {
             if (first..first + self.banks_per_rank).any(|s| base.state(s) != RefreshState::Idle) {
                 continue;
             }
-            if base.pull_in(slot) {
+            if base.start_drain(slot, due) {
                 self.pulled_in += 1;
                 out.push(slot);
             }
         }
-        base.poll_due_into(now, busy, out);
+        base.poll_due_into(now, out);
     }
 
     fn round_shape(&self, _base: &RefreshManager, _slot: usize) -> RoundShape {
@@ -286,10 +400,10 @@ impl RefreshMechanism for Darp {
         &mut self,
         base: &mut RefreshManager,
         slot: usize,
-        now: Cycle,
+        _now: Cycle,
         until: Cycle,
     ) {
-        base.refresh_issued(slot, now, until);
+        base.refresh_issued(slot, until);
     }
 
     // rop-lint: hot
@@ -359,20 +473,16 @@ impl Sarp {
 }
 
 impl RefreshMechanism for Sarp {
-    fn scope(&self) -> RefreshScope {
-        RefreshScope::PerBank
-    }
-
     // rop-lint: hot
     fn poll_due(
         &mut self,
         base: &mut RefreshManager,
         now: Cycle,
-        busy: &dyn Fn(usize) -> bool,
+        _busy: &dyn Fn(usize) -> bool,
         _write_drain: bool,
         out: &mut Vec<usize>,
     ) {
-        base.poll_due_into(now, busy, out);
+        base.poll_due_into(now, out);
     }
 
     fn round_shape(&self, base: &RefreshManager, slot: usize) -> RoundShape {
@@ -385,10 +495,10 @@ impl RefreshMechanism for Sarp {
         &mut self,
         base: &mut RefreshManager,
         slot: usize,
-        now: Cycle,
+        _now: Cycle,
         until: Cycle,
     ) {
-        base.refresh_issued(slot, now, until);
+        base.refresh_issued(slot, until);
     }
 
     fn mech_state(&self, base: &RefreshManager, _now: Cycle, slot: usize) -> u64 {
@@ -439,28 +549,19 @@ impl Raidr {
             skipped: 0,
         }
     }
-
-    /// The per-rank retention bins (for the audit and tests).
-    pub fn bins(&self, rank: usize) -> &RetentionBins {
-        &self.bins[rank]
-    }
 }
 
 impl RefreshMechanism for Raidr {
-    fn scope(&self) -> RefreshScope {
-        RefreshScope::PerRank
-    }
-
     // rop-lint: hot
     fn poll_due(
         &mut self,
         base: &mut RefreshManager,
         now: Cycle,
-        busy: &dyn Fn(usize) -> bool,
+        _busy: &dyn Fn(usize) -> bool,
         _write_drain: bool,
         out: &mut Vec<usize>,
     ) {
-        base.poll_due_into(now, busy, out);
+        base.poll_due_into(now, out);
     }
 
     fn round_shape(&self, _base: &RefreshManager, slot: usize) -> RoundShape {
@@ -490,10 +591,10 @@ impl RefreshMechanism for Raidr {
         &mut self,
         base: &mut RefreshManager,
         slot: usize,
-        now: Cycle,
+        _now: Cycle,
         until: Cycle,
     ) {
-        base.refresh_issued(slot, now, until);
+        base.refresh_issued(slot, until);
         self.round[slot] += 1;
     }
 
@@ -501,7 +602,7 @@ impl RefreshMechanism for Raidr {
         // A zero-length "refresh": the slot cycles (Draining →
         // Refreshing{until: now} → Idle next tick) and the schedule
         // advances by exactly one tREFI, but nothing touches the bus.
-        base.refresh_issued(slot, now, now);
+        base.refresh_issued(slot, now);
         self.round[slot] += 1;
         self.skipped += 1;
     }
@@ -646,8 +747,11 @@ fn bloom_query(bits: &[u64; BLOOM_WORDS], seed: u64, row: usize) -> bool {
 /// controller's per-tick path.
 #[derive(Debug, Clone)]
 pub enum Mechanism {
-    /// Pre-seam auto-refresh (the paper's baseline and ROP systems).
+    /// Pre-seam auto-refresh (the paper's baseline and ROP systems),
+    /// per rank or per bank.
     AllBank(AllBank),
+    /// Debt-based postponed all-bank refresh.
+    Elastic(Elastic),
     /// Out-of-order per-bank refresh.
     Darp(Darp),
     /// Subarray-scoped refresh.
@@ -664,11 +768,8 @@ impl Mechanism {
     pub fn from_config(cfg: &MemCtrlConfig) -> Self {
         let g = &cfg.dram.geometry;
         match cfg.mechanism {
-            MechanismKind::AllBank => Mechanism::AllBank(AllBank::new(if cfg.per_bank_refresh {
-                RefreshScope::PerBank
-            } else {
-                RefreshScope::PerRank
-            })),
+            MechanismKind::AllBank { .. } => Mechanism::AllBank(AllBank),
+            MechanismKind::Elastic => Mechanism::Elastic(Elastic::new(g.ranks)),
             MechanismKind::Darp => Mechanism::Darp(Darp::new(
                 g.ranks * g.banks_per_rank,
                 g.banks_per_rank,
@@ -686,21 +787,15 @@ impl Mechanism {
         }
     }
 
-    /// Short label for metrics and sweep exports.
+    /// Label for metrics and sweep exports. Elastic and REFpb issue
+    /// plain REF/REFpb commands and record as `allbank`, the family
+    /// they share with the baseline.
     pub fn label(&self) -> &'static str {
         match self {
-            Mechanism::AllBank(_) => "allbank",
+            Mechanism::AllBank(_) | Mechanism::Elastic(_) => "allbank",
             Mechanism::Darp(_) => "darp",
             Mechanism::Sarp(_) => "sarp",
             Mechanism::Raidr(_) => "raidr",
-        }
-    }
-
-    /// The RAIDR state, when this mechanism is RAIDR.
-    pub fn as_raidr(&self) -> Option<&Raidr> {
-        match self {
-            Mechanism::Raidr(r) => Some(r),
-            _ => None,
         }
     }
 }
@@ -709,6 +804,7 @@ macro_rules! dispatch {
     ($self:expr, $m:pat => $body:expr) => {
         match $self {
             Mechanism::AllBank($m) => $body,
+            Mechanism::Elastic($m) => $body,
             Mechanism::Darp($m) => $body,
             Mechanism::Sarp($m) => $body,
             Mechanism::Raidr($m) => $body,
@@ -717,10 +813,6 @@ macro_rules! dispatch {
 }
 
 impl RefreshMechanism for Mechanism {
-    fn scope(&self) -> RefreshScope {
-        dispatch!(self, m => m.scope())
-    }
-
     // rop-lint: hot
     fn poll_due(
         &mut self,
@@ -769,6 +861,10 @@ impl RefreshMechanism for Mechanism {
         dispatch!(self, m => m.refreshes_pulled_in())
     }
 
+    fn postponed(&self) -> &[(usize, u64)] {
+        dispatch!(self, m => m.postponed())
+    }
+
     fn mech_state(&self, base: &RefreshManager, now: Cycle, slot: usize) -> u64 {
         dispatch!(self, m => m.mech_state(base, now, slot))
     }
@@ -777,30 +873,47 @@ impl RefreshMechanism for Mechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::refresh::RefreshPolicy;
 
     const T_REFI: Cycle = 6240;
     const T_RFC: Cycle = 280;
 
     fn manager(slots: usize) -> RefreshManager {
-        RefreshManager::with_policy(slots, T_REFI, 2 * T_REFI, true, RefreshPolicy::Standard)
+        RefreshManager::new(slots, T_REFI, 2 * T_REFI, true)
+    }
+
+    /// Polls `mech` at `now` with a fixed busy answer; returns the slots
+    /// that started draining.
+    fn poll(
+        mech: &mut impl RefreshMechanism,
+        base: &mut RefreshManager,
+        now: Cycle,
+        busy: bool,
+    ) -> Vec<usize> {
+        let mut out = Vec::new();
+        mech.poll_due(base, now, &|_| busy, false, &mut out);
+        out
+    }
+
+    fn complete(base: &mut RefreshManager, now: Cycle) {
+        let mut out = Vec::new();
+        base.poll_complete_into(now, &mut out);
     }
 
     #[test]
     fn allbank_delegates_verbatim() {
         let mut a = manager(2);
         let mut b = manager(2);
-        let mut mech = AllBank::new(RefreshScope::PerRank);
+        let mut mech = AllBank;
         let mut out_a = Vec::new();
         let mut out_b = Vec::new();
         for now in (0..40_000).step_by(37) {
             out_a.clear();
             out_b.clear();
-            a.poll_due_into(now, |_| false, &mut out_a);
+            a.poll_due_into(now, &mut out_a);
             mech.poll_due(&mut b, now, &|_| false, false, &mut out_b);
             assert_eq!(out_a, out_b);
             for &s in &out_a {
-                a.refresh_issued(s, now, now + T_RFC);
+                a.refresh_issued(s, now + T_RFC);
                 mech.on_refresh_issued(&mut b, s, now, now + T_RFC);
             }
             let mut d = Vec::new();
@@ -871,13 +984,13 @@ mod tests {
     #[test]
     fn sarp_rotates_subarrays() {
         let mut base = manager(1);
-        let sarp = Sarp::new(8);
+        let mut sarp = Sarp::new(8);
         assert_eq!(
             sarp.round_shape(&base, 0),
             RoundShape::Subarray { subarray: 0 }
         );
-        base.poll_due(T_REFI, |_| false);
-        base.refresh_issued(0, T_REFI, T_REFI + 90);
+        assert_eq!(poll(&mut sarp, &mut base, T_REFI, false), vec![0]);
+        sarp.on_refresh_issued(&mut base, 0, T_REFI, T_REFI + 90);
         assert_eq!(
             sarp.round_shape(&base, 0),
             RoundShape::Subarray { subarray: 1 }
@@ -893,7 +1006,7 @@ mod tests {
         let mut skips = 0;
         for i in 0..8u64 {
             let now = (i + 1) * T_REFI;
-            base.poll_due(now, |_| false);
+            assert_eq!(poll(&mut raidr, &mut base, now, false), vec![0]);
             match raidr.round_shape(&base, 0) {
                 RoundShape::Scaled {
                     duration,
@@ -914,7 +1027,7 @@ mod tests {
                 }
                 other => panic!("unexpected shape {other:?}"),
             }
-            base.poll_complete(now + T_RFC);
+            complete(&mut base, now + T_RFC);
         }
         // Odd rounds all skip under stride 2.
         assert_eq!(skips, 4);
@@ -964,10 +1077,10 @@ mod tests {
         );
         // SARP: the word is the rotation position.
         let mut base = manager(1);
-        let sarp = Sarp::new(4);
+        let mut sarp = Sarp::new(4);
         assert_eq!(sarp.mech_state(&base, 0, 0), 0);
-        base.poll_due(T_REFI, |_| false);
-        base.refresh_issued(0, T_REFI, T_REFI + 90);
+        assert_eq!(poll(&mut sarp, &mut base, T_REFI, false), vec![0]);
+        sarp.on_refresh_issued(&mut base, 0, T_REFI, T_REFI + 90);
         assert_eq!(sarp.mech_state(&base, T_REFI, 0), 1);
         // RAIDR: rounds reduce modulo the 256 ms cadence (4×stride).
         let mut base = manager(1);
@@ -975,12 +1088,12 @@ mod tests {
         assert_eq!(raidr.mech_state(&base, 0, 0), 0);
         for i in 0..8u64 {
             let now = (i + 1) * T_REFI;
-            base.poll_due(now, |_| false);
+            assert_eq!(poll(&mut raidr, &mut base, now, false), vec![0]);
             match raidr.round_shape(&base, 0) {
                 RoundShape::Skip { .. } => raidr.on_refresh_skipped(&mut base, 0, now),
                 _ => raidr.on_refresh_issued(&mut base, 0, now, now + 1),
             }
-            base.poll_complete(now + T_RFC);
+            complete(&mut base, now + T_RFC);
         }
         // stride 2 → period 8: after 8 rounds the word wraps to 0.
         assert_eq!(raidr.mech_state(&base, 9 * T_REFI, 0), 0);
@@ -989,16 +1102,90 @@ mod tests {
     #[test]
     fn mechanism_enum_builds_from_config() {
         use rop_dram::DramConfig;
-        let m = Mechanism::from_config(&MemCtrlConfig::baseline(DramConfig::baseline(1)));
-        assert_eq!(m.scope(), RefreshScope::PerRank);
-        let m = Mechanism::from_config(&MemCtrlConfig::per_bank(DramConfig::baseline(1)));
-        assert_eq!(m.scope(), RefreshScope::PerBank);
-        let m = Mechanism::from_config(&MemCtrlConfig::darp(DramConfig::baseline(1)));
-        assert_eq!(m.scope(), RefreshScope::PerBank);
-        let m = Mechanism::from_config(&MemCtrlConfig::sarp(DramConfig::baseline(1)));
-        assert_eq!(m.scope(), RefreshScope::PerBank);
-        let m = Mechanism::from_config(&MemCtrlConfig::raidr(DramConfig::baseline(2), 3));
-        assert_eq!(m.scope(), RefreshScope::PerRank);
-        assert!(m.as_raidr().is_some());
+        let d = || DramConfig::baseline(2);
+        for cfg in [
+            MemCtrlConfig::baseline(d()),
+            MemCtrlConfig::per_bank(d()),
+            MemCtrlConfig::elastic(d()),
+            MemCtrlConfig::darp(d()),
+            MemCtrlConfig::sarp(d()),
+            MemCtrlConfig::raidr(d(), 3),
+        ] {
+            let m = Mechanism::from_config(&cfg);
+            assert_eq!(m.label(), cfg.mechanism.metrics_label());
+        }
+    }
+
+    #[test]
+    fn elastic_postpones_while_busy() {
+        let mut base = manager(1);
+        let mut m = Elastic::new(1);
+        // Busy rank: due passes, debt accrues, no drain starts.
+        assert!(poll(&mut m, &mut base, T_REFI, true).is_empty());
+        assert_eq!(m.debt(0), 1);
+        assert_eq!(m.postponed(), &[(0, 1)]);
+        assert!(poll(&mut m, &mut base, 2 * T_REFI + 1, true).is_empty());
+        assert_eq!(m.debt(0), 2);
+        // Rank goes idle: a drain starts immediately (nothing new
+        // accrued, nothing postponed) and issuing a refresh pays one
+        // unit of debt.
+        let now = 2 * T_REFI + 10;
+        assert_eq!(poll(&mut m, &mut base, now, false), vec![0]);
+        assert!(m.postponed().is_empty());
+        assert_eq!(base.state(0), RefreshState::Draining { due: now });
+        m.on_refresh_issued(&mut base, 0, now, now + T_RFC);
+        assert_eq!(m.debt(0), 1);
+        complete(&mut base, now + T_RFC);
+        // Still owing one: the hint asks for the next cycle, and the
+        // next idle poll fires again (catch-up).
+        assert_eq!(m.next_event(&base, now + T_RFC), Some(now + T_RFC + 1));
+        assert_eq!(poll(&mut m, &mut base, now + T_RFC, false), vec![0]);
+    }
+
+    #[test]
+    fn elastic_forces_at_debt_cap() {
+        let mut base = manager(1);
+        let mut m = Elastic::with_max_debt(1, 3);
+        // Permanently busy: the third owed refresh forces a drain.
+        assert!(poll(&mut m, &mut base, T_REFI, true).is_empty());
+        assert!(poll(&mut m, &mut base, 2 * T_REFI, true).is_empty());
+        assert_eq!(poll(&mut m, &mut base, 3 * T_REFI, true), vec![0]);
+        assert_eq!(m.debt(0), 3);
+        // A fast-forward past several dues accrues them all at once.
+        let mut base = manager(1);
+        let mut m = Elastic::new(1);
+        assert!(poll(&mut m, &mut base, 5 * T_REFI, true).is_empty());
+        assert_eq!(m.postponed(), &[(0, 5)]);
+    }
+
+    #[test]
+    fn elastic_long_run_rate_is_preserved() {
+        let mut base = manager(1);
+        let mut m = Elastic::new(1);
+        // Alternate busy/idle stretches for 40 tREFI; every owed refresh
+        // must eventually be issued.
+        for epoch in 0..40u64 {
+            let mut now = (epoch + 1) * T_REFI + 17;
+            let busy = epoch % 3 != 0;
+            // Catch up any remaining debt while idle.
+            while !poll(&mut m, &mut base, now, busy).is_empty() {
+                m.on_refresh_issued(&mut base, 0, now, now + T_RFC);
+                now += T_RFC;
+                complete(&mut base, now);
+                if busy {
+                    break;
+                }
+            }
+        }
+        assert!(
+            base.issued(0) + u64::from(m.debt(0)) >= 39,
+            "issued {} debt {}",
+            base.issued(0),
+            m.debt(0)
+        );
+        assert!(m.debt(0) <= ELASTIC_MAX_DEBT);
+        // Each issue paid the oldest owed due: the schedule sits exactly
+        // `debt` tREFI behind the next due not yet accrued.
+        assert_eq!(base.next_due(0), (base.issued(0) + 1) * T_REFI);
     }
 }

@@ -1,46 +1,35 @@
-//! The Refresh Manager: per-rank auto-refresh scheduling with
-//! drain-before-refresh and a bounded postpone budget.
+//! The Refresh Manager: per-slot auto-refresh bookkeeping — due times,
+//! the Idle → Draining → Refreshing lifecycle, and the drain deadline.
 //!
-//! Every `tREFI` a rank owes one all-bank refresh. When one falls due the
-//! manager enters **Draining** for that rank: the controller prioritises
-//! the requests already queued for the rank (the *drain set*) plus any
-//! ROP prefetch requests, and the refresh issues as soon as the drain set
-//! has been issued and all banks are precharged. A hard deadline bounds
-//! postponement (JEDEC DDR4 permits up to eight outstanding postponed
-//! refreshes; the controller's default deadline is far inside that).
-//! Scheduling is by *due time*, not issue time, so the long-run refresh
-//! rate is exactly one per `tREFI` regardless of postponement.
+//! Every `tREFI` a slot (a rank, or a bank under per-bank refresh) owes
+//! one refresh. When one falls due the manager enters **Draining** for
+//! that slot: the controller prioritises the requests already queued
+//! for it (the *drain set*) plus any ROP prefetch requests, and the
+//! refresh issues as soon as the drain set has been issued and the
+//! scope is precharged. A hard deadline bounds postponement (JEDEC DDR4
+//! permits up to eight outstanding postponed refreshes; the
+//! controller's default deadline is far inside that). Scheduling is by
+//! *due time*, not issue time, so the long-run refresh rate is exactly
+//! one per `tREFI` regardless of postponement.
+//!
+//! The manager has no policy of its own: *when* a slot starts draining
+//! beyond the plain due-time rule (DARP's pull-ins, Elastic's debt) is
+//! the refresh mechanism's call (see [`crate::mechanism`]).
 
 use crate::Cycle;
 
-/// When a due refresh actually gets issued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefreshPolicy {
-    /// Drain the rank's queued requests, then refresh (the paper's
-    /// baseline behaviour, after Mukundan et al.).
-    Standard,
-    /// Elastic Refresh (Stuecheli et al., MICRO'10): postpone a due
-    /// refresh while the rank has pending demand, accumulating a debt of
-    /// at most `max_debt` outstanding refreshes (JEDEC allows 8); issue
-    /// owed refreshes as soon as the rank goes idle, or immediately when
-    /// the debt cap is hit.
-    Elastic {
-        /// Maximum outstanding postponed refreshes.
-        max_debt: u32,
-    },
-}
-
-/// Per-rank refresh lifecycle.
+/// Per-slot refresh lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefreshState {
     /// No refresh due.
     Idle,
-    /// A refresh is due; queued requests for the rank are being drained.
+    /// A refresh is due; queued requests for the slot are being drained.
     Draining {
-        /// The cycle at which the refresh fell due.
+        /// The cycle the drain deadline counts from: the due time, or
+        /// the cycle a mechanism started the drain.
         due: Cycle,
     },
-    /// REF issued; rank frozen until `until`.
+    /// REF issued; slot frozen until `until`.
     Refreshing {
         /// Completion cycle.
         until: Cycle,
@@ -52,225 +41,145 @@ pub enum RefreshState {
 pub struct RefreshManager {
     t_refi: Cycle,
     max_postpone: Cycle,
-    /// Next due time per rank.
+    /// Due time of the oldest refresh not yet issued, per slot.
     next_due: Vec<Cycle>,
-    /// Current state per rank.
+    /// Current state per slot.
     state: Vec<RefreshState>,
-    /// Refreshes issued per rank.
+    /// Refreshes issued per slot.
     issued: Vec<u64>,
     /// True when refresh is disabled (ideal no-refresh memory).
     enabled: bool,
-    /// Issue policy.
-    policy: RefreshPolicy,
-    /// Outstanding postponed refreshes per rank (Elastic policy).
-    debt: Vec<u32>,
 }
 
 impl RefreshManager {
-    /// Creates a manager for `ranks` ranks. Rank due times are staggered
-    /// by `tREFI / ranks` as real controllers do, so refreshes of
-    /// different ranks do not collide on the command bus.
-    pub fn new(ranks: usize, t_refi: Cycle, max_postpone: Cycle, enabled: bool) -> Self {
-        Self::with_policy(
-            ranks,
-            t_refi,
-            max_postpone,
-            enabled,
-            RefreshPolicy::Standard,
-        )
-    }
-
-    /// As [`Self::new`] with an explicit issue policy.
-    pub fn with_policy(
-        ranks: usize,
-        t_refi: Cycle,
-        max_postpone: Cycle,
-        enabled: bool,
-        policy: RefreshPolicy,
-    ) -> Self {
-        assert!(ranks > 0 && t_refi > 0);
-        if let RefreshPolicy::Elastic { max_debt } = policy {
-            assert!(max_debt >= 1, "elastic refresh needs a debt budget");
-        }
-        let stagger = t_refi / ranks as u64;
+    /// Creates a manager for `slots` slots. Slot due times are staggered
+    /// by `tREFI / slots` as real controllers do, so refreshes of
+    /// different slots do not collide on the command bus.
+    pub fn new(slots: usize, t_refi: Cycle, max_postpone: Cycle, enabled: bool) -> Self {
+        assert!(slots > 0 && t_refi > 0);
+        let stagger = t_refi / slots as u64;
         RefreshManager {
             t_refi,
             max_postpone,
-            next_due: (0..ranks).map(|r| t_refi + r as u64 * stagger).collect(),
-            state: vec![RefreshState::Idle; ranks],
-            issued: vec![0; ranks],
+            next_due: (0..slots).map(|r| t_refi + r as u64 * stagger).collect(),
+            state: vec![RefreshState::Idle; slots],
+            issued: vec![0; slots],
             enabled,
-            policy,
-            debt: vec![0; ranks],
         }
     }
 
-    /// Outstanding postponed refreshes on `rank` (0 under Standard).
-    pub fn debt(&self, rank: usize) -> u32 {
-        self.debt[rank]
-    }
-
-    /// Number of ranks managed.
+    /// Number of slots managed.
     pub fn ranks(&self) -> usize {
         self.state.len()
     }
 
-    /// Current state of `rank`.
-    pub fn state(&self, rank: usize) -> RefreshState {
-        self.state[rank]
+    /// The refresh interval every slot's schedule advances by.
+    pub fn t_refi(&self) -> Cycle {
+        self.t_refi
     }
 
-    /// The next scheduled due time for `rank` (`Cycle::MAX` if disabled).
-    pub fn next_due(&self, rank: usize) -> Cycle {
+    /// Current state of `slot`.
+    pub fn state(&self, slot: usize) -> RefreshState {
+        self.state[slot]
+    }
+
+    /// Due time of `slot`'s oldest refresh not yet issued (`Cycle::MAX`
+    /// if disabled).
+    pub fn next_due(&self, slot: usize) -> Cycle {
         if self.enabled {
-            self.next_due[rank]
+            self.next_due[slot]
         } else {
             Cycle::MAX
         }
     }
 
-    /// Total refreshes issued on `rank`.
-    pub fn issued(&self, rank: usize) -> u64 {
-        self.issued[rank]
+    /// Total refreshes issued on `slot`.
+    pub fn issued(&self, slot: usize) -> u64 {
+        self.issued[slot]
     }
 
-    /// Checks for ranks whose refresh falls due at `now`; transitions
-    /// Idle → Draining and reports newly-due ranks (so the controller can
-    /// snapshot drain sets and ask ROP for a decision).
-    ///
-    /// `busy(rank)` reports whether the rank currently has pending demand
-    /// requests; the Elastic policy uses it to decide whether to postpone.
-    pub fn poll_due(&mut self, now: Cycle, busy: impl Fn(usize) -> bool) -> Vec<usize> {
-        let mut newly_due = Vec::new();
-        self.poll_due_into(now, busy, &mut newly_due);
-        newly_due
-    }
-
-    /// Allocation-free variant of [`Self::poll_due`]: appends newly-due
-    /// ranks to `out` (which the caller clears and reuses across ticks).
+    /// Moves every Idle slot whose refresh is due at `now` to Draining
+    /// and appends it to `out` (which the caller clears and reuses
+    /// across ticks), so the controller can snapshot drain sets and ask
+    /// ROP for a decision.
     // rop-lint: hot
-    pub fn poll_due_into(
-        &mut self,
-        now: Cycle,
-        busy: impl Fn(usize) -> bool,
-        out: &mut Vec<usize>,
-    ) {
+    pub fn poll_due_into(&mut self, now: Cycle, out: &mut Vec<usize>) {
         if !self.enabled {
             return;
         }
-        for rank in 0..self.state.len() {
-            match self.policy {
-                RefreshPolicy::Standard => {
-                    if self.state[rank] == RefreshState::Idle && now >= self.next_due[rank] {
-                        self.state[rank] = RefreshState::Draining {
-                            due: self.next_due[rank],
-                        };
-                        out.push(rank);
-                    }
-                }
-                RefreshPolicy::Elastic { max_debt } => {
-                    // Accrue debt as due times pass (possibly several
-                    // after a long fast-forward).
-                    while now >= self.next_due[rank] {
-                        self.next_due[rank] += self.t_refi;
-                        self.debt[rank] += 1;
-                    }
-                    if self.state[rank] == RefreshState::Idle
-                        && self.debt[rank] > 0
-                        && (self.debt[rank] >= max_debt || !busy(rank))
-                    {
-                        self.state[rank] = RefreshState::Draining { due: now };
-                        out.push(rank);
-                    }
-                }
+        for slot in 0..self.state.len() {
+            if self.state[slot] == RefreshState::Idle && now >= self.next_due[slot] {
+                self.state[slot] = RefreshState::Draining {
+                    due: self.next_due[slot],
+                };
+                out.push(slot);
             }
         }
     }
 
-    /// Pulls `slot`'s next refresh forward: transitions Idle → Draining
-    /// *now*, keeping the nominal due time, so [`Self::refresh_issued`]
-    /// still advances the schedule in exact `tREFI` steps and the
-    /// long-run refresh rate is unchanged. Used by the DARP mechanism to
-    /// start refreshes early on idle banks (and during write drains).
-    /// Returns `false` without transitioning unless the slot is Idle,
-    /// refresh is enabled, and the policy is Standard (Elastic has its
-    /// own postpone/catch-up machinery).
-    pub fn pull_in(&mut self, slot: usize) -> bool {
-        if !self.enabled || !matches!(self.policy, RefreshPolicy::Standard) {
+    /// Starts `slot`'s drain with its deadline counting from `due`:
+    /// Idle → Draining, leaving the schedule alone, so
+    /// [`Self::refresh_issued`] still advances it in exact `tREFI`
+    /// steps. DARP passes the nominal due time to start a refresh early
+    /// on an idle bank; Elastic passes the current cycle when it decides
+    /// to pay an owed refresh. Returns `false` without transitioning
+    /// unless the slot is Idle and refresh is enabled.
+    pub fn start_drain(&mut self, slot: usize, due: Cycle) -> bool {
+        if !self.enabled || self.state[slot] != RefreshState::Idle {
             return false;
         }
-        if self.state[slot] != RefreshState::Idle {
-            return false;
-        }
-        self.state[slot] = RefreshState::Draining {
-            due: self.next_due[slot],
-        };
+        self.state[slot] = RefreshState::Draining { due };
         true
     }
 
-    /// True when the drain deadline for `rank` has passed and the refresh
-    /// must be forced regardless of remaining drain-set requests.
-    pub fn drain_deadline_passed(&self, rank: usize, now: Cycle) -> bool {
-        self.draining_longer_than(rank, now, self.max_postpone)
+    /// True when the drain deadline for `slot` has passed and the
+    /// refresh must be forced regardless of remaining drain-set requests.
+    pub fn drain_deadline_passed(&self, slot: usize, now: Cycle) -> bool {
+        self.draining_longer_than(slot, now, self.max_postpone)
     }
 
-    /// True when `rank` has been in Draining for at least `budget`
+    /// True when `slot` has been in Draining for at least `budget`
     /// cycles (used for the ROP prefetch grace window).
-    pub fn draining_longer_than(&self, rank: usize, now: Cycle, budget: Cycle) -> bool {
-        match self.state[rank] {
+    pub fn draining_longer_than(&self, slot: usize, now: Cycle, budget: Cycle) -> bool {
+        match self.state[slot] {
             RefreshState::Draining { due } => now >= due + budget,
             _ => false,
         }
     }
 
-    /// Records that REF was issued on `rank` at `now`, completing at
-    /// `until`. Advances the schedule by exactly one `tREFI` from the due
-    /// time (not from `now`), preserving the average refresh rate.
-    pub fn refresh_issued(&mut self, rank: usize, _now: Cycle, until: Cycle) {
-        let due = match self.state[rank] {
-            RefreshState::Draining { due } => due,
+    /// Records that REF was issued on `slot`, completing at `until`. Pays
+    /// the oldest owed refresh: the schedule advances by exactly one
+    /// `tREFI` (from the due time, not the issue time), preserving the
+    /// average refresh rate.
+    pub fn refresh_issued(&mut self, slot: usize, until: Cycle) {
+        match self.state[slot] {
+            RefreshState::Draining { .. } => {}
             // Controller bug, not a config error: the scheduler only
             // issues REF from Draining.
-            other => panic!("refresh issued on rank {rank} in state {other:?}"), // rop-lint: allow(no-panic)
-        };
-        self.state[rank] = RefreshState::Refreshing { until };
-        match self.policy {
-            RefreshPolicy::Standard => {
-                self.next_due[rank] = due + self.t_refi;
-            }
-            RefreshPolicy::Elastic { .. } => {
-                // Dues were accrued into debt when they passed.
-                debug_assert!(self.debt[rank] > 0);
-                self.debt[rank] = self.debt[rank].saturating_sub(1);
-            }
+            other => panic!("refresh issued on slot {slot} in state {other:?}"), // rop-lint: allow(no-panic)
         }
-        self.issued[rank] += 1;
+        self.state[slot] = RefreshState::Refreshing { until };
+        self.next_due[slot] += self.t_refi;
+        self.issued[slot] += 1;
     }
 
-    /// Checks for refresh completions at `now`; transitions Refreshing →
-    /// Idle and returns the ranks that just thawed.
-    pub fn poll_complete(&mut self, now: Cycle) -> Vec<usize> {
-        let mut done = Vec::new();
-        self.poll_complete_into(now, &mut done);
-        done
-    }
-
-    /// Allocation-free variant of [`Self::poll_complete`]: appends the
-    /// thawed ranks to `out`.
+    /// Transitions Refreshing → Idle for every slot whose refresh has
+    /// completed at `now`, appending the thawed slots to `out`.
     // rop-lint: hot
     pub fn poll_complete_into(&mut self, now: Cycle, out: &mut Vec<usize>) {
-        for rank in 0..self.state.len() {
-            if let RefreshState::Refreshing { until } = self.state[rank] {
+        for slot in 0..self.state.len() {
+            if let RefreshState::Refreshing { until } = self.state[slot] {
                 if now >= until {
-                    self.state[rank] = RefreshState::Idle;
-                    out.push(rank);
+                    self.state[slot] = RefreshState::Idle;
+                    out.push(slot);
                 }
             }
         }
     }
 
     /// The earliest future cycle at which this manager needs attention
-    /// (a due time or a completion), for fast-forwarding.
+    /// (a due time, a drain deadline or a completion), for
+    /// fast-forwarding.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         if !self.enabled {
             return None;
@@ -281,15 +190,9 @@ impl RefreshManager {
                 next = Some(next.map_or(c, |n| n.min(c)));
             }
         };
-        for rank in 0..self.state.len() {
-            match self.state[rank] {
-                RefreshState::Idle => {
-                    if matches!(self.policy, RefreshPolicy::Elastic { .. }) && self.debt[rank] > 0 {
-                        // Owed refreshes fire at the next idle poll.
-                        consider(now + 1);
-                    }
-                    consider(self.next_due[rank]);
-                }
+        for slot in 0..self.state.len() {
+            match self.state[slot] {
+                RefreshState::Idle => consider(self.next_due[slot]),
                 RefreshState::Draining { due } => consider(due + self.max_postpone),
                 // `until.max(now + 1)`: a zero-length round (RAIDR skip)
                 // completes at the next tick, which still needs a hint.
@@ -307,6 +210,18 @@ mod tests {
     const T_REFI: Cycle = 6240;
     const T_RFC: Cycle = 280;
 
+    fn due(m: &mut RefreshManager, now: Cycle) -> Vec<usize> {
+        let mut out = Vec::new();
+        m.poll_due_into(now, &mut out);
+        out
+    }
+
+    fn complete(m: &mut RefreshManager, now: Cycle) -> Vec<usize> {
+        let mut out = Vec::new();
+        m.poll_complete_into(now, &mut out);
+        out
+    }
+
     #[test]
     fn staggered_due_times() {
         let m = RefreshManager::new(4, T_REFI, 2 * T_REFI, true);
@@ -319,15 +234,13 @@ mod tests {
     #[test]
     fn lifecycle_idle_draining_refreshing() {
         let mut m = RefreshManager::new(1, T_REFI, 2 * T_REFI, true);
-        assert!(m.poll_due(100, |_| false).is_empty());
-        let due = m.poll_due(T_REFI, |_| false);
-        assert_eq!(due, vec![0]);
+        assert!(due(&mut m, 100).is_empty());
+        assert_eq!(due(&mut m, T_REFI), vec![0]);
         assert!(matches!(m.state(0), RefreshState::Draining { .. }));
-        m.refresh_issued(0, T_REFI + 50, T_REFI + 50 + T_RFC);
+        m.refresh_issued(0, T_REFI + 50 + T_RFC);
         assert!(matches!(m.state(0), RefreshState::Refreshing { .. }));
-        assert!(m.poll_complete(T_REFI + 100).is_empty());
-        let done = m.poll_complete(T_REFI + 50 + T_RFC);
-        assert_eq!(done, vec![0]);
+        assert!(complete(&mut m, T_REFI + 100).is_empty());
+        assert_eq!(complete(&mut m, T_REFI + 50 + T_RFC), vec![0]);
         assert_eq!(m.state(0), RefreshState::Idle);
         assert_eq!(m.issued(0), 1);
         // Next due advanced by exactly one tREFI from the *due* time.
@@ -337,15 +250,13 @@ mod tests {
     #[test]
     fn average_rate_preserved_under_postponement() {
         let mut m = RefreshManager::new(1, T_REFI, 2 * T_REFI, true);
-        let mut issued_times = Vec::new();
         for _ in 0..10 {
             let now = m.next_due(0);
-            m.poll_due(now, |_| false);
+            assert_eq!(due(&mut m, now), vec![0]);
             // Postpone every refresh by 500 cycles.
             let issue_at = now + 500;
-            m.refresh_issued(0, issue_at, issue_at + T_RFC);
-            m.poll_complete(issue_at + T_RFC);
-            issued_times.push(issue_at);
+            m.refresh_issued(0, issue_at + T_RFC);
+            assert_eq!(complete(&mut m, issue_at + T_RFC), vec![0]);
         }
         // Due times march in exact tREFI steps despite postponement.
         assert_eq!(m.next_due(0), 11 * T_REFI);
@@ -355,7 +266,7 @@ mod tests {
     #[test]
     fn deadline_forces_refresh() {
         let mut m = RefreshManager::new(1, T_REFI, 1000, true);
-        m.poll_due(T_REFI, |_| false);
+        assert_eq!(due(&mut m, T_REFI), vec![0]);
         assert!(!m.drain_deadline_passed(0, T_REFI + 999));
         assert!(m.drain_deadline_passed(0, T_REFI + 1000));
     }
@@ -363,137 +274,43 @@ mod tests {
     #[test]
     fn disabled_manager_never_fires() {
         let mut m = RefreshManager::new(2, T_REFI, 1000, false);
-        assert!(m.poll_due(100 * T_REFI, |_| false).is_empty());
+        assert!(due(&mut m, 100 * T_REFI).is_empty());
         assert_eq!(m.next_due(0), Cycle::MAX);
         assert!(m.next_event(0).is_none());
+        assert!(!m.start_drain(0, 0));
     }
 
     #[test]
     fn next_event_tracks_state() {
         let mut m = RefreshManager::new(1, T_REFI, 1000, true);
         assert_eq!(m.next_event(0), Some(T_REFI));
-        m.poll_due(T_REFI, |_| false);
+        assert_eq!(due(&mut m, T_REFI), vec![0]);
         assert_eq!(m.next_event(T_REFI), Some(T_REFI + 1000));
-        m.refresh_issued(0, T_REFI + 10, T_REFI + 10 + T_RFC);
+        m.refresh_issued(0, T_REFI + 10 + T_RFC);
         assert_eq!(m.next_event(T_REFI + 10), Some(T_REFI + 10 + T_RFC));
     }
 
     #[test]
-    fn elastic_postpones_while_busy() {
-        let mut m = RefreshManager::with_policy(
-            1,
-            T_REFI,
-            2 * T_REFI,
-            true,
-            RefreshPolicy::Elastic { max_debt: 8 },
-        );
-        // Busy rank: due passes, debt accrues, no drain starts.
-        assert!(m.poll_due(T_REFI, |_| true).is_empty());
-        assert_eq!(m.debt(0), 1);
-        assert!(m.poll_due(2 * T_REFI + 1, |_| true).is_empty());
-        assert_eq!(m.debt(0), 2);
-        // Rank goes idle: a drain starts immediately and issuing a
-        // refresh pays one unit of debt.
-        let due = m.poll_due(2 * T_REFI + 10, |_| false);
-        assert_eq!(due, vec![0]);
-        m.refresh_issued(0, 2 * T_REFI + 10, 2 * T_REFI + 10 + T_RFC);
-        assert_eq!(m.debt(0), 1);
-        m.poll_complete(2 * T_REFI + 10 + T_RFC);
-        // Still owing one: next idle poll fires again (catch-up).
-        let due = m.poll_due(2 * T_REFI + 10 + T_RFC, |_| false);
-        assert_eq!(due, vec![0]);
-    }
-
-    #[test]
-    fn elastic_forces_at_debt_cap() {
-        let mut m = RefreshManager::with_policy(
-            1,
-            T_REFI,
-            2 * T_REFI,
-            true,
-            RefreshPolicy::Elastic { max_debt: 3 },
-        );
-        // Permanently busy: the third owed refresh forces a drain.
-        assert!(m.poll_due(T_REFI, |_| true).is_empty());
-        assert!(m.poll_due(2 * T_REFI, |_| true).is_empty());
-        let due = m.poll_due(3 * T_REFI, |_| true);
-        assert_eq!(due, vec![0]);
-        assert_eq!(m.debt(0), 3);
-    }
-
-    #[test]
-    fn elastic_long_run_rate_is_preserved() {
-        let mut m = RefreshManager::with_policy(
-            1,
-            T_REFI,
-            2 * T_REFI,
-            true,
-            RefreshPolicy::Elastic { max_debt: 8 },
-        );
-        // Alternate busy/idle stretches for 40 tREFI; every owed refresh
-        // must eventually be issued.
-        let mut now;
-        for epoch in 0..40u64 {
-            now = (epoch + 1) * T_REFI + 17;
-            let busy = epoch % 3 != 0;
-            for rank in m.poll_due(now, |_| busy) {
-                m.refresh_issued(rank, now, now + T_RFC);
-                now += T_RFC;
-                m.poll_complete(now);
-                // Catch up any remaining debt while idle.
-                while !busy && m.debt(0) > 0 {
-                    if m.poll_due(now, |_| false).is_empty() {
-                        break;
-                    }
-                    m.refresh_issued(0, now, now + T_RFC);
-                    now += T_RFC;
-                    m.poll_complete(now);
-                }
-            }
-        }
-        assert!(
-            m.issued(0) + m.debt(0) as u64 >= 39,
-            "issued {} debt {}",
-            m.issued(0),
-            m.debt(0)
-        );
-        assert!(m.debt(0) <= 8);
-    }
-
-    #[test]
-    fn pull_in_keeps_the_nominal_schedule() {
+    fn early_drain_keeps_the_nominal_schedule() {
         let mut m = RefreshManager::new(1, T_REFI, 2 * T_REFI, true);
-        // Pull the first refresh 1000 cycles early.
-        assert!(m.pull_in(0));
-        assert!(matches!(m.state(0), RefreshState::Draining { .. }));
+        // Start the first refresh 1000 cycles early, deadline counting
+        // from its nominal due.
+        assert!(m.start_drain(0, m.next_due(0)));
+        assert!(matches!(m.state(0), RefreshState::Draining { due: T_REFI }));
         // Idempotent while draining.
-        assert!(!m.pull_in(0));
+        assert!(!m.start_drain(0, T_REFI));
         let issue_at = T_REFI - 1000;
-        m.refresh_issued(0, issue_at, issue_at + T_RFC);
-        m.poll_complete(issue_at + T_RFC);
+        m.refresh_issued(0, issue_at + T_RFC);
+        assert_eq!(complete(&mut m, issue_at + T_RFC), vec![0]);
         // The schedule advanced from the *due* time, not the early issue.
         assert_eq!(m.next_due(0), 2 * T_REFI);
         assert_eq!(m.issued(0), 1);
     }
 
     #[test]
-    fn pull_in_refuses_elastic_and_disabled() {
-        let mut m = RefreshManager::with_policy(
-            1,
-            T_REFI,
-            2 * T_REFI,
-            true,
-            RefreshPolicy::Elastic { max_debt: 2 },
-        );
-        assert!(!m.pull_in(0));
-        let mut m = RefreshManager::new(1, T_REFI, 2 * T_REFI, false);
-        assert!(!m.pull_in(0));
-    }
-
-    #[test]
     #[should_panic]
     fn issue_without_draining_panics() {
         let mut m = RefreshManager::new(1, T_REFI, 1000, true);
-        m.refresh_issued(0, 10, 290);
+        m.refresh_issued(0, 290);
     }
 }

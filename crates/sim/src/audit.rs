@@ -9,11 +9,12 @@
 //!   from the issued command stream, plus tRFC freezes: no command may
 //!   touch a refreshing scope, and a refresh completion may not be
 //!   observed before `start + tRFC` has elapsed.
-//! * **Refresh-postpone bound** — under the Standard policy a drain may
-//!   hold a due refresh back at most `max_refresh_postpone` cycles (plus
-//!   a bounded quiesce allowance for the final precharges); under
-//!   Elastic the traced debt may never exceed `max_debt` plus the
-//!   refreshes that can legitimately fall due while one is in flight.
+//! * **Refresh-postpone bound** — a drain may hold a due refresh back
+//!   at most `max_refresh_postpone` cycles (plus a bounded quiesce
+//!   allowance for the final precharges); under a mechanism that
+//!   postpones into a debt (Elastic Refresh) the traced debt may never
+//!   exceed its cap plus the refreshes that can legitimately fall due
+//!   while one is in flight.
 //! * **SRAM never-serve-stale** — replays fills/evictions/clears into a
 //!   shadow membership set; a hit on a line the shadow does not hold
 //!   means the buffer served data it was never given.
@@ -32,7 +33,7 @@ use std::fmt;
 
 use rop_dram::TimingParams;
 use rop_events::{CmdKind, Cycle, EventSink, TraceEvent};
-use rop_memctrl::{MechanismKind, MemCtrlConfig, RefreshPolicy};
+use rop_memctrl::{MechanismKind, MemCtrlConfig, RefreshScope};
 
 /// How many trailing events a violation report keeps.
 const TAIL_CAPACITY: usize = 64;
@@ -53,8 +54,10 @@ pub struct AuditorConfig {
     pub per_bank: bool,
     /// Drain-before-refresh postpone budget (cycles).
     pub max_refresh_postpone: Cycle,
-    /// Elastic-policy debt cap, when that policy is active.
-    pub elastic_max_debt: Option<u32>,
+    /// Debt cap of a mechanism that postpones refreshes into a debt
+    /// ([`MechanismKind::debt_cap`]); `None` when drains are bounded by
+    /// `max_refresh_postpone` instead.
+    pub max_debt: Option<u32>,
     /// ROP observational window (cycles), when ROP is enabled.
     pub observational_window: Option<Cycle>,
     /// Rows per subarray (for SARP: maps an ACT's row to its subarray).
@@ -69,18 +72,16 @@ pub struct AuditorConfig {
 }
 
 impl AuditorConfig {
-    /// Derives the audit parameters from a controller configuration.
+    /// Derives the audit parameters from a controller configuration;
+    /// everything refresh-specific comes from its mechanism.
     pub fn from_ctrl(cfg: &MemCtrlConfig) -> Self {
         AuditorConfig {
             timing: cfg.dram.timing,
             ranks: cfg.dram.geometry.ranks,
             banks_per_rank: cfg.dram.geometry.banks_per_rank,
-            per_bank: cfg.per_bank_refresh,
+            per_bank: cfg.mechanism.scope() == RefreshScope::PerBank,
             max_refresh_postpone: cfg.max_refresh_postpone,
-            elastic_max_debt: match cfg.refresh_policy {
-                RefreshPolicy::Elastic { max_debt } => Some(max_debt),
-                RefreshPolicy::Standard => None,
-            },
+            max_debt: cfg.mechanism.debt_cap(),
             observational_window: cfg.rop.as_ref().map(|r| r.observational_window),
             rows_per_subarray: cfg.dram.geometry.rows_per_subarray(),
             subarrays_per_bank: cfg.dram.geometry.subarrays_per_bank,
@@ -91,11 +92,11 @@ impl AuditorConfig {
         }
     }
 
-    /// Slack allowed past `max_refresh_postpone` before a Standard-policy
-    /// drain counts as a violation: after the deadline the controller
-    /// still has to precharge every open bank in the scope (one command
-    /// bus, so up to `banks` precharges each gated by up to ~tRC of bank
-    /// timing) and other slots' refresh preparation can interleave.
+    /// Slack allowed past `max_refresh_postpone` before a drain counts
+    /// as a violation: after the deadline the controller still has to
+    /// precharge every open bank in the scope (one command bus, so up
+    /// to `banks` precharges each gated by up to ~tRC of bank timing)
+    /// and other slots' refresh preparation can interleave.
     fn quiesce_slack(&self) -> Cycle {
         let banks = self.banks_per_rank as Cycle;
         let slots = if self.per_bank {
@@ -106,12 +107,14 @@ impl AuditorConfig {
         slots * (self.timing.t_rc + banks * (self.timing.t_rp + 1))
     }
 
-    /// Debt the Elastic policy can legitimately reach: the configured cap
-    /// plus refreshes that fall due while a drain/refresh is in flight
-    /// (debt keeps accruing during those states).
-    fn elastic_debt_bound(&self, max_debt: u32) -> u64 {
+    /// Debt a debt-postponing mechanism can legitimately reach: the cap
+    /// plus the refreshes that fall due while a drain/refresh is in
+    /// flight (debt keeps accruing during those states). `None` when no
+    /// debt cap is configured.
+    pub fn debt_bound(&self) -> Option<u64> {
         let in_flight = self.max_refresh_postpone + self.quiesce_slack() + self.timing.t_rfc();
-        u64::from(max_debt) + in_flight / self.timing.t_refi().max(1) + 1
+        self.max_debt
+            .map(|cap| u64::from(cap) + in_flight / self.timing.t_refi().max(1) + 1)
     }
 }
 
@@ -186,7 +189,7 @@ struct ShadowRank {
     pending_retention: Option<(Cycle, bool, bool)>,
     /// RAIDR: cycle of the last refresh covering the 64/128/256 ms bins.
     last_cover: [Option<Cycle>; 3],
-    /// Standard-policy drain in progress: the start cycle.
+    /// Drain in progress: the start cycle.
     drain_since: Option<Cycle>,
     /// Profiler window replication.
     window_open: bool,
@@ -617,10 +620,10 @@ impl Auditor {
         if rank >= self.cfg.ranks {
             return;
         }
-        // Postpone bound (Standard policy: bounded drain; under Elastic
-        // the drain starts only once the policy decides to issue, and the
-        // debt check below covers postponement instead).
-        if self.cfg.elastic_max_debt.is_none() {
+        // Postpone bound: a bounded drain. Under a debt cap the drain
+        // starts only once the mechanism decides to pay, and the debt
+        // check covers postponement instead.
+        if self.cfg.max_debt.is_none() {
             if let Some(start) = self.ranks[rank].drain_since {
                 let bound = self.cfg.max_refresh_postpone + self.cfg.quiesce_slack();
                 if cycle.saturating_sub(start) > bound {
@@ -807,8 +810,7 @@ impl Auditor {
             } => self.on_refresh_start(cycle, rank, bank, subarray),
             TraceEvent::RefreshEnd { cycle, rank, bank } => self.on_refresh_end(cycle, rank, bank),
             TraceEvent::RefreshPostponed { cycle, rank, debt } => {
-                if let Some(max_debt) = self.cfg.elastic_max_debt {
-                    let bound = self.cfg.elastic_debt_bound(max_debt);
+                if let Some(bound) = self.cfg.debt_bound() {
                     if debt > bound {
                         self.violate(
                             "refresh.postpone-bound",

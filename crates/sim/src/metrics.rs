@@ -285,7 +285,8 @@ pub struct RunMetrics {
     pub energy: EnergyBreakdown,
     /// Refreshes issued, summed over ranks.
     pub refreshes: u64,
-    /// Refresh-mechanism label (`allbank`/`darp`/`sarp`/`raidr`).
+    /// Refresh-mechanism label (`allbank`/`darp`/`sarp`/`raidr`; see
+    /// `MechanismKind::metrics_label`).
     pub mechanism: String,
     /// Read-stall cycles attributable to refresh freezes: for every read
     /// queued across a refresh, the cycles from max(refresh start,

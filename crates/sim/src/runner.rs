@@ -321,7 +321,7 @@ impl SweepJob {
                 .kind
                 .memctrl_config(self.config.ranks, self.config.seed)
                 .mechanism
-                .label()
+                .metrics_label()
                 .to_string(),
             refresh_blocked_cycles: 0,
             refreshes_skipped: 0,

@@ -630,12 +630,29 @@ mod tests {
     #[test]
     fn event_loop_is_cycle_exact_per_mechanism() {
         // Every refresh mechanism must agree with the per-cycle oracle:
-        // DARP's pull-in eligibility, SARP's subarray freezes and
-        // RAIDR's skipped rounds all have their own wake-up hints, and
-        // a late hint shows up here as a diverging cycle count.
-        for kind in [SystemKind::Darp, SystemKind::Sarp, SystemKind::Raidr] {
+        // Elastic's debt catch-up, DARP's pull-in eligibility, SARP's
+        // subarray freezes and RAIDR's skipped rounds all have their own
+        // wake-up hints, and a late hint shows up here as a diverging
+        // cycle count.
+        for kind in [
+            SystemKind::ElasticRefresh,
+            SystemKind::PerBankRefresh,
+            SystemKind::Darp,
+            SystemKind::Sarp,
+            SystemKind::Raidr,
+        ] {
             assert_loops_agree(kind, Benchmark::Libquantum, 120_000, 20_000_000);
             assert_loops_agree(kind, Benchmark::Gcc, 120_000, 20_000_000);
+        }
+        // Refresh-heavy corners (tREFI/8) for Elastic and REFpb: Elastic
+        // accrues and pays debt every few hundred cycles, REFpb cycles
+        // eight slots per rank.
+        for kind in [SystemKind::ElasticRefresh, SystemKind::PerBankRefresh] {
+            for b in [Benchmark::Libquantum, Benchmark::GemsFDTD] {
+                assert_loops_agree_with(kind, b, 120_000, 20_000_000, |ctrl| {
+                    ctrl.dram.timing.t_refi_base /= 8
+                });
+            }
         }
     }
 

@@ -83,7 +83,7 @@ fn main() {
             }
         });
         ctrl.tick(now);
-        inflight.extend(ctrl.take_completions());
+        ctrl.drain_completions_into(&mut inflight);
         now += 1;
     }
 

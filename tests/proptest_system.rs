@@ -30,6 +30,7 @@ fn drive(mut ctrl: MemController, steps: &[Step]) -> (u64, u64, u64) {
     let mut accepted = 0u64;
     let mut completions = 0u64;
     let mut completion_times: Vec<u64> = Vec::new();
+    let mut done = Vec::new();
     for step in steps {
         match *step {
             Step::Read { line, gap } => {
@@ -52,7 +53,9 @@ fn drive(mut ctrl: MemController, steps: &[Step]) -> (u64, u64, u64) {
                 }
             }
         }
-        for c in ctrl.take_completions() {
+        done.clear();
+        ctrl.drain_completions_into(&mut done);
+        for c in &done {
             assert!(
                 c.done_at >= now.saturating_sub(1) || c.done_at <= now + 1_000_000,
                 "completion time sane"
@@ -65,7 +68,9 @@ fn drive(mut ctrl: MemController, steps: &[Step]) -> (u64, u64, u64) {
     let deadline = now + 10_000_000;
     while completions < accepted && now < deadline {
         let hint = ctrl.tick(now);
-        for c in ctrl.take_completions() {
+        done.clear();
+        ctrl.drain_completions_into(&mut done);
+        for c in &done {
             completion_times.push(c.done_at);
             completions += 1;
         }
@@ -150,10 +155,12 @@ proptest! {
     fn energy_monotone_in_time(reads in proptest::collection::vec(0u64..1<<20, 1..40)) {
         let mut ctrl = MemController::new(MemCtrlConfig::baseline(DramConfig::baseline(1)));
         let mut now = 0;
+        let mut done = Vec::new();
         for (i, line) in reads.iter().enumerate() {
             let _ = ctrl.enqueue_read(*line, 0, now);
             now = ctrl.tick(now).max(now + 1).min(now + 100);
-            let _ = ctrl.take_completions();
+            done.clear();
+            ctrl.drain_completions_into(&mut done);
             let _ = i;
         }
         let e1 = ctrl.energy_breakdown(now).total_nj();
