@@ -373,7 +373,7 @@ fn cmd_status(experiment: &str, opt: &Options) -> Result<i32, String> {
         // (held live leases, committed jobs, last-record ts) per worker.
         let mut rows: std::collections::BTreeMap<&str, (usize, usize, u64)> =
             std::collections::BTreeMap::new();
-        for r in &lease.records {
+        for r in lease.records.iter() {
             let row = rows.entry(r.worker.as_str()).or_default();
             row.2 = row.2.max(r.ts);
             if r.kind == LeaseKind::Done {

@@ -653,6 +653,62 @@ mod tests {
     }
 
     #[test]
+    fn repeated_executes_parse_each_stored_byte_once() {
+        use crate::store::{RealIo, StoreIo};
+        use std::path::Path;
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// Real I/O that counts the reads and the bytes handed to the
+        /// parser.
+        #[derive(Default)]
+        struct CountingIo {
+            reads: AtomicU64,
+            bytes: AtomicU64,
+        }
+        impl StoreIo for CountingIo {
+            fn read_file(&self, path: &Path) -> Result<Option<String>, String> {
+                RealIo.read_file(path)
+            }
+            fn read_from(&self, path: &Path, offset: u64) -> Result<Option<(u64, String)>, String> {
+                let out = RealIo.read_from(path, offset)?;
+                self.reads.fetch_add(1, Ordering::SeqCst);
+                let n = out.as_ref().map_or(0, |(_, t)| t.len() as u64);
+                self.bytes.fetch_add(n, Ordering::SeqCst);
+                Ok(out)
+            }
+            fn append_line(&self, path: &Path, line: &str) -> Result<(), String> {
+                RealIo.append_line(path, line)
+            }
+        }
+
+        let store = tmp_store("parse-once");
+        let jobs = || {
+            vec![
+                SweepJob::single("t", Benchmark::Bzip2, SystemKind::Baseline, tiny_spec()),
+                SweepJob::single("t", Benchmark::Lbm, SystemKind::Baseline, tiny_spec()),
+            ]
+        };
+        StoreExecutor::new(store.clone()).execute(jobs());
+        let size = std::fs::metadata(store.path()).unwrap().len();
+
+        let io = Arc::new(CountingIo::default());
+        let exec = StoreExecutor::new(Store::with_io(store.path(), io.clone()));
+        const N: u64 = 5;
+        for _ in 0..N {
+            exec.execute(jobs());
+        }
+        assert_eq!(exec.stats().cache_hits, 2 * N as usize);
+        assert_eq!(exec.stats().executed, 0);
+        assert_eq!(io.reads.load(Ordering::SeqCst), N, "one load per execute");
+        assert_eq!(
+            io.bytes.load(Ordering::SeqCst),
+            size,
+            "each byte parsed once"
+        );
+        let _ = std::fs::remove_file(store.path());
+    }
+
+    #[test]
     fn duplicate_ids_in_one_batch_run_once() {
         let store = tmp_store("dup");
         let exec = StoreExecutor::new(store.clone());

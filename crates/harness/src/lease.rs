@@ -37,6 +37,7 @@ use std::time::Duration;
 use rop_sim_system::runner::CancelToken;
 use rop_stats::Json;
 
+use crate::jsonl::JsonlLog;
 use crate::store::{unix_now, RealIo, Record, Store, StoreIo};
 
 /// Tuning for one worker's participation in a shared sweep.
@@ -245,25 +246,25 @@ pub fn lease_lock_path(store_path: &Path) -> PathBuf {
 #[derive(Debug, Default)]
 pub struct LeaseLogContents {
     /// Parseable records, in file order (order never affects
-    /// resolution — see [`resolve_leases`]).
-    pub records: Vec<LeaseRecord>,
+    /// resolution — see [`resolve_leases`]): a snapshot shared with the
+    /// [`LeaseLog`] handle, not a copy.
+    pub records: Arc<Vec<LeaseRecord>>,
     /// Lines that failed to parse (e.g. a torn claim from a worker
     /// that died mid-append).
     pub corrupt_lines: usize,
 }
 
-/// Handle on a lease-log file; same quarantine-on-corruption contract
-/// as the results [`Store`].
+/// Handle on a lease-log file; same incremental reader and
+/// quarantine-on-corruption contract as the results [`Store`].
 #[derive(Clone)]
 pub struct LeaseLog {
-    path: PathBuf,
-    io: Arc<dyn StoreIo>,
+    log: JsonlLog<LeaseRecord>,
 }
 
 impl std::fmt::Debug for LeaseLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LeaseLog")
-            .field("path", &self.path)
+            .field("path", &self.path())
             .finish()
     }
 }
@@ -271,48 +272,33 @@ impl std::fmt::Debug for LeaseLog {
 impl LeaseLog {
     /// The lease log for the store at `store_path`, on real I/O.
     pub fn beside(store_path: &Path) -> LeaseLog {
-        LeaseLog {
-            path: lease_log_path(store_path),
-            io: Arc::new(RealIo),
-        }
+        LeaseLog::beside_with_io(store_path, Arc::new(RealIo))
     }
 
     /// Same, with raw I/O routed through `io` (the chaos seam).
     pub fn beside_with_io(store_path: &Path, io: Arc<dyn StoreIo>) -> LeaseLog {
         LeaseLog {
-            path: lease_log_path(store_path),
-            io,
+            log: JsonlLog::new(lease_log_path(store_path), io, LeaseRecord::from_json),
         }
     }
 
     /// The backing file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Reads every lease record; a missing file is an empty log.
     pub fn load(&self) -> Result<LeaseLogContents, String> {
-        let Some(text) = self.io.read_file(&self.path)? else {
-            return Ok(Default::default());
-        };
-        let mut out = LeaseLogContents::default();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match Json::parse(line).and_then(|j| LeaseRecord::from_json(&j)) {
-                Ok(rec) => out.records.push(rec),
-                Err(_) => out.corrupt_lines += 1,
-            }
-        }
-        Ok(out)
+        let (records, corrupt_lines) = self.log.load()?;
+        Ok(LeaseLogContents {
+            records,
+            corrupt_lines,
+        })
     }
 
     /// Appends one record, fsync'd.
     pub fn append(&self, rec: &LeaseRecord) -> Result<(), String> {
-        let mut line = rec.to_json().render();
-        line.push('\n');
-        self.io.append_line(&self.path, &line)
+        self.log.append(&rec.to_json())
     }
 }
 
@@ -758,9 +744,9 @@ impl LeaseManager {
     }
 }
 
-/// Background heartbeat for one running job: a thread that beats the
-/// lease with `CancelToken::progress` (committed instructions) every
-/// half poll interval until dropped. Progress-based beats mean a
+/// Heartbeat for one running job: one beat of the lease with
+/// `CancelToken::progress` (committed instructions) at spawn, then a
+/// thread that beats every half poll interval until dropped. Progress-based beats mean a
 /// wedged simulation stops advancing `hb` and its lease goes stale —
 /// exactly the signal peers need to steal it.
 pub struct HeartbeatGuard {
@@ -779,12 +765,19 @@ impl HeartbeatGuard {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
         let interval = (mgr.config().poll / 2).max(Duration::from_millis(5));
+        // The first beat is synchronous: a job shorter than the thread's
+        // start-up would otherwise never beat, leaving the beat count to
+        // the scheduler.
+        let _ = mgr.beat(&job, epoch, token.progress());
         let handle = std::thread::spawn(move || {
-            while !stop2.load(Ordering::SeqCst) {
+            loop {
+                std::thread::sleep(interval);
+                if stop2.load(Ordering::SeqCst) {
+                    break;
+                }
                 // Errors are tolerated: a lost beat only delays the
                 // staleness verdict peers reach about us.
                 let _ = mgr.beat(&job, epoch, token.progress());
-                std::thread::sleep(interval);
             }
         });
         HeartbeatGuard {

@@ -29,6 +29,7 @@
 
 pub mod cli;
 pub mod executor;
+mod jsonl;
 pub mod lease;
 pub mod pool;
 pub mod progress;

@@ -196,11 +196,12 @@ where
     let (tx, rx) = mpsc::channel::<(usize, JobOutcome<R>)>();
 
     std::thread::scope(|scope| {
+        let mut handles = Vec::new();
         for w in 0..workers {
             let tx = tx.clone();
             let (next, claims, jobs, label, work, progress) =
                 (&next, &claims, jobs, &label, &work, &progress);
-            scope.spawn(move || loop {
+            handles.push(scope.spawn(move || loop {
                 // The cap check IS the claim: one fetch_add decides
                 // whether this worker may take another job, so workers
                 // racing past a separate "have enough finished?" test
@@ -261,7 +262,7 @@ where
                 // A send error means the receiver is gone, which only
                 // happens if the scope is unwinding from a panic.
                 let _ = tx.send((i, outcome));
-            });
+            }));
         }
         drop(tx);
 
@@ -269,12 +270,12 @@ where
         if let Some(interval) = cfg.report_interval {
             if let Some(p) = progress.clone() {
                 let done_flag = &done_flag;
-                scope.spawn(move || {
+                handles.push(scope.spawn(move || {
                     while done_flag.load(Ordering::SeqCst) == 0 {
                         std::thread::sleep(interval.min(Duration::from_millis(200)));
                         eprintln!("# sweep: {}", p.snapshot());
                     }
-                });
+                }));
             }
         }
 
@@ -282,6 +283,16 @@ where
             results[i] = outcome;
         }
         done_flag.store(1, Ordering::SeqCst);
+        // The scope alone returns once every closure has finished, which
+        // can be before the threads have exited and handed their malloc
+        // arenas back; a batch spawned right after would then open a new
+        // arena, and back-to-back batches ratchet the resident set up.
+        // Joining waits for the exit. Job panics are caught above; any
+        // other panic is re-raised with its own payload.
+        let panics: Vec<_> = handles.into_iter().filter_map(|h| h.join().err()).collect();
+        if let Some(payload) = panics.into_iter().next() {
+            std::panic::resume_unwind(payload);
+        }
     });
     results
 }

@@ -8,12 +8,14 @@
 //! corrupt, never trusted.
 
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use rop_sim_system::metrics::RunMetrics;
 use rop_stats::Json;
+
+use crate::jsonl::JsonlLog;
 
 /// Raw I/O seam under the store: every byte the store reads from or
 /// writes to the filesystem goes through one of these methods, so a
@@ -23,6 +25,26 @@ use rop_stats::Json;
 pub trait StoreIo: Send + Sync {
     /// Reads the whole file; `Ok(None)` when it does not exist.
     fn read_file(&self, path: &Path) -> Result<Option<String>, String>;
+
+    /// Reads the file from byte `offset` on, for a reader that keeps
+    /// what it parsed before. Returns the offset the text starts at:
+    /// `offset` itself, or 0 with the whole file when the file is now
+    /// shorter than `offset` (it was truncated or replaced). `Ok(None)`
+    /// when the file does not exist.
+    ///
+    /// The default body reads the whole file through
+    /// [`StoreIo::read_file`] and drops the first `offset` bytes.
+    fn read_from(&self, path: &Path, offset: u64) -> Result<Option<(u64, String)>, String> {
+        let Some(mut text) = self.read_file(path)? else {
+            return Ok(None);
+        };
+        let at = usize::try_from(offset).unwrap_or(usize::MAX);
+        if text.is_char_boundary(at) {
+            Ok(Some((offset, text.split_off(at))))
+        } else {
+            Ok(Some((0, text)))
+        }
+    }
 
     /// Appends `line` (which must include its trailing newline) and
     /// durably syncs it to the device before returning `Ok`.
@@ -40,6 +62,26 @@ impl StoreIo for RealIo {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(format!("{}: {e}", path.display())),
         }
+    }
+
+    /// Seeks to `offset` instead of reading the bytes before it.
+    fn read_from(&self, path: &Path, offset: u64) -> Result<Option<(u64, String)>, String> {
+        let err = |e: std::io::Error| format!("{}: {e}", path.display());
+        let mut f = match std::fs::File::open(path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(err(e)),
+        };
+        let start = if f.metadata().map_err(err)?.len() < offset {
+            0
+        } else {
+            offset
+        };
+        let mut text = String::new();
+        f.seek(SeekFrom::Start(start))
+            .and_then(|_| f.read_to_string(&mut text))
+            .map_err(err)?;
+        Ok(Some((start, text)))
     }
 
     fn append_line(&self, path: &Path, line: &str) -> Result<(), String> {
@@ -189,8 +231,9 @@ impl Record {
 /// Everything read from a store file.
 #[derive(Debug, Default)]
 pub struct StoreContents {
-    /// Parseable records, in file order.
-    pub records: Vec<Record>,
+    /// Parseable records, in file order: a snapshot shared with the
+    /// [`Store`] handle, not a copy.
+    pub records: Arc<Vec<Record>>,
     /// Lines that failed to parse (e.g. truncated by a crash).
     pub corrupt_lines: usize,
 }
@@ -211,7 +254,7 @@ impl StoreContents {
     /// distinct writers.
     pub fn latest(&self) -> BTreeMap<&str, &Record> {
         let mut map: BTreeMap<&str, &Record> = BTreeMap::new();
-        for r in &self.records {
+        for r in self.records.iter() {
             match map.get(r.job.as_str()) {
                 Some(cur) if (r.epoch, &r.worker) < (cur.epoch, &cur.worker) => {}
                 _ => {
@@ -229,7 +272,7 @@ impl StoreContents {
     /// [`StoreContents::latest`].
     pub fn latest_unfenced(&self) -> BTreeMap<&str, &Record> {
         let mut map = BTreeMap::new();
-        for r in &self.records {
+        for r in self.records.iter() {
             map.insert(r.job.as_str(), r);
         }
         map
@@ -243,16 +286,16 @@ impl StoreContents {
     }
 }
 
-/// Handle on a JSONL store file.
+/// Handle on a JSONL store file. Clones share one incremental tail
+/// reader, so each load parses only what was appended since the last.
 #[derive(Clone)]
 pub struct Store {
-    path: PathBuf,
-    io: Arc<dyn StoreIo>,
+    log: JsonlLog<Record>,
 }
 
 impl std::fmt::Debug for Store {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Store").field("path", &self.path).finish()
+        f.debug_struct("Store").field("path", &self.path()).finish()
     }
 }
 
@@ -267,41 +310,29 @@ impl Store {
     /// `rop-chaos` uses to inject deterministic storage faults.
     pub fn with_io(path: impl Into<PathBuf>, io: Arc<dyn StoreIo>) -> Store {
         Store {
-            path: path.into(),
-            io,
+            log: JsonlLog::new(path.into(), io, Record::from_json),
         }
     }
 
     /// The backing file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Reads every record. A missing file is an empty store.
     pub fn load(&self) -> Result<StoreContents, String> {
-        let Some(text) = self.io.read_file(&self.path)? else {
-            return Ok(Default::default());
-        };
-        let mut out = StoreContents::default();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match Json::parse(line).and_then(|j| Record::from_json(&j)) {
-                Ok(rec) => out.records.push(rec),
-                Err(_) => out.corrupt_lines += 1,
-            }
-        }
-        Ok(out)
+        let (records, corrupt_lines) = self.log.load()?;
+        Ok(StoreContents {
+            records,
+            corrupt_lines,
+        })
     }
 
     /// Appends one record (single line + newline, fsync'd to the
     /// device before returning so a machine crash after a successful
     /// append cannot lose it).
     pub fn append(&self, rec: &Record) -> Result<(), String> {
-        let mut line = rec.to_json().render();
-        line.push('\n');
-        self.io.append_line(&self.path, &line)
+        self.log.append(&rec.to_json())
     }
 }
 

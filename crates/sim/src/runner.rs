@@ -467,25 +467,37 @@ where
     let next = std::sync::atomic::AtomicUsize::new(0);
     let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
     let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let (next, items, run_one) = (&next, &items, &run_one);
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                // A send error means the receiver is gone, which only
-                // happens if the scope is unwinding from a panic.
-                let _ = tx.send((i, run_one(&items[i])));
-            });
-        }
+    let panics = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let tx = tx.clone();
+                let (next, items, run_one) = (&next, &items, &run_one);
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
+                    }
+                    // A send error means the receiver is gone, which only
+                    // happens if the scope is unwinding from a panic.
+                    let _ = tx.send((i, run_one(&items[i])));
+                })
+            })
+            .collect();
         drop(tx);
         for (i, r) in rx {
             results[i] = Some(r);
         }
+        // Join every worker ourselves: a scope left to join a panicked
+        // thread re-panics with a generic message and drops the
+        // labelled payload.
+        handles
+            .into_iter()
+            .filter_map(|h| h.join().err())
+            .collect::<Vec<_>>()
     });
+    if let Some(payload) = panics.into_iter().next() {
+        std::panic::resume_unwind(payload);
+    }
     results
         .into_iter()
         .map(|r| r.expect("every slot filled"))
