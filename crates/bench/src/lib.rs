@@ -2,55 +2,13 @@
 //!
 //! * `src/bin/repro.rs` — the reproduction driver: one sub-command per
 //!   table/figure of the paper (run `repro help`);
-//! * `benches/` — Criterion benches: per-figure harnesses over reduced
-//!   workloads plus microbenches of the hot simulator components.
+//! * `src/bin/perf_gate.rs` — the engine-throughput regression gate over
+//!   the canonical workload shapes in [`perf`];
+//! * `benches/` — Criterion microbenches of the hot simulator components
+//!   and of event-driven vs per-cycle engine throughput.
 //!
 //! This library only hosts shared helpers for those targets.
 
 #![forbid(unsafe_code)]
 
 pub mod perf;
-
-use rop_sim_system::runner::RunSpec;
-
-/// Run spec used by the Criterion benches: small enough to iterate, large
-/// enough to exercise training + a few prefetch rounds.
-pub fn bench_spec() -> RunSpec {
-    RunSpec {
-        instructions: 400_000,
-        max_cycles: 100_000_000,
-        seed: 42,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_spec_is_bounded() {
-        let s = bench_spec();
-        assert!(s.instructions <= 1_000_000);
-        assert!(s.max_cycles >= 10 * s.instructions);
-    }
-}
-
-#[cfg(test)]
-mod harness_tests {
-    use rop_sim_system::runner::{run_single, RunSpec};
-    use rop_sim_system::SystemKind;
-    use rop_trace::Benchmark;
-
-    /// The bench harness spec must complete well inside its cycle cap on
-    /// the slowest benchmark it drives.
-    #[test]
-    fn bench_spec_completes() {
-        let spec = RunSpec {
-            instructions: 100_000,
-            ..crate::bench_spec()
-        };
-        let m = run_single(Benchmark::Lbm, SystemKind::Baseline, spec);
-        assert!(!m.hit_cycle_cap);
-        assert!(m.refreshes > 0);
-    }
-}

@@ -17,6 +17,7 @@
 
 pub mod audit;
 pub mod config;
+pub mod engine;
 pub mod engine_stats;
 pub mod experiments;
 pub mod metrics;

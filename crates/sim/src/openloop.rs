@@ -1,4 +1,4 @@
-//! Open-loop traffic injector: the datacenter-mode engine.
+//! Open-loop traffic injector: the datacenter-mode machine.
 //!
 //! [`crate::System`] is closed-loop — a stalled core stops issuing, so
 //! the request rate adapts to the memory system and mean IPC is the
@@ -32,22 +32,20 @@
 //!   or still backlogged at the end are censored (counted in
 //!   `backlog_final`, not in the histogram).
 //!
-//! The injector never touches the closed-loop engine path: it is a
-//! separate loop over the same controller, and the closed-loop
-//! differential guard in the tests proves `System` output is
-//! byte-identical with this module compiled in.
+//! [`OpenLoopSystem`] is the shared [`Engine`] loop (DESIGN.md §8) with
+//! an [`ArrivalFrontend`] in place of the cores, so it has the same
+//! per-cycle reference mode ([`OpenLoopSystem::run_reference`]) that
+//! the differential tests compare [`OpenLoopSystem::run`] against.
 
 use std::collections::VecDeque;
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
 
 use rop_memctrl::{Completion, MemController};
 use rop_trace::{Arrival, ArrivalGen};
 
-use crate::audit::{Auditor, AuditorConfig};
 use crate::config::{OpenLoopSpec, SystemConfig};
+use crate::engine::{controller_for, Engine, Frontend};
 use crate::metrics::{LatencyHistogram, OpenLoopMetrics, RunMetrics};
-use crate::wheel::TimingWheel;
 use crate::Cycle;
 
 /// One request waiting in the frontend backlog.
@@ -64,10 +62,12 @@ struct PendingReq {
 
 /// A complete open-loop machine: arrival generators → frontend backlog
 /// → controller → DRAM.
-pub struct OpenLoopSystem {
-    cfg: SystemConfig,
+pub type OpenLoopSystem = Engine<ArrivalFrontend>;
+
+/// The open-loop front-end: per-tenant arrival generators merged into
+/// one FIFO backlog, plus the latency histograms scored on completion.
+pub struct ArrivalFrontend {
     spec: OpenLoopSpec,
-    ctrl: MemController,
     gens: Vec<ArrivalGen>,
     /// Peeked next arrival per tenant (generators are infinite).
     heads: Vec<Arrival>,
@@ -80,115 +80,14 @@ pub struct OpenLoopSystem {
     /// Read ids observed blocked by a refresh freeze (dedup set).
     blocked: BTreeSet<u64>,
     blocked_scratch: Vec<u64>,
-    inflight: TimingWheel,
-    due: Vec<Completion>,
-    now: Cycle,
     read_hist: LatencyHistogram,
     refresh_hist: LatencyHistogram,
     reads_injected: u64,
     writes_injected: u64,
     backlog_peak: u64,
-    wall_seconds: f64,
-    events: u64,
-    auditor: Option<Auditor>,
-    cancel: Option<std::sync::Arc<crate::runner::CancelToken>>,
 }
 
-impl OpenLoopSystem {
-    /// Builds the open-loop machine described by `cfg` (whose
-    /// `open_loop` field must be set).
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration: missing/invalid open-loop
-    /// spec, more tenants than ranks, or a tenant footprint larger than
-    /// one rank partition.
-    pub fn new(cfg: SystemConfig) -> Self {
-        cfg.validate().expect("invalid system configuration");
-        let spec = cfg
-            .open_loop
-            .clone()
-            .expect("OpenLoopSystem requires cfg.open_loop");
-        spec.validate().expect("invalid open-loop spec");
-        let ctrl_cfg = cfg
-            .ctrl_override
-            .clone()
-            .unwrap_or_else(|| cfg.kind.memctrl_config(cfg.ranks, cfg.seed));
-        let ctrl = MemController::new(ctrl_cfg);
-        let lines_per_rank = ctrl.mapping().lines_per_rank();
-        assert!(
-            spec.tenants <= cfg.ranks,
-            "open-loop tenants ({}) exceed ranks ({})", // rop-lint: allow(no-panic)
-            spec.tenants,
-            cfg.ranks
-        );
-        assert!(
-            spec.region_lines <= lines_per_rank,
-            "tenant footprint ({} lines) exceeds one rank partition ({lines_per_rank})", // rop-lint: allow(no-panic)
-            spec.region_lines
-        );
-        let per_tenant_rpkc = spec.offered_rpkc / spec.tenants as f64;
-        let mut gens: Vec<ArrivalGen> = (0..spec.tenants)
-            .map(|t| {
-                ArrivalGen::new(
-                    spec.process.clone(),
-                    per_tenant_rpkc,
-                    spec.pattern.clone(),
-                    spec.region_lines,
-                    spec.write_fraction,
-                    cfg.seed.wrapping_add(t as u64 * 7919),
-                )
-            })
-            .collect();
-        let heads = gens.iter_mut().map(|g| g.next_arrival()).collect();
-        let tenant_base = (0..spec.tenants)
-            .map(|t| t as u64 * lines_per_rank)
-            .collect();
-        let mut sys = OpenLoopSystem {
-            cfg,
-            spec,
-            ctrl,
-            gens,
-            heads,
-            tenant_base,
-            backlog: VecDeque::new(),
-            arrival_of: BTreeMap::new(),
-            blocked: BTreeSet::new(),
-            blocked_scratch: Vec::new(),
-            inflight: TimingWheel::new(),
-            due: Vec::new(),
-            now: 0,
-            read_hist: LatencyHistogram::new(),
-            refresh_hist: LatencyHistogram::new(),
-            reads_injected: 0,
-            writes_injected: 0,
-            backlog_peak: 0,
-            wall_seconds: 0.0,
-            events: 0,
-            auditor: None,
-            cancel: None,
-        };
-        sys.ctrl.set_track_refresh_blocked(true);
-        sys
-    }
-
-    /// Attaches a cancellation token (see [`crate::runner::CancelToken`]).
-    pub fn set_cancel_token(&mut self, token: std::sync::Arc<crate::runner::CancelToken>) {
-        self.cancel = Some(token);
-    }
-
-    /// Enables audit mode with parameters derived from the controller
-    /// configuration, exactly like [`crate::System::enable_audit`].
-    pub fn enable_audit(&mut self) {
-        let cfg = AuditorConfig::from_ctrl(self.ctrl.config());
-        self.ctrl.set_trace_enabled(true);
-        self.auditor = Some(Auditor::new(cfg));
-    }
-
-    /// Immutable access to the controller (for inspection in tests).
-    pub fn controller(&self) -> &MemController {
-        &self.ctrl
-    }
-
+impl ArrivalFrontend {
     /// Moves every arrival scheduled at or before `now` from the
     /// generators into the backlog, in `(arrival, tenant)` order.
     fn merge_arrivals(&mut self, now: Cycle) {
@@ -221,15 +120,15 @@ impl OpenLoopSystem {
     /// Head-of-line blocking is deliberate: the frontend is a FIFO, so
     /// one full queue stalls everything behind it (that wait is real
     /// latency and must show in the tail).
-    fn inject(&mut self, now: Cycle) {
+    fn inject(&mut self, ctrl: &mut MemController, now: Cycle) {
         while let Some(&head) = self.backlog.front() {
             if head.is_write {
-                if !self.ctrl.enqueue_write(head.line_addr, head.tenant, now) {
+                if !ctrl.enqueue_write(head.line_addr, head.tenant, now) {
                     break;
                 }
                 self.writes_injected += 1;
             } else {
-                let Some(id) = self.ctrl.enqueue_read(head.line_addr, head.tenant, now) else {
+                let Some(id) = ctrl.enqueue_read(head.line_addr, head.tenant, now) else {
                     break;
                 };
                 self.arrival_of.insert(id, head.at);
@@ -238,141 +137,154 @@ impl OpenLoopSystem {
             self.backlog.pop_front();
         }
     }
+}
+
+impl Frontend for ArrivalFrontend {
+    /// Scores a delivered read against its SLO clock.
+    fn deliver(&mut self, c: Completion) {
+        if let Some(at) = self.arrival_of.remove(&c.id) {
+            let latency = c.done_at.saturating_sub(at);
+            self.read_hist.record(latency);
+            if self.blocked.remove(&c.id) {
+                self.refresh_hist.record(latency);
+            }
+        }
+    }
+
+    /// Pulls due arrivals, then pushes at the controller.
+    fn act(&mut self, ctrl: &mut MemController, now: Cycle) {
+        self.merge_arrivals(now);
+        self.inject(ctrl, now);
+    }
+
+    /// Collects the read ids the tick saw blocked by a refresh freeze.
+    fn after_tick(&mut self, ctrl: &mut MemController, _now: Cycle) {
+        ctrl.drain_refresh_blocked_into(&mut self.blocked_scratch);
+        for &id in &self.blocked_scratch {
+            self.blocked.insert(id);
+        }
+        self.blocked_scratch.clear();
+    }
+
+    /// Time-bounded: only the window's end stops the run.
+    fn done(&self) -> bool {
+        false
+    }
+
+    /// The next scheduled arrival. A non-empty backlog forces per-cycle
+    /// stepping — a queue slot can open at any controller event, and
+    /// the frontend must retry immediately.
+    fn next_event(&self, now: Cycle) -> Cycle {
+        if !self.backlog.is_empty() {
+            return now + 1;
+        }
+        self.heads.iter().map(|h| h.at).min().unwrap_or(Cycle::MAX)
+    }
+
+    /// Arrivals are scheduled in absolute cycles, so a skipped span has
+    /// nothing to replay.
+    fn skip(&mut self, _now: Cycle, _span: Cycle) {}
+}
+
+impl OpenLoopSystem {
+    /// Builds the open-loop machine described by `cfg` (whose
+    /// `open_loop` field must be set).
+    ///
+    /// # Panics
+    /// Panics on an invalid configuration: missing/invalid open-loop
+    /// spec, more tenants than ranks, or a tenant footprint larger than
+    /// one rank partition.
+    pub fn new(cfg: SystemConfig) -> Self {
+        let mut ctrl = controller_for(&cfg);
+        let spec = cfg
+            .open_loop
+            .clone()
+            .expect("OpenLoopSystem requires cfg.open_loop");
+        spec.validate().expect("invalid open-loop spec");
+        let lines_per_rank = ctrl.mapping().lines_per_rank();
+        assert!(
+            spec.tenants <= cfg.ranks,
+            "open-loop tenants ({}) exceed ranks ({})", // rop-lint: allow(no-panic)
+            spec.tenants,
+            cfg.ranks
+        );
+        assert!(
+            spec.region_lines <= lines_per_rank,
+            "tenant footprint ({} lines) exceeds one rank partition ({lines_per_rank})", // rop-lint: allow(no-panic)
+            spec.region_lines
+        );
+        let per_tenant_rpkc = spec.offered_rpkc / spec.tenants as f64;
+        let mut gens: Vec<ArrivalGen> = (0..spec.tenants)
+            .map(|t| {
+                ArrivalGen::new(
+                    spec.process.clone(),
+                    per_tenant_rpkc,
+                    spec.pattern.clone(),
+                    spec.region_lines,
+                    spec.write_fraction,
+                    cfg.seed.wrapping_add(t as u64 * 7919),
+                )
+            })
+            .collect();
+        let heads = gens.iter_mut().map(|g| g.next_arrival()).collect();
+        let tenant_base = (0..spec.tenants)
+            .map(|t| t as u64 * lines_per_rank)
+            .collect();
+        ctrl.set_track_refresh_blocked(true);
+        let fe = ArrivalFrontend {
+            spec,
+            gens,
+            heads,
+            tenant_base,
+            backlog: VecDeque::new(),
+            arrival_of: BTreeMap::new(),
+            blocked: BTreeSet::new(),
+            blocked_scratch: Vec::new(),
+            read_hist: LatencyHistogram::new(),
+            refresh_hist: LatencyHistogram::new(),
+            reads_injected: 0,
+            writes_injected: 0,
+            backlog_peak: 0,
+        };
+        Engine::with_frontend(cfg, ctrl, fe)
+    }
 
     /// Runs the injector for the configured duration and returns the
     /// metrics (with `open_loop` populated).
     pub fn run(&mut self) -> RunMetrics {
-        // Wall-clock throughput metadata only — never fed back into
-        // simulated state, so determinism is unaffected.
-        let start = Instant::now(); // rop-lint: allow(wallclock)
-        let duration = self.spec.duration;
-        while self.now < duration {
-            let now = self.now;
-            self.events += 1;
-            if let Some(token) = &self.cancel {
-                token.beat(now);
-                token.checkpoint(); // panics when a watchdog cancelled us
-            }
+        self.drive(self.fe.spec.duration, true);
+        self.collect()
+    }
 
-            // Deliver read data that has arrived, in `(done_at, id)`
-            // order, and score each read against its SLO clock.
-            self.inflight.pop_due(now, &mut self.due);
-            for i in 0..self.due.len() {
-                let c = self.due[i];
-                if let Some(at) = self.arrival_of.remove(&c.id) {
-                    let latency = c.done_at.saturating_sub(at);
-                    self.read_hist.record(latency);
-                    if self.blocked.remove(&c.id) {
-                        self.refresh_hist.record(latency);
-                    }
-                }
-            }
-            self.due.clear();
-
-            // Frontend: pull due arrivals, then push at the controller.
-            self.merge_arrivals(now);
-            self.inject(now);
-
-            // Tick the controller and collect fresh completions.
-            let hint = self.ctrl.tick(now);
-            if let Some(auditor) = &mut self.auditor {
-                self.ctrl.drain_trace(auditor);
-            }
-            self.ctrl.drain_completions_into(&mut self.due);
-            for i in 0..self.due.len() {
-                self.inflight.push(self.due[i]);
-            }
-            self.due.clear();
-            self.ctrl
-                .drain_refresh_blocked_into(&mut self.blocked_scratch);
-            for &id in &self.blocked_scratch {
-                self.blocked.insert(id);
-            }
-            self.blocked_scratch.clear();
-
-            // Advance straight to the earliest next event: controller
-            // hint, next read completion, or next scheduled arrival. A
-            // non-empty backlog forces per-cycle stepping — a queue
-            // slot can open at any controller event, and the frontend
-            // must retry immediately.
-            let mut next = hint;
-            if let Some(done_at) = self.inflight.peek_earliest() {
-                next = next.min(done_at);
-            }
-            if let Some(at) = self.heads.iter().map(|h| h.at).min() {
-                next = next.min(at);
-            }
-            if !self.backlog.is_empty() {
-                next = now + 1;
-            }
-            self.now = next.max(now + 1).min(duration);
-        }
-        if let Some(token) = &self.cancel {
-            token.beat(self.now);
-        }
-        self.wall_seconds += start.elapsed().as_secs_f64();
-        if let Some(auditor) = &self.auditor {
-            if auditor.summary().violations > 0 {
-                panic!("{}", auditor.report()); // rop-lint: allow(no-panic)
-            }
-        }
+    /// [`OpenLoopSystem::run`] stepping every single cycle: the
+    /// per-cycle oracle the differential tests compare the event-driven
+    /// run against.
+    pub fn run_reference(&mut self) -> RunMetrics {
+        self.drive(self.fe.spec.duration, false);
         self.collect()
     }
 
     fn collect(&mut self) -> RunMetrics {
-        let duration = self.spec.duration.max(1);
-        self.ctrl.finalize_analysis();
-        let energy = self.ctrl.energy_breakdown(duration);
-        let analysis = (0..self.ctrl.refresh_slots())
-            .map(|slot| self.ctrl.analysis(slot).reports())
-            .collect();
-        let stats = self.ctrl.stats().clone();
-        let refreshes: u64 = (0..self.cfg.ranks)
-            .map(|r| self.ctrl.refreshes_issued(r))
-            .sum();
-        crate::engine_stats::record(duration, 0, self.events);
-        let open_loop = OpenLoopMetrics {
-            process: self.spec.process.label().to_string(),
-            offered_rpkc: self.spec.offered_rpkc,
-            achieved_rpkc: self.read_hist.count() as f64 * 1000.0 / duration as f64,
-            reads_injected: self.reads_injected,
-            writes_injected: self.writes_injected,
-            backlog_peak: self.backlog_peak,
-            backlog_final: self.backlog.len() as u64,
+        let duration = self.fe.spec.duration.max(1);
+        let mut m = self.metrics(duration, 0);
+        let fe = &self.fe;
+        m.avg_read_latency = fe.read_hist.mean();
+        m.open_loop = Some(OpenLoopMetrics {
+            process: fe.spec.process.label().to_string(),
+            offered_rpkc: fe.spec.offered_rpkc,
+            achieved_rpkc: fe.read_hist.count() as f64 * 1000.0 / duration as f64,
+            reads_injected: fe.reads_injected,
+            writes_injected: fe.writes_injected,
+            backlog_peak: fe.backlog_peak,
+            backlog_final: fe.backlog.len() as u64,
             // Behind schedule by more than one controller queue's worth
             // at the end of the window: the offered load is past this
             // mechanism's saturation point.
-            saturated: self.backlog.len() > self.ctrl.config().read_queue_capacity,
-            read_latency: self.read_hist.clone(),
-            refresh_blocked_latency: self.refresh_hist.clone(),
-        };
-        RunMetrics {
-            system: self.cfg.kind.label(),
-            cores: Vec::new(),
-            total_cycles: duration,
-            energy,
-            refreshes,
-            mechanism: self.ctrl.mechanism().label().to_string(),
-            refresh_blocked_cycles: stats.refresh_blocked_cycles,
-            refreshes_skipped: self.ctrl.refreshes_skipped(),
-            refreshes_pulled_in: self.ctrl.refreshes_pulled_in(),
-            sram_hit_rate: if stats.sram_lookups == 0 {
-                0.0
-            } else {
-                stats.sram_hits as f64 / stats.sram_lookups as f64
-            },
-            sram_lookups: stats.sram_lookups,
-            prefetches: stats.prefetches_issued,
-            analysis,
-            row_hit_rate: stats.row_buffer.ratio(),
-            avg_read_latency: self.read_hist.mean(),
-            hit_cycle_cap: false,
-            wall_seconds: self.wall_seconds,
-            instructions_total: 0,
-            events: self.events,
-            audit: self.auditor.as_ref().map(|a| a.summary()),
-            open_loop: Some(open_loop),
-        }
+            saturated: fe.backlog.len() > self.ctrl.config().read_queue_capacity,
+            read_latency: fe.read_hist.clone(),
+            refresh_blocked_latency: fe.refresh_hist.clone(),
+        });
+        m
     }
 }
 
@@ -523,9 +435,8 @@ mod tests {
         assert_eq!(before, after);
     }
 
-    /// The open-loop config knob itself must not leak into the
-    /// closed-loop engine: `System::new` ignores `open_loop` entirely
-    /// (planners route by its presence, not the engine).
+    /// An open-loop run's metrics survive a JSON round trip
+    /// byte-for-byte, latency histograms included.
     #[test]
     fn run_metrics_roundtrip_from_openloop_run() {
         let mut sys = OpenLoopSystem::new(open_loop_config(SystemKind::Raidr, 100.0, 50_000));
@@ -538,5 +449,31 @@ mod tests {
             ol.read_latency.p999(),
             m.open_loop.as_ref().unwrap().read_latency.p999()
         );
+    }
+
+    /// Per-cycle oracle where the backlog's forced step matters: ROP-64
+    /// at tREFI/8 and 150 rpkc keeps the backlog non-empty across
+    /// refresh freezes, so an event-driven loop that stopped retrying
+    /// the backlog head every cycle would inject late and diverge.
+    #[test]
+    fn event_loop_matches_reference_under_refresh_pressure() {
+        let kind = SystemKind::Rop { buffer: 64 };
+        let mut cfg = open_loop_config(kind, 150.0, 60_000);
+        let ctrl = cfg.ctrl_override.as_mut().expect("override set");
+        ctrl.dram.timing.t_refi_base /= 8;
+        let run = |reference: bool| {
+            let mut sys = OpenLoopSystem::new(cfg.clone());
+            let mut m = if reference {
+                sys.run_reference()
+            } else {
+                sys.run()
+            };
+            // The event count is what the two modes legitimately
+            // differ in, wall-clock time is nondeterministic.
+            m.events = 0;
+            m.wall_seconds = 0.0;
+            m.to_json().render()
+        };
+        assert_eq!(run(false), run(true));
     }
 }

@@ -385,27 +385,8 @@ pub struct LocalExecutor;
 
 impl SweepExecutor for LocalExecutor {
     fn execute(&self, jobs: Vec<SweepJob>) -> Vec<RunMetrics> {
-        parallel_map_labeled(
-            jobs,
-            |j| Some(j.label.clone()),
-            |j| {
-                if let Err(e) = j.config.validate() {
-                    panic!("invalid config: {e}"); // rop-lint: allow(no-panic)
-                }
-                if j.config.open_loop.is_some() {
-                    let mut sys = crate::OpenLoopSystem::new(j.config.clone());
-                    if j.audit {
-                        sys.enable_audit();
-                    }
-                    return sys.run();
-                }
-                let mut sys = System::new(j.config.clone());
-                if j.audit {
-                    sys.enable_audit();
-                }
-                sys.run_until(j.spec.instructions, j.spec.max_cycles)
-            },
-        )
+        // `SweepJob::run` labels its own panics.
+        parallel_map(jobs, SweepJob::run)
     }
 }
 

@@ -1,60 +1,110 @@
-//! System assembly and the fixed-work simulation loop.
+//! The closed-loop machine: trace-driven cores → shared LLC → controller
+//! → DRAM, run for a fixed amount of work.
 //!
-//! Two loops drive the same machine state:
+//! [`System`] is the shared [`Engine`] loop with a [`CoreFrontend`]: the
+//! front-end ticks every core at each visited cycle, routes its memory
+//! operations through the LLC into the controller, records quota
+//! crossings, and replays skipped spans in O(1) per core via
+//! [`Core::fast_forward`]. Two entry points drive it:
 //!
-//! * [`System::run_until`] — the event-driven engine. Every iteration
-//!   advances `now` straight to the earliest next event (core memory op,
-//!   controller hint, or in-flight read completion), batch-replaying the
-//!   skipped cycles on each core in O(1) via [`Core::fast_forward`].
-//!   In-flight completions live in a hierarchical timing wheel
-//!   ([`crate::wheel`]) that preserves the `(done_at, id)` delivery
-//!   order of the binary heap it replaced.
-//! * [`System::run_until_reference`] — a pure per-cycle loop with no
-//!   fast-forwarding at all. It exists as the semantic oracle: the
-//!   differential tests assert both loops produce identical metrics.
+//! * [`System::run_until`] — event-driven: every iteration advances
+//!   straight to the earliest next event (core memory op, controller
+//!   hint, or in-flight read completion).
+//! * [`System::run_until_reference`] — the same loop ticking every
+//!   single cycle. It exists as the semantic oracle: the differential
+//!   tests assert both produce identical metrics.
 //!
-//! See DESIGN.md ("Engine") for the event contract and the invariants
-//! that make the batched loop cycle-exact.
-
-use std::time::Instant;
+//! See DESIGN.md §8 for the event contract and the invariants that make
+//! the batched loop cycle-exact.
 
 use rop_cache::{Cache, TryAccess};
 use rop_cpu::{Core, MemOp, SubmitResult};
 use rop_memctrl::{Completion, MemController};
 use rop_trace::SyntheticWorkload;
 
-use crate::audit::{Auditor, AuditorConfig};
 use crate::config::SystemConfig;
+use crate::engine::{controller_for, Engine, Frontend};
 use crate::metrics::{CoreMetrics, RunMetrics};
-use crate::wheel::TimingWheel;
 use crate::Cycle;
 
 /// A complete simulated machine: cores → shared LLC → controller → DRAM.
-pub struct System {
-    cfg: SystemConfig,
+pub type System = Engine<CoreFrontend>;
+
+/// The closed-loop front-end: trace-driven cores behind a shared LLC,
+/// each running to an instruction quota.
+pub struct CoreFrontend {
     cores: Vec<Core<SyntheticWorkload>>,
     llc: Cache,
-    ctrl: MemController,
-    /// Read completions waiting for their data-arrival cycle, popped in
-    /// `(done_at, id)` order (see [`crate::wheel`]).
-    inflight: TimingWheel,
-    /// Reused batch buffer for completions due this cycle.
-    due: Vec<Completion>,
-    now: Cycle,
-    /// Cycle at which each core crossed its instruction quota.
-    finish: Vec<Option<Cycle>>,
+    line_bytes: u64,
     /// `log2(line_bytes)` when the line size is a power of two.
     line_shift: Option<u32>,
-    /// Wall-clock seconds spent inside the run loop.
-    wall_seconds: f64,
-    /// Engine loop iterations executed (events processed).
-    events: u64,
-    /// Online invariant checker consuming the event trace, when audit
-    /// mode is enabled.
-    auditor: Option<Auditor>,
-    /// Cooperative cancellation + heartbeat, when a supervisor watches
-    /// this run (see [`crate::runner::CancelToken`]).
-    cancel: Option<std::sync::Arc<crate::runner::CancelToken>>,
+    /// Instruction quota of the current run.
+    target: u64,
+    /// Cycle at which each core crossed its instruction quota.
+    finish: Vec<Option<Cycle>>,
+}
+
+impl Frontend for CoreFrontend {
+    fn deliver(&mut self, c: Completion) {
+        self.cores[c.core].complete_read(c.id);
+    }
+
+    /// Ticks every core for exactly this cycle.
+    fn act(&mut self, ctrl: &mut MemController, now: Cycle) {
+        let Self {
+            cores,
+            llc,
+            line_bytes,
+            line_shift,
+            ..
+        } = self;
+        for (i, core) in cores.iter_mut().enumerate() {
+            core.tick(|op| submit(llc, ctrl, *line_bytes, *line_shift, i, now, op));
+        }
+    }
+
+    /// Records quota crossings.
+    fn after_tick(&mut self, _ctrl: &mut MemController, now: Cycle) {
+        for (i, core) in self.cores.iter().enumerate() {
+            if self.finish[i].is_none() && core.stats().instructions >= self.target {
+                self.finish[i] = Some(now + 1);
+            }
+        }
+    }
+
+    fn done(&self) -> bool {
+        self.finish.iter().all(Option::is_some)
+    }
+
+    /// The next core memory op, or the tick after an unfinished core's
+    /// quota crossing: the reference loop stops simulating once the last
+    /// core crosses, so replaying past the crossing would count stall
+    /// cycles the reference never executes.
+    fn next_event(&self, now: Cycle) -> Cycle {
+        let mut next = Cycle::MAX;
+        for (i, core) in self.cores.iter().enumerate() {
+            next = next.min(core.next_event(now));
+            if self.finish[i].is_none() {
+                let crossing = core.next_quota_crossing(now, self.target);
+                next = next.min(crossing.saturating_add(1));
+            }
+        }
+        next
+    }
+
+    /// Batch-replays the skipped cycles on every core (stall and
+    /// gap-retirement accounting stays cycle-exact), watching for quota
+    /// crossings inside the span.
+    fn skip(&mut self, now: Cycle, span: Cycle) {
+        for (i, core) in self.cores.iter_mut().enumerate() {
+            let crossed = core.fast_forward(span, self.target);
+            if self.finish[i].is_none() {
+                if let Some(offset) = crossed {
+                    self.finish[i] = Some(now + 1 + offset + 1);
+                }
+            }
+        }
+    }
 }
 
 impl System {
@@ -66,12 +116,7 @@ impl System {
     /// disjoint but spread over all ranks — exactly the contrast between
     /// the paper's Baseline and Baseline-RP/ROP systems.
     pub fn new(cfg: SystemConfig) -> Self {
-        cfg.validate().expect("invalid system configuration");
-        let ctrl_cfg = cfg
-            .ctrl_override
-            .clone()
-            .unwrap_or_else(|| cfg.kind.memctrl_config(cfg.ranks, cfg.seed));
-        let ctrl = MemController::new(ctrl_cfg);
+        let ctrl = controller_for(&cfg);
         let lines_per_rank = ctrl.mapping().lines_per_rank();
         let line_bytes = ctrl.mapping().geometry().line_bytes as u64;
         let cores = cfg
@@ -87,63 +132,17 @@ impl System {
             })
             .collect();
         let llc_line = cfg.llc.line_bytes as u64;
-        System {
-            llc: Cache::new(cfg.llc),
-            finish: vec![None; cfg.benchmarks.len()],
+        let fe = CoreFrontend {
             cores,
-            ctrl,
-            inflight: TimingWheel::new(),
-            due: Vec::new(),
-            now: 0,
+            llc: Cache::new(cfg.llc),
+            line_bytes: llc_line,
             line_shift: llc_line
                 .is_power_of_two()
                 .then(|| llc_line.trailing_zeros()),
-            wall_seconds: 0.0,
-            events: 0,
-            auditor: None,
-            cancel: None,
-            cfg,
-        }
-    }
-
-    /// Attaches a cancellation token: every engine iteration publishes
-    /// the current cycle as a heartbeat and panics if the token has been
-    /// cancelled. Pure observation while uncancelled — two relaxed
-    /// atomic operations per iteration, no effect on simulated state.
-    pub fn set_cancel_token(&mut self, token: std::sync::Arc<crate::runner::CancelToken>) {
-        self.cancel = Some(token);
-    }
-
-    /// Enables audit mode with parameters derived from the controller
-    /// configuration: the full event trace is collected and checked
-    /// online, and the run panics with a labelled violation report if
-    /// any invariant fails (see [`crate::audit`]).
-    pub fn enable_audit(&mut self) {
-        let cfg = AuditorConfig::from_ctrl(self.ctrl.config());
-        self.enable_audit_with(cfg);
-    }
-
-    /// [`System::enable_audit`] with explicit audit parameters — the
-    /// differential tests use this to audit against deliberately
-    /// corrupted timing and prove the auditor catches it.
-    pub fn enable_audit_with(&mut self, cfg: AuditorConfig) {
-        self.ctrl.set_trace_enabled(true);
-        self.auditor = Some(Auditor::new(cfg));
-    }
-
-    /// The audit outcome so far, when audit mode is on.
-    pub fn audit_summary(&self) -> Option<crate::audit::AuditSummary> {
-        self.auditor.as_ref().map(|a| a.summary())
-    }
-
-    /// The current simulation cycle.
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Immutable access to the controller (for inspection in tests).
-    pub fn controller(&self) -> &MemController {
-        &self.ctrl
+            target: 0,
+            finish: vec![None; cfg.benchmarks.len()],
+        };
+        Engine::with_frontend(cfg, ctrl, fe)
     }
 
     /// Runs until every core has retired `target_instructions` (or the
@@ -153,8 +152,9 @@ impl System {
     /// until the last core completes, as in fixed-work methodology; their
     /// statistics are frozen at the quota-crossing cycle.
     pub fn run_until(&mut self, target_instructions: u64, max_cycles: Cycle) -> RunMetrics {
-        self.drive(target_instructions, max_cycles, true);
-        self.collect(target_instructions, max_cycles)
+        self.fe.target = target_instructions;
+        self.drive(max_cycles, true);
+        self.collect()
     }
 
     /// [`System::run_until`] without any fast-forwarding: ticks every
@@ -166,144 +166,28 @@ impl System {
         target_instructions: u64,
         max_cycles: Cycle,
     ) -> RunMetrics {
-        self.drive(target_instructions, max_cycles, false);
-        self.collect(target_instructions, max_cycles)
+        self.fe.target = target_instructions;
+        self.drive(max_cycles, false);
+        self.collect()
     }
 
-    /// The simulation loop shared by both entry points.
-    ///
-    /// Event-driven invariants (enforced by the differential tests):
-    /// no core submits a memory op, and no controller action or read
-    /// completion occurs, at any skipped cycle — so replaying the skips
-    /// with [`Core::fast_forward`] and leaving the controller untouched
-    /// reproduces the per-cycle execution exactly.
-    fn drive(&mut self, target_instructions: u64, max_cycles: Cycle, event_driven: bool) {
-        // Wall-clock throughput metadata only — never fed back into
-        // simulated state, so determinism is unaffected.
-        let start = Instant::now(); // rop-lint: allow(wallclock)
-        let line_bytes = self.cfg.llc.line_bytes as u64;
-        let line_shift = self.line_shift;
-        while self.finish.iter().any(Option::is_none) && self.now < max_cycles {
-            let now = self.now;
-            self.events += 1;
-            if let Some(token) = &self.cancel {
-                token.beat(now);
-                token.checkpoint(); // panics when a watchdog cancelled us
-            }
-
-            // Deliver read data that has arrived, in `(done_at, id)`
-            // order exactly as the old completion heap did.
-            self.inflight.pop_due(now, &mut self.due);
-            for i in 0..self.due.len() {
-                let c = self.due[i];
-                self.cores[c.core].complete_read(c.id);
-            }
-            self.due.clear();
-
-            // Tick every core for exactly this cycle.
-            let Self {
-                cores, llc, ctrl, ..
-            } = self;
-            for (i, core) in cores.iter_mut().enumerate() {
-                core.tick(|op| submit(llc, ctrl, line_bytes, line_shift, i, now, op));
-            }
-
-            // Record quota crossings.
-            for (i, core) in self.cores.iter().enumerate() {
-                if self.finish[i].is_none() && core.stats().instructions >= target_instructions {
-                    self.finish[i] = Some(now + 1);
-                }
-            }
-
-            // Tick the controller and collect fresh completions.
-            let hint = self.ctrl.tick(now);
-            if let Some(auditor) = &mut self.auditor {
-                self.ctrl.drain_trace(auditor);
-            }
-            self.ctrl.drain_completions_into(&mut self.due);
-            for i in 0..self.due.len() {
-                self.inflight.push(self.due[i]);
-            }
-            self.due.clear();
-
-            // Once every core has crossed its quota the run is over; do
-            // not fast-forward (and tally stalls for) cycles the
-            // per-cycle reference would never execute.
-            if !event_driven || self.finish.iter().all(Option::is_some) {
-                self.now = now + 1;
-                continue;
-            }
-
-            // Advance straight to the earliest next event: the controller
-            // hint, the next read completion, or the next core memory op.
-            let mut next = hint;
-            if let Some(done_at) = self.inflight.peek_earliest() {
-                next = next.min(done_at);
-            }
-            for (i, core) in self.cores.iter().enumerate() {
-                next = next.min(core.next_event(now));
-                if self.finish[i].is_none() {
-                    // End the span exactly on a quota-crossing tick: the
-                    // reference loop stops simulating once the last core
-                    // crosses, so replaying past the crossing would count
-                    // stall cycles the reference never executes.
-                    let crossing = core.next_quota_crossing(now, target_instructions);
-                    next = next.min(crossing.saturating_add(1));
-                }
-            }
-            assert!(
-                next != Cycle::MAX,
-                "system deadlock: all cores stalled with no pending events"
-            );
-            let next = next.max(now + 1).min(max_cycles);
-
-            // Batch-replay the skipped cycles on every core (stall and
-            // gap-retirement accounting stays cycle-exact), watching for
-            // quota crossings inside the span.
-            if next > now + 1 {
-                let span = next - now - 1;
-                for (i, core) in self.cores.iter_mut().enumerate() {
-                    let crossed = core.fast_forward(span, target_instructions);
-                    if self.finish[i].is_none() {
-                        if let Some(offset) = crossed {
-                            self.finish[i] = Some(now + 1 + offset + 1);
-                        }
-                    }
-                }
-            }
-            self.now = next;
-        }
-        // Publish the final position: a short run can fast-forward to
-        // completion in a single engine iteration, and its only in-loop
-        // beat would then be cycle 0.
-        if let Some(token) = &self.cancel {
-            token.beat(self.now);
-        }
-        self.wall_seconds += start.elapsed().as_secs_f64();
-        if let Some(auditor) = &self.auditor {
-            if auditor.summary().violations > 0 {
-                panic!("{}", auditor.report()); // rop-lint: allow(no-panic)
-            }
-        }
-    }
-
-    fn collect(&mut self, target: u64, max_cycles: Cycle) -> RunMetrics {
-        let hit_cycle_cap = self.finish.iter().any(Option::is_none);
-        let total_cycles = self
+    fn collect(&mut self) -> RunMetrics {
+        let (fe, now) = (&self.fe, self.now);
+        let target = fe.target;
+        let total_cycles = fe
             .finish
             .iter()
-            .map(|f| f.unwrap_or(self.now))
+            .map(|f| f.unwrap_or(now))
             .max()
-            .unwrap_or(self.now)
+            .unwrap_or(now)
             .max(1);
-        self.ctrl.finalize_analysis();
-        let cores: Vec<CoreMetrics> = self
+        let cores: Vec<CoreMetrics> = fe
             .cores
             .iter()
-            .enumerate()
-            .map(|(i, core)| {
+            .zip(&fe.finish)
+            .map(|(core, finish)| {
                 let s = core.stats();
-                let finish = self.finish[i].unwrap_or(self.now).max(1);
+                let finish = finish.unwrap_or(now).max(1);
                 CoreMetrics {
                     benchmark: core.workload_name().to_string(),
                     instructions: s.instructions.min(target),
@@ -316,51 +200,12 @@ impl System {
                 }
             })
             .collect();
-        let energy = self.ctrl.energy_breakdown(total_cycles);
-        let ranks = self.cfg.ranks;
-        let analysis = (0..self.ctrl.refresh_slots())
-            .map(|slot| self.ctrl.analysis(slot).reports())
-            .collect();
-        let stats = self.ctrl.stats().clone();
-        let refreshes: u64 = (0..ranks).map(|r| self.ctrl.refreshes_issued(r)).sum();
-        let _ = max_cycles;
-        let instructions_total: u64 = self
-            .cores
-            .iter()
-            .map(|c| c.stats().instructions.min(target))
-            .sum();
-        crate::engine_stats::record(total_cycles, instructions_total, self.events);
-        RunMetrics {
-            system: self.cfg.kind.label(),
-            cores,
-            total_cycles,
-            energy,
-            refreshes,
-            mechanism: self.ctrl.mechanism().label().to_string(),
-            refresh_blocked_cycles: stats.refresh_blocked_cycles,
-            refreshes_skipped: self.ctrl.refreshes_skipped(),
-            refreshes_pulled_in: self.ctrl.refreshes_pulled_in(),
-            sram_hit_rate: if stats.sram_lookups == 0 {
-                0.0
-            } else {
-                stats.sram_hits as f64 / stats.sram_lookups as f64
-            },
-            sram_lookups: stats.sram_lookups,
-            prefetches: stats.prefetches_issued,
-            analysis,
-            row_hit_rate: stats.row_buffer.ratio(),
-            avg_read_latency: if stats.reads_completed == 0 {
-                0.0
-            } else {
-                stats.sum_read_latency as f64 / stats.reads_completed as f64
-            },
-            hit_cycle_cap,
-            wall_seconds: self.wall_seconds,
-            instructions_total,
-            events: self.events,
-            audit: self.auditor.as_ref().map(|a| a.summary()),
-            open_loop: None,
-        }
+        let hit_cycle_cap = !fe.done();
+        let instructions_total = cores.iter().map(|c| c.instructions).sum();
+        let mut m = self.metrics(total_cycles, instructions_total);
+        m.cores = cores;
+        m.hit_cycle_cap = hit_cycle_cap;
+        m
     }
 }
 

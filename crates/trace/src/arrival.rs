@@ -207,7 +207,10 @@ impl ArrivalGen {
                 let epochs = DIURNAL_MULTIPLIERS.len() as u64;
                 let epoch = (t % period_cycles) * epochs / period_cycles;
                 let period_start = t - t % period_cycles;
-                period_start + (epoch + 1) * period_cycles / epochs
+                // The first cycle whose epoch exceeds `epoch`: rounding
+                // the edge up keeps it strictly after `t` when the
+                // period is not a multiple of the epoch count.
+                period_start + ((epoch + 1) * period_cycles).div_ceil(epochs)
             }
         }
     }
@@ -398,6 +401,26 @@ mod tests {
             peak > trough * 4.0,
             "peak {peak} vs trough {trough}: {per_epoch:?}"
         );
+    }
+
+    /// A period that is not a multiple of the epoch count puts epoch
+    /// edges between whole cycles; the generator must still cross every
+    /// edge instead of spinning on it.
+    #[test]
+    fn diurnal_period_off_the_epoch_grid_advances() {
+        let period = 12_644u64; // epoch edges at multiples of 1580.5
+        let mut g = gen(
+            ArrivalProcess::Diurnal {
+                period_cycles: period,
+            },
+            190.0,
+            1,
+        );
+        let mut last = 0;
+        for _ in 0..5_000 {
+            last = g.next_arrival().at;
+        }
+        assert!(last > 2 * period, "stream stalled at cycle {last}");
     }
 
     #[test]

@@ -168,3 +168,42 @@ proptest! {
         prop_assert!(e2 >= e1);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// The open-loop injector's event-driven run and its per-cycle
+    /// reference agree on the whole metrics payload — latency
+    /// histograms, backlog, energy, refresh counters — for any refresh
+    /// mechanism, arrival process, load and seed, over windows of at
+    /// least two refresh intervals.
+    #[test]
+    fn open_loop_matches_reference(
+        kind_idx in 0usize..5,
+        process_idx in 0usize..3,
+        rpkc in 40u64..241,
+        seed in 0u64..1 << 32,
+        duration in 12_500u64..20_000,
+    ) {
+        use rop_sim::sim::experiments::tail_latency::{arrival_processes, tail_config};
+        use rop_sim::sim::{OpenLoopSystem, SystemKind};
+
+        let kind = SystemKind::MECHANISMS
+            .into_iter()
+            .chain([SystemKind::Rop { buffer: 64 }])
+            .nth(kind_idx)
+            .expect("five mechanisms");
+        let process = arrival_processes(duration)[process_idx].clone();
+        let cfg = tail_config(kind, process, rpkc as f64, duration, seed);
+        let render = |mut m: rop_sim::sim::RunMetrics| {
+            // The event count is what the two modes legitimately differ
+            // in, wall-clock time is nondeterministic.
+            m.events = 0;
+            m.wall_seconds = 0.0;
+            m.to_json().render()
+        };
+        let ev = render(OpenLoopSystem::new(cfg.clone()).run());
+        let rf = render(OpenLoopSystem::new(cfg).run_reference());
+        prop_assert_eq!(ev, rf);
+    }
+}
