@@ -1,16 +1,14 @@
 //! Perf-baseline recorder and CI regression gate.
 //!
 //! ```text
-//! perf_gate record [--out PATH] [--engine LABEL] [--heap-ref PATH]
-//!                  [--repeats N] [--handicap PCT]
+//! perf_gate record [--out PATH] [--engine LABEL] [--repeats N]
+//!                  [--handicap PCT]
 //! perf_gate check  [--baseline PATH] [--out PATH] [--tolerance PCT]
 //!                  [--repeats N] [--handicap PCT]
 //! ```
 //!
 //! `record` measures every workload shape and writes a perf report
-//! (default `BENCH_baseline.json`). With `--heap-ref`, per-shape
-//! events/sec from a prior report (measured on the heap engine) are
-//! merged in as `heap_events_per_sec` plus the derived speedup.
+//! (default `BENCH_baseline.json`).
 //!
 //! `check` re-measures, writes the fresh report (for artifact upload),
 //! and exits non-zero when any shape's machine-normalised score drops
@@ -77,28 +75,7 @@ fn main() -> ExitCode {
         "record" => {
             let out = parse_flag(&args, "--out").unwrap_or("BENCH_baseline.json".into());
             let engine = parse_flag(&args, "--engine").unwrap_or("timing-wheel".into());
-            let mut report = measure_all(&engine, repeats, handicap);
-            if let Some(heap_path) = parse_flag(&args, "--heap-ref") {
-                let heap = match load_report(&heap_path) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("perf_gate: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                for rec in &mut report.shapes {
-                    if let Some(h) = heap.shape(&rec.name) {
-                        rec.heap_events_per_sec = h.events_per_sec;
-                        if h.events_per_sec > 0.0 {
-                            rec.speedup_vs_heap = rec.events_per_sec / h.events_per_sec;
-                        }
-                        eprintln!(
-                            "# {:<14} {:.2}x vs heap engine",
-                            rec.name, rec.speedup_vs_heap
-                        );
-                    }
-                }
-            }
+            let report = measure_all(&engine, repeats, handicap);
             if let Err(e) = write_report(&report, &out) {
                 eprintln!("perf_gate: {e}");
                 return ExitCode::FAILURE;
@@ -163,7 +140,7 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!(
-                "usage: perf_gate record [--out PATH] [--engine LABEL] [--heap-ref PATH] \
+                "usage: perf_gate record [--out PATH] [--engine LABEL] \
                  [--repeats N] [--handicap PCT]\n       \
                  perf_gate check [--baseline PATH] [--out PATH] [--tolerance PCT] \
                  [--repeats N] [--handicap PCT]"

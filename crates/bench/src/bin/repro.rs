@@ -132,9 +132,8 @@ fn lint_gate(cmd: &str, spec: RunSpec) {
     let report = lint_jobs(&jobs);
     if report.clean() {
         eprintln!(
-            "# lint: {} job config(s) statically verified{}",
-            report.points,
-            if report.symbolic { " (symbolic)" } else { "" }
+            "# lint: {} job config(s) statically verified",
+            report.points
         );
     } else {
         eprintln!("# lint: static config check rejected this run (use --no-lint to bypass):");

@@ -137,11 +137,6 @@ pub struct ShapeRecord {
     pub events_per_sec: f64,
     /// `total_cycles / wall_seconds`.
     pub cycles_per_sec: f64,
-    /// Events/sec of the pre-wheel `BinaryHeap` engine on this shape,
-    /// carried over from a `--heap-ref` report (0 when absent).
-    pub heap_events_per_sec: f64,
-    /// `events_per_sec / heap_events_per_sec` (0 when no heap ref).
-    pub speedup_vs_heap: f64,
 }
 
 /// A full perf report (`BENCH_baseline.json`).
@@ -191,9 +186,7 @@ impl PerfReport {
                                 .push("wall_seconds", Json::Num(s.wall_seconds))
                                 .push("events_per_sec", Json::Num(s.events_per_sec))
                                 .push("cycles_per_sec", Json::Num(s.cycles_per_sec))
-                                .push("norm_score", Json::Num(self.norm_score(s)))
-                                .push("heap_events_per_sec", Json::Num(s.heap_events_per_sec))
-                                .push("speedup_vs_heap", Json::Num(s.speedup_vs_heap));
+                                .push("norm_score", Json::Num(self.norm_score(s)));
                             o
                         })
                         .collect(),
@@ -227,8 +220,6 @@ impl PerfReport {
                 wall_seconds: get_f(o, "wall_seconds"),
                 events_per_sec: get_f(o, "events_per_sec"),
                 cycles_per_sec: get_f(o, "cycles_per_sec"),
-                heap_events_per_sec: get_f(o, "heap_events_per_sec"),
-                speedup_vs_heap: get_f(o, "speedup_vs_heap"),
             })
             .collect();
         Ok(PerfReport {
@@ -278,8 +269,6 @@ pub fn measure(shape: &Shape, repeats: usize, handicap_pct: f64) -> ShapeRecord 
         } else {
             0.0
         },
-        heap_events_per_sec: 0.0,
-        speedup_vs_heap: 0.0,
     }
 }
 
@@ -388,14 +377,22 @@ mod tests {
                 wall_seconds: 0.25,
                 events_per_sec: 493_824.0,
                 cycles_per_sec: 8_000_000.0,
-                heap_events_per_sec: 246_912.0,
-                speedup_vs_heap: 2.0,
             }],
         };
         let text = report.to_json().render();
         let back = PerfReport::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, report);
         assert_eq!(back.to_json().render(), text);
+    }
+
+    #[test]
+    fn checked_in_baseline_still_loads() {
+        // The baseline still carries the retired heap-engine keys
+        // (`heap_events_per_sec`, `speedup_vs_heap`); the reader skips them.
+        let text = include_str!("../../../BENCH_baseline.json");
+        let report = PerfReport::from_json(&Json::parse(text).unwrap()).unwrap();
+        assert_eq!(report.shapes.len(), shapes().len());
+        assert!(report.shapes.iter().all(|s| report.norm_score(s) > 0.0));
     }
 
     #[test]
@@ -411,8 +408,6 @@ mod tests {
                 wall_seconds: 1.0,
                 events_per_sec: eps,
                 cycles_per_sec: 1.0,
-                heap_events_per_sec: 0.0,
-                speedup_vs_heap: 0.0,
             }],
         };
         let base = mk(1000.0);

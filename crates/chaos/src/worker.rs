@@ -4,7 +4,7 @@
 //! A worker joins the shared sweep exactly like a human-driven
 //! `rop-sweep run --join` process would — same [`LeaseManager`], same
 //! drain loop — except its lease transitions flow through
-//! [`DistHooks`], which fires this slot's share of the
+//! `DistHooks`, which fires this slot's share of the
 //! [`DistPlan`] at exact, replayable protocol points:
 //!
 //! * **crash-on-startup** — `abort()` before touching the store;

@@ -7,16 +7,18 @@
 //! * [`RopEngine::set_next_refresh_due`] — the refresh manager's schedule
 //!   for the rank changed (engine uses it to recognise the observational
 //!   window);
-//! * [`RopEngine::decide_prefetch`] — the refresh is imminent; should the
-//!   controller stage lines into the SRAM buffer, and which ones?
+//! * [`RopEngine::decide_prefetch_gate`] — the refresh is imminent;
+//!   should the controller stage lines into the SRAM buffer? A yes is
+//!   followed, once the pre-refresh drain is done, by
+//!   [`RopEngine::generate_candidates`] naming the lines;
 //! * [`RopEngine::refresh_started`] / [`RopEngine::refresh_completed`] —
 //!   frozen-cycle boundaries; the completion call feeds back the buffer's
 //!   per-refresh hit statistics and drives phase transitions.
 //!
 //! The engine never touches the DRAM or the buffer directly: it returns
-//! [`PrefetchDecision`]s and [`PhaseTransition`]s, and the controller
-//! performs the actual fetches and buffer power management. That keeps
-//! this crate's logic testable in isolation.
+//! gate verdicts, candidate lists and [`PhaseTransition`]s, and the
+//! controller performs the actual fetches and buffer power management.
+//! That keeps this crate's logic testable in isolation.
 
 use std::collections::VecDeque;
 
@@ -91,15 +93,6 @@ pub enum RopPhase {
     /// A prefetch was issued for the imminent refresh (transient until
     /// the refresh completes).
     Prefetching,
-}
-
-/// What the controller should do before the imminent refresh.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PrefetchDecision {
-    /// Do not stage anything.
-    NoPrefetch,
-    /// Stage these lines into the SRAM buffer before the refresh starts.
-    Prefetch(Vec<PrefetchCandidate>),
 }
 
 /// Phase change requested by a refresh completion.
@@ -218,6 +211,26 @@ impl RopEngine {
         self.stats
     }
 
+    /// The state that decides every future phase transition, as words
+    /// for model checkers to key visited states on: phase, the
+    /// profiler's category counts (`[BothActive, BeforeOnly, AfterOnly,
+    /// BothQuiet]`), λ and β bits, and the Observing hit counter's hits
+    /// and lookups.
+    pub fn control_state(&self) -> [u64; 9] {
+        let [e1, before, after, e2] = self.profiler.outcome().category_counts;
+        [
+            self.phase as u64,
+            e1,
+            before,
+            after,
+            e2,
+            self.lambda.to_bits(),
+            self.beta.to_bits(),
+            self.observing_hits.hits(),
+            self.observing_hits.total(),
+        ]
+    }
+
     /// The engine's configuration.
     pub fn config(&self) -> &RopConfig {
         &self.config
@@ -291,6 +304,22 @@ impl RopEngine {
     /// [`Self::generate_candidates`] — the pre-refresh drain moves the
     /// stream forward, so earlier extrapolation would go stale.
     pub fn decide_prefetch_gate(&mut self, now: Cycle) -> bool {
+        self.gate(now, None)
+    }
+
+    /// [`Self::decide_prefetch_gate`] with the throttle's coin supplied
+    /// by the caller instead of drawn from the seeded RNG. `coin(p)` is
+    /// asked only when the gate's probability `p` lies strictly between
+    /// 0 and 1, so a model checker can take both outcomes.
+    pub fn decide_prefetch_gate_with(
+        &mut self,
+        now: Cycle,
+        mut coin: impl FnMut(f64) -> bool,
+    ) -> bool {
+        self.gate(now, Some(&mut coin))
+    }
+
+    fn gate(&mut self, now: Cycle, coin: Option<&mut dyn FnMut(f64) -> bool>) -> bool {
         let b = self.window.count(now);
         if b > 0 {
             self.stats.b_positive += 1;
@@ -300,12 +329,14 @@ impl RopEngine {
         if self.phase != RopPhase::Observing {
             return false;
         }
-        let go = match self.config.throttle_mode {
-            crate::config::ThrottleMode::Adaptive => {
-                self.throttle.decide(b, self.lambda, self.beta)
-            }
-            crate::config::ThrottleMode::Always => self.throttle.decide(b, 1.0, 0.0),
-            crate::config::ThrottleMode::Never => self.throttle.decide(b, 0.0, 1.0),
+        let (lambda, beta) = match self.config.throttle_mode {
+            crate::config::ThrottleMode::Adaptive => (self.lambda, self.beta),
+            crate::config::ThrottleMode::Always => (1.0, 0.0),
+            crate::config::ThrottleMode::Never => (0.0, 1.0),
+        };
+        let go = match coin {
+            Some(coin) => ProbabilisticThrottle::decide_with(b, lambda, beta, coin),
+            None => self.throttle.decide(b, lambda, beta),
         };
         if go {
             self.stats.prefetch_decisions += 1;
@@ -344,22 +375,6 @@ impl RopEngine {
         };
         self.stats.candidates_emitted += candidates.len() as u64;
         candidates
-    }
-
-    /// One-shot combination of [`Self::decide_prefetch_gate`] and
-    /// [`Self::generate_candidates`], for callers without a drain phase
-    /// (tests, simple integrations).
-    pub fn decide_prefetch(&mut self, now: Cycle) -> PrefetchDecision {
-        if self.decide_prefetch_gate(now) {
-            let candidates = self.generate_candidates(now, 0);
-            if candidates.is_empty() {
-                PrefetchDecision::NoPrefetch
-            } else {
-                PrefetchDecision::Prefetch(candidates)
-            }
-        } else {
-            PrefetchDecision::NoPrefetch
-        }
     }
 
     /// Marks the start of the rank's refresh (frozen cycles begin).
@@ -508,7 +523,7 @@ mod tests {
                     e.note_access(0, 100 + k, true, now + 100 + k);
                 }
             }
-            let _ = e.decide_prefetch(now + 280);
+            e.decide_prefetch_gate(now + 280);
             e.refresh_started(now + 280);
             if busy {
                 e.note_access(0, 200, true, now + 300);
@@ -523,7 +538,7 @@ mod tests {
     fn starts_in_training_and_never_prefetches_there() {
         let mut e = engine_with(50);
         assert_eq!(e.phase(), RopPhase::Training);
-        assert_eq!(e.decide_prefetch(100), PrefetchDecision::NoPrefetch);
+        assert!(!e.decide_prefetch_gate(100));
     }
 
     #[test]
@@ -549,14 +564,14 @@ mod tests {
             e.note_access(1, 500 + k * 2, true, now + 40 * k);
             e.note_served(1, 500 + k * 2, now + 40 * k);
         }
-        match e.decide_prefetch(now + 280) {
-            PrefetchDecision::Prefetch(c) => {
-                assert!(!c.is_empty());
-                assert!(c.len() <= 16);
-                assert!(c.iter().all(|x| x.bank == 1));
-            }
-            PrefetchDecision::NoPrefetch => panic!("λ=1 with B>0 must prefetch"),
-        }
+        assert!(
+            e.decide_prefetch_gate(now + 280),
+            "λ=1 with B>0 must prefetch"
+        );
+        let c = e.generate_candidates(now + 280, 0);
+        assert!(!c.is_empty());
+        assert!(c.len() <= 16);
+        assert!(c.iter().all(|x| x.bank == 1));
         assert_eq!(e.phase(), RopPhase::Prefetching);
         e.refresh_started(now + 280);
         assert_eq!(e.refresh_completed(now + 560, 3, 4), PhaseTransition::None);
@@ -573,7 +588,7 @@ mod tests {
         // Quiet window in Observing: must skip with β=1.
         let now = 2_000_000u64;
         e.set_next_refresh_due(now + 280);
-        assert_eq!(e.decide_prefetch(now + 280), PrefetchDecision::NoPrefetch);
+        assert!(!e.decide_prefetch_gate(now + 280));
         assert!(e.stats().skip_decisions >= 1);
     }
 
@@ -588,7 +603,7 @@ mod tests {
         for _ in 0..4 {
             e.set_next_refresh_due(now + 280);
             e.note_access(0, 1, true, now + 270);
-            let _ = e.decide_prefetch(now + 280);
+            e.decide_prefetch_gate(now + 280);
             e.refresh_started(now + 280);
             transition = e.refresh_completed(now + 560, 0, 8);
             if transition == PhaseTransition::StartTraining {
@@ -598,6 +613,37 @@ mod tests {
         }
         assert_eq!(transition, PhaseTransition::StartTraining);
         assert_eq!(e.phase(), RopPhase::Training);
+    }
+
+    #[test]
+    fn supplied_coin_decides_only_a_probabilistic_gate() {
+        let mut e = engine_with(2);
+        // One busy and one half-busy training refresh: λ = 1/2.
+        drive_refreshes(&mut e, 1, true);
+        e.set_next_refresh_due(20_280);
+        e.note_access(0, 1, true, 20_270);
+        e.refresh_started(20_280);
+        e.refresh_completed(20_560, 0, 0);
+        assert_eq!(e.lambda(), 0.5);
+        let [phase, e1, before, .., hits, lookups] = e.control_state();
+        assert_eq!(phase, RopPhase::Observing as u64);
+        assert_eq!((e1, before, hits, lookups), (0, 0, 0, 0));
+        // B > 0 with λ = 1/2: the coin is asked and its answer stands.
+        e.set_next_refresh_due(30_280);
+        e.note_access(0, 1, true, 30_270);
+        let mut asked = 0;
+        assert!(!e.decide_prefetch_gate_with(30_280, |p| {
+            asked += 1;
+            assert_eq!(p, 0.5);
+            false
+        }));
+        assert_eq!((asked, e.phase()), (1, RopPhase::Observing));
+        assert!(e.decide_prefetch_gate_with(30_280, |_| true));
+        assert_eq!(e.phase(), RopPhase::Prefetching);
+        e.refresh_started(30_280);
+        e.refresh_completed(30_560, 1, 2);
+        let [.., hits, lookups] = e.control_state();
+        assert_eq!((hits, lookups), (1, 2));
     }
 
     #[test]

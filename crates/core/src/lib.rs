@@ -38,9 +38,7 @@ pub mod throttle;
 
 pub use buffer::SramBuffer;
 pub use config::RopConfig;
-pub use engine::{
-    AccessWindow, EngineStats, PhaseTransition, PrefetchDecision, RopEngine, RopPhase,
-};
+pub use engine::{AccessWindow, EngineStats, PhaseTransition, RopEngine, RopPhase};
 pub use prediction::{PredictionEntry, PredictionTable};
 pub use prefetcher::{PrefetchCandidate, Prefetcher};
 pub use profiler::{PatternProfiler, ProfileOutcome, RefreshCategory};

@@ -17,10 +17,6 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct ProbabilisticThrottle {
     rng: SmallRng,
-    /// Decisions that came out "prefetch".
-    prefetches: u64,
-    /// Decisions that came out "skip".
-    skips: u64,
 }
 
 impl ProbabilisticThrottle {
@@ -28,42 +24,32 @@ impl ProbabilisticThrottle {
     pub fn new(seed: u64) -> Self {
         ProbabilisticThrottle {
             rng: SmallRng::seed_from_u64(seed),
-            prefetches: 0,
-            skips: 0,
         }
     }
 
     /// Decides whether to prefetch for one refresh.
     pub fn decide(&mut self, b_count: u64, lambda: f64, beta: f64) -> bool {
-        let p_prefetch = if b_count > 0 { lambda } else { 1.0 - beta };
-        let go = self.bernoulli(p_prefetch);
-        if go {
-            self.prefetches += 1;
-        } else {
-            self.skips += 1;
-        }
-        go
+        let rng = &mut self.rng;
+        Self::decide_with(b_count, lambda, beta, |p| rng.gen_bool(p))
     }
 
-    fn bernoulli(&mut self, p: f64) -> bool {
-        let p = p.clamp(0.0, 1.0);
+    /// The gate with a caller-supplied coin: `coin(p)` is asked only
+    /// when the prefetch probability `p` lies strictly between 0 and 1;
+    /// `p <= 0` skips and `p >= 1` prefetches without a draw.
+    pub fn decide_with(
+        b_count: u64,
+        lambda: f64,
+        beta: f64,
+        coin: impl FnOnce(f64) -> bool,
+    ) -> bool {
+        let p = (if b_count > 0 { lambda } else { 1.0 - beta }).clamp(0.0, 1.0);
         if p <= 0.0 {
             false
         } else if p >= 1.0 {
             true
         } else {
-            self.rng.gen_bool(p)
+            coin(p)
         }
-    }
-
-    /// Number of "prefetch" decisions so far.
-    pub fn prefetch_count(&self) -> u64 {
-        self.prefetches
-    }
-
-    /// Number of "skip" decisions so far.
-    pub fn skip_count(&self) -> u64 {
-        self.skips
     }
 }
 
@@ -82,8 +68,21 @@ mod tests {
         for _ in 0..100 {
             assert!(!t.decide(0, 1.0, 1.0));
         }
-        assert_eq!(t.prefetch_count(), 100);
-        assert_eq!(t.skip_count(), 100);
+    }
+
+    #[test]
+    fn coin_is_asked_only_strictly_inside_the_unit_interval() {
+        let never = |_: f64| -> bool { panic!("no draw at p = 0 or 1") };
+        assert!(ProbabilisticThrottle::decide_with(5, 1.0, 0.0, never));
+        assert!(!ProbabilisticThrottle::decide_with(0, 1.0, 1.0, never));
+        assert!(ProbabilisticThrottle::decide_with(1, 2.0, 0.0, never));
+        let mut asked = None;
+        let go = ProbabilisticThrottle::decide_with(0, 0.0, 0.75, |p| {
+            asked = Some(p);
+            true
+        });
+        assert!(go);
+        assert_eq!(asked, Some(0.25));
     }
 
     #[test]

@@ -198,9 +198,8 @@ fn lint_gate(experiment: &str, spec: RunSpec) -> Result<(), String> {
     let report = lint_jobs(&jobs);
     if report.clean() {
         eprintln!(
-            "# lint: {} job config(s) statically verified{}",
-            report.points,
-            if report.symbolic { " (symbolic)" } else { "" }
+            "# lint: {} job config(s) statically verified",
+            report.points
         );
     } else {
         return Err(format!(

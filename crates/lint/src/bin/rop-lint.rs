@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! rop-lint check-config [experiment...]   vet experiment job configs (default: all)
-//! rop-lint fsm                            model-check the throttle/profiler FSM
+//! rop-lint verify-rop [--mutate NAME]     search the real ROP engine's phase machine
 //! rop-lint src [--root DIR] [--baseline FILE] [--update-baseline]
 //!                                         determinism/robustness source lint
 //! rop-lint verify-mech [mech...] [--mutate NAME] [--depth N] [--trace-dir DIR]
@@ -16,8 +16,8 @@ use std::path::PathBuf;
 
 use rop_core::RopConfig;
 use rop_lint::config::{lint_jobs, RULES};
-use rop_lint::fsm::{build_rop_fsm, check_fsm};
 use rop_lint::mech::{check_mechanism, parse_mechanism, zoo, MechCheckConfig, Mutation};
+use rop_lint::rop::{self, check_rop};
 use rop_lint::srclint::{compare, parse_baseline, render_baseline, scan_workspace, to_baseline};
 use rop_memctrl::MechanismKind;
 use rop_sim_system::experiments::driver::{plan_jobs, EXPERIMENTS};
@@ -25,7 +25,9 @@ use rop_sim_system::runner::RunSpec;
 
 const USAGE: &str = "usage: rop-lint <command> [args]\n\
   check-config [experiment...]   vet experiment job configs (default: all)\n\
-  fsm                            model-check the throttle/profiler FSM\n\
+  verify-rop [--mutate NAME]     search the real ROP engine's phase machine\n\
+                                 (mutations: no-completion no-hit-stats\n\
+                                 stuck-skip)\n\
   src [--root DIR] [--baseline FILE] [--update-baseline]\n\
                                  determinism/robustness source lint\n\
   verify-mech [mech...] [--mutate NAME] [--depth N] [--trace-dir DIR]\n\
@@ -58,15 +60,7 @@ fn cmd_check_config(args: &[String]) -> Result<i32, String> {
         let jobs = plan_jobs(exp, spec)?;
         let report = lint_jobs(&jobs);
         if report.clean() {
-            println!(
-                "check-config {exp}: ok — {} job config(s){}",
-                report.points,
-                if report.symbolic {
-                    " proven on the interval hull"
-                } else {
-                    " (per-point)"
-                }
-            );
+            println!("check-config {exp}: ok — {} job config(s)", report.points);
         } else {
             bad = true;
             println!("check-config {exp}: FAIL");
@@ -76,17 +70,22 @@ fn cmd_check_config(args: &[String]) -> Result<i32, String> {
     Ok(if bad { 1 } else { 0 })
 }
 
-fn cmd_fsm() -> i32 {
-    let cfg = RopConfig::paper_default();
-    let report = check_fsm(&build_rop_fsm(&cfg));
+fn cmd_verify_rop(args: &[String]) -> Result<i32, String> {
+    let mutation = match args {
+        [] => None,
+        [flag, name] if flag == "--mutate" => {
+            Some(rop::Mutation::parse(name).ok_or_else(|| {
+                format!(
+                    "unknown mutation '{name}' (expected one of: {})",
+                    rop::Mutation::ALL.map(rop::Mutation::label).join(" ")
+                )
+            })?)
+        }
+        _ => return Err("usage: rop-lint verify-rop [--mutate NAME]".to_string()),
+    };
+    let report = check_rop(&RopConfig::paper_default(), mutation);
     print!("{}", report.render());
-    if report.ok() {
-        println!("fsm: ok — every mandated state reachable, no dead states, no livelocks");
-        0
-    } else {
-        println!("fsm: FAIL");
-        1
-    }
+    Ok(if report.ok() { 0 } else { 1 })
 }
 
 fn cmd_src(args: &[String]) -> Result<i32, String> {
@@ -265,7 +264,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
         Some("check-config") => cmd_check_config(&args[1..]),
-        Some("fsm") => Ok(cmd_fsm()),
+        Some("verify-rop") => cmd_verify_rop(&args[1..]),
         Some("src") => cmd_src(&args[1..]),
         Some("verify-mech") => cmd_verify_mech(&args[1..]),
         Some("rules") => {

@@ -1,63 +1,15 @@
 //! Shared state-space exploration primitives for the model checkers.
 //!
-//! Two checkers share this module: the FSM pass ([`crate::fsm`]), which
-//! explores a small *declared* edge list, and the refresh-mechanism
-//! checker ([`crate::mech`]), which discovers its graph on the fly by
-//! driving the real `RefreshMechanism` implementations and hashing
-//! visited states. Both need the same two closures:
-//!
-//! * forward reachability from an initial state ([`reachable_states`]),
-//! * a backward closure over the edge set ([`backward_closure`]) — the
-//!   liveness primitive ("from which states can `pred` still be
-//!   reached?").
-//!
-//! The on-the-fly side additionally gets a hashed visited set
-//! ([`VisitedSet`]) keyed by [`fingerprint`]s of canonicalized state
-//! words, and a [`SearchGraph`] that records the discovered transition
-//! system compactly (node ids, labelled edges, parent pointers) so
-//! counterexample paths can be replayed after the search finishes.
+//! Both checkers — the refresh-mechanism checker ([`crate::mech`]) and
+//! the ROP engine checker ([`crate::rop`]) — discover their graph on
+//! the fly by driving real implementations and hashing visited states.
+//! They share a hashed visited set ([`VisitedSet`]) keyed by
+//! [`fingerprint`]s of canonicalized state words, and a [`SearchGraph`]
+//! that records the discovered transition system compactly (node ids,
+//! marked edges, parent pointers) so counterexample paths can be
+//! replayed and liveness decided after the search finishes.
 
 use std::collections::HashMap;
-
-/// States reachable from `init` over `edges`, sorted. The edge list is
-/// `(from, to)` pairs; unreachable states simply never appear.
-pub fn reachable_states<S: Copy + PartialEq + Ord>(init: S, edges: &[(S, S)]) -> Vec<S> {
-    let mut seen = vec![init];
-    let mut frontier = vec![init];
-    while let Some(s) = frontier.pop() {
-        for &(from, to) in edges {
-            if from == s && !seen.contains(&to) {
-                seen.push(to);
-                frontier.push(to);
-            }
-        }
-    }
-    seen.sort();
-    seen
-}
-
-/// States from which some state satisfying `pred` is reachable
-/// (including the satisfying states themselves) — a backward closure
-/// over the edge set, the building block of every liveness check.
-pub fn backward_closure<S: Copy + PartialEq>(
-    all: &[S],
-    edges: &[(S, S)],
-    pred: impl Fn(&S) -> bool,
-) -> Vec<S> {
-    let mut set: Vec<S> = all.iter().copied().filter(|s| pred(s)).collect();
-    loop {
-        let mut grew = false;
-        for &(from, to) in edges {
-            if set.contains(&to) && !set.contains(&from) {
-                set.push(from);
-                grew = true;
-            }
-        }
-        if !grew {
-            break set;
-        }
-    }
-}
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -125,16 +77,17 @@ impl VisitedSet {
 
 /// The transition system an on-the-fly search discovers: nodes are
 /// canonical-state ids in visit order, edges carry the choice index
-/// that produced them plus a `progress` mark (for the mechanism
-/// checker: "this transition issued a refresh"). Parent pointers
+/// that produced them plus a bitmask of progress marks (for the
+/// mechanism checker: "this transition issued a refresh"; the ROP
+/// checker marks "prefetched" and "trained" separately). Parent pointers
 /// reconstruct the first-visit path to any node, which is what turns
 /// an invariant hit deep in the search back into a replayable trace.
 #[derive(Debug, Default)]
 pub struct SearchGraph {
     /// `(parent, choice)` per node; the root is `(0, usize::MAX)`.
     parents: Vec<(usize, usize)>,
-    /// `(from, to, progress)` per discovered transition.
-    edges: Vec<(usize, usize, bool)>,
+    /// `(from, to, marks)` per discovered transition.
+    edges: Vec<(usize, usize, u8)>,
 }
 
 impl SearchGraph {
@@ -153,9 +106,10 @@ impl SearchGraph {
         self.parents.len() - 1
     }
 
-    /// Records a transition (to an old or new node).
-    pub fn add_edge(&mut self, from: usize, to: usize, progress: bool) {
-        self.edges.push((from, to, progress));
+    /// Records a transition (to an old or new node) with its progress
+    /// marks.
+    pub fn add_edge(&mut self, from: usize, to: usize, marks: u8) {
+        self.edges.push((from, to, marks));
     }
 
     /// Number of nodes discovered (including the root).
@@ -182,19 +136,19 @@ impl SearchGraph {
         path
     }
 
-    /// Nodes from which a `progress` transition is still reachable —
-    /// the complement is the livelock set. Nodes listed in
+    /// Nodes from which a transition carrying `mark` is still reachable
+    /// — the complement is the livelock set. Nodes listed in
     /// `assume_live` (e.g. an unexpanded depth-capped frontier) are
     /// granted progress unconditionally, keeping the check sound under
     /// truncation: a cut-off node might have progressed had the search
     /// continued, so only fully expanded nodes may be convicted.
-    pub fn live_nodes(&self, assume_live: &[usize]) -> Vec<bool> {
+    pub fn live_nodes(&self, mark: u8, assume_live: &[usize]) -> Vec<bool> {
         let mut live = vec![false; self.parents.len()];
         for &n in assume_live {
             live[n] = true;
         }
-        for &(from, _, progress) in &self.edges {
-            if progress {
+        for &(from, _, marks) in &self.edges {
+            if marks & mark != 0 {
                 live[from] = true;
             }
         }
@@ -219,18 +173,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reachability_and_backward_closure() {
-        // 0 → 1 → 2, 3 isolated.
-        let edges = [(0u32, 1u32), (1, 2)];
-        assert_eq!(reachable_states(0, &edges), vec![0, 1, 2]);
-        assert_eq!(reachable_states(3, &edges), vec![3]);
-        let all = [0u32, 1, 2, 3];
-        let can = backward_closure(&all, &edges, |&s| s == 2);
-        assert!(can.contains(&0) && can.contains(&1) && can.contains(&2));
-        assert!(!can.contains(&3));
-    }
-
-    #[test]
     fn fingerprints_are_order_sensitive_and_stable() {
         assert_eq!(fingerprint(&[1, 2, 3]), fingerprint(&[1, 2, 3]));
         assert_ne!(fingerprint(&[1, 2, 3]), fingerprint(&[3, 2, 1]));
@@ -247,21 +189,24 @@ mod tests {
     fn search_graph_paths_and_liveness() {
         let mut g = SearchGraph::new();
         let a = g.add_node(0, 7); // root --7--> a
-        g.add_edge(0, a, false);
+        g.add_edge(0, a, 0);
         let b = g.add_node(a, 3); // a --3--> b
-        g.add_edge(a, b, true); // the only progress edge
+        g.add_edge(a, b, 1); // the only edge marked 1
         let c = g.add_node(b, 1); // b --1--> c (a sink)
-        g.add_edge(b, c, false);
+        g.add_edge(b, c, 2); // the only edge marked 2
         assert_eq!(g.path_to(c), vec![7, 3, 1]);
         assert_eq!(g.path_to(0), Vec::<usize>::new());
-        let live = g.live_nodes(&[]);
-        // Root and `a` can still take the progress edge; `b` and the
+        let live = g.live_nodes(1, &[]);
+        // Root and `a` can still take the mark-1 edge; `b` and the
         // sink `c` can never progress again.
         assert!(live[0] && live[a]);
         assert!(!live[b] && !live[c]);
+        // Mark 2 is one step further on: `b` reaches it too.
+        let live = g.live_nodes(2, &[]);
+        assert!(live[0] && live[a] && live[b] && !live[c]);
         // Granting the sink frontier status flips it — and `b`, which
         // can reach it.
-        let live = g.live_nodes(&[c]);
+        let live = g.live_nodes(1, &[c]);
         assert!(live[b] && live[c]);
     }
 }

@@ -1296,12 +1296,12 @@ fn search(cfg: &MechCheckConfig, env: &Env) -> MechReport {
                 debug_assert_eq!(got, id);
                 queue.push_back((id, depth + 1, succ));
             }
-            graph.add_edge(node, id, progress);
+            graph.add_edge(node, id, u8::from(progress));
         }
     }
 
     let livelocks = if violation.is_none() {
-        let live = graph.live_nodes(&cut_frontier);
+        let live = graph.live_nodes(1, &cut_frontier);
         let dead: Vec<usize> = (0..graph.node_count()).filter(|&n| !live[n]).collect();
         if let Some(&first) = dead.first() {
             violation = Some(MechViolation {

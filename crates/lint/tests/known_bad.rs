@@ -1,11 +1,11 @@
 //! The known-bad tables: one config per config rule and one source
 //! snippet per source rule, each violating exactly that rule, plus
 //! acceptance of every shipped experiment config and the
-//! seeded-mutation checks on the FSM model.
+//! seeded driver mutants of `verify-rop`.
 
 use rop_dram::DramConfig;
 use rop_lint::config::{lint_config, lint_jobs, RULES};
-use rop_lint::fsm::{build_rop_fsm, check_fsm, EdgeKind};
+use rop_lint::rop::{check_rop, Mutation as RopMutation};
 use rop_lint::srclint::{scan_source, SRC_RULES};
 use rop_memctrl::{MechanismKind, MemCtrlConfig};
 use rop_sim_system::experiments::driver::{plan_jobs, EXPERIMENTS};
@@ -347,33 +347,49 @@ fn each_known_bad_snippet_violates_exactly_its_rule() {
     }
 }
 
-#[test]
-fn fsm_mutation_dropping_the_fallback_edge_is_caught() {
-    let cfg = rop_core::RopConfig::paper_default();
-    let mut fsm = build_rop_fsm(&cfg);
-    assert!(check_fsm(&fsm).ok(), "unmutated machine must be clean");
-    fsm.remove_edges(EdgeKind::Fallback);
-    let report = check_fsm(&fsm);
-    assert!(!report.ok());
-    assert!(
-        !report.missing_fallback.is_empty(),
-        "fallback removal must be reported as the missing mandated edge"
-    );
-    assert!(
-        !report.dead.is_empty(),
-        "degraded observing states must become dead without the fallback"
-    );
+/// Runs `verify-rop` on the paper's config under one driver mutant.
+fn rop_report(mutation: Option<RopMutation>) -> rop_lint::RopReport {
+    check_rop(&rop_core::RopConfig::paper_default(), mutation)
 }
 
 #[test]
-fn fsm_mutation_dropping_train_done_is_caught() {
-    let cfg = rop_core::RopConfig::paper_default();
-    let mut fsm = build_rop_fsm(&cfg);
-    fsm.remove_edges(EdgeKind::TrainDone);
-    let report = check_fsm(&fsm);
+fn verify_rop_passes_the_unmutated_engine() {
+    let report = rop_report(None);
+    assert!(report.ok(), "{}", report.render());
+}
+
+#[test]
+fn verify_rop_mutant_without_completions_is_caught() {
+    let report = rop_report(Some(RopMutation::NoCompletion));
     assert!(!report.ok());
-    // Training can never complete: all of Observing/Prefetching is
-    // unreachable.
-    assert!(report.unmet_mandates.iter().any(|m| m == "prefetching"));
-    assert!(!report.livelock_no_prefetch.is_empty());
+    // Training never records a refresh, so nothing past it is reached.
+    assert!(report.unmet.contains(&"training E1 (B>0, A>0)"));
+    assert!(report.unmet.contains(&"prefetching"));
+    assert!(report.no_prefetch > 0);
+}
+
+#[test]
+fn verify_rop_mutant_without_hit_stats_is_caught() {
+    let report = rop_report(Some(RopMutation::NoHitStats));
+    assert!(!report.ok());
+    // The counter never fills: no healthy or degraded verdict, and an
+    // engine that reached Observing can never fall back to Training.
+    assert!(report
+        .unmet
+        .contains(&"observing, degraded hit rate (below fallback threshold)"));
+    assert!(report.unmet.contains(&"observing, healthy hit rate"));
+    assert!(report.no_retrain > 0);
+}
+
+#[test]
+fn verify_rop_mutant_with_a_stuck_coin_is_caught() {
+    let report = rop_report(Some(RopMutation::StuckSkip));
+    assert!(!report.ok());
+    // Certain gates (p = 1) still prefetch; only the drawn coin is lost.
+    assert_eq!(
+        report.unmet,
+        vec!["prefetching on a drawn coin (0 < p < 1)"],
+        "{}",
+        report.render()
+    );
 }

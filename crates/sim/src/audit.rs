@@ -257,8 +257,8 @@ impl Auditor {
         }
     }
 
-    /// The detailed violations (the first [`MAX_DETAILED`]; the summary
-    /// counts all of them).
+    /// The detailed violations (the first `MAX_DETAILED`, 16; the
+    /// summary counts all of them).
     pub fn violations(&self) -> &[Violation] {
         &self.violations
     }

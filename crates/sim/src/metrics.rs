@@ -115,7 +115,7 @@ impl LatencyHistogram {
         self.sum as f64 / self.count as f64
     }
 
-    /// The `q`-quantile (`q` in [0,1]) as the upper edge of the bucket
+    /// The `q`-quantile (`q` in `[0, 1]`) as the upper edge of the bucket
     /// holding the target rank, clamped to the observed maximum.
     /// Returns 0 for an empty histogram.
     pub fn quantile(&self, q: f64) -> u64 {

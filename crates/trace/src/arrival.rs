@@ -125,7 +125,7 @@ impl ArrivalGen {
     ///
     /// # Panics
     /// Panics on invalid parameters (zero/non-finite offered load, bad
-    /// process parameters, write fraction outside [0,1]).
+    /// process parameters, write fraction outside `[0, 1]`).
     pub fn new(
         process: ArrivalProcess,
         offered_rpkc: f64,
