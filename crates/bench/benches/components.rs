@@ -118,7 +118,7 @@ fn bench_rop_components(c: &mut Criterion) {
         for a in 0..4096u64 {
             t.update((a % 8) as usize, a / 8);
         }
-        let p = Prefetcher::new((1 << 15) * 128);
+        let mut p = Prefetcher::new((1 << 15) * 128);
         b.iter(|| black_box(p.generate(&t, 64)));
     });
     g.bench_function("buffer_lookup", |b| {

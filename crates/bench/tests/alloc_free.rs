@@ -53,30 +53,26 @@ fn run_window(sys: &mut rop_sim_system::System, max_cycles: u64) {
     let _ = sys.run_until(u64::MAX, max_cycles);
 }
 
-fn audit_shape(shape: &rop_bench::perf::Shape, warmup: u64, window: u64) {
-    let mut sys = rop_sim_system::System::new(shape.config());
-    run_window(&mut sys, warmup);
-
+/// Asserts that `sys`, already warmed up to cycle `warmup`, allocates
+/// nothing in the next `window` cycles.
+fn audit_window(name: &str, sys: &mut rop_sim_system::System, warmup: u64, window: u64) {
     // Collection alone: the drive loop body never runs because the
     // clock already reached `warmup`, so this prices the RunMetrics
     // construction that every `run_until` call pays.
     let before = allocations();
-    run_window(&mut sys, warmup);
+    run_window(sys, warmup);
     let collect_only = allocations() - before;
 
     // A real simulated window plus the same collection.
     let before = allocations();
-    run_window(&mut sys, warmup + window);
+    run_window(sys, warmup + window);
     let with_window = allocations() - before;
 
     assert!(
         with_window <= collect_only,
-        "shape {:?}: {} allocations in a {}-cycle steady-state window \
-         (collection alone costs {})",
-        shape.name,
+        "{name}: {} allocations in a {window}-cycle steady-state window \
+         (collection alone costs {collect_only})",
         with_window - collect_only,
-        window,
-        collect_only,
     );
 }
 
@@ -90,6 +86,26 @@ fn steady_state_window_is_allocation_free() {
             .into_iter()
             .find(|s| s.name == name)
             .expect("canonical shape exists");
-        audit_shape(&shape, 2_000_000, 500_000);
+        let mut sys = rop_sim_system::System::new(shape.config());
+        run_window(&mut sys, 2_000_000);
+        audit_window(name, &mut sys, 2_000_000, 500_000);
     }
+
+    // The paper's ROP-64 system on the 4-core WL1 mix, audited only
+    // after every rank's engine has trained (50 refreshes, about 312k
+    // cycles): the window runs drain snapshots, prefetch bursts, SRAM
+    // fills and sweeps through the per-bank scheduler.
+    use rop_sim_system::{SystemConfig, SystemKind};
+    let wl1 = rop_trace::WORKLOAD_MIXES[0];
+    assert_eq!(wl1.name, "WL1");
+    let cfg = SystemConfig::multi_core(wl1.programs, SystemKind::Rop { buffer: 64 }, 1);
+    let mut sys = rop_sim_system::System::new(cfg);
+    run_window(&mut sys, 1_000_000);
+    let trained = sys.controller().stats().prefetches_issued;
+    assert!(trained > 0, "ROP never prefetched during warm-up");
+    audit_window("ROP-64 WL1", &mut sys, 1_000_000, 400_000);
+    assert!(
+        sys.controller().stats().prefetches_issued > trained,
+        "the window must prefetch"
+    );
 }

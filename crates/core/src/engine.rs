@@ -134,6 +134,9 @@ pub struct RopEngine {
     throttle: ProbabilisticThrottle,
     table: PredictionTable,
     prefetcher: Prefetcher,
+    /// The last burst's candidates (reused, so a burst allocates
+    /// nothing).
+    candidates: Vec<PrefetchCandidate>,
     window: AccessWindow,
     next_refresh_due: Cycle,
     refresh_active: bool,
@@ -166,6 +169,7 @@ impl RopEngine {
             throttle: ProbabilisticThrottle::new(config.seed),
             table: PredictionTable::new(config.banks_per_rank),
             prefetcher: Prefetcher::new(config.lines_per_bank),
+            candidates: Vec::with_capacity(config.buffer_capacity),
             window: AccessWindow::new(config.observational_window),
             next_refresh_due: Cycle::MAX,
             refresh_active: false,
@@ -361,20 +365,25 @@ impl RopEngine {
         &mut self,
         now: Cycle,
         expected_delay: Cycle,
-    ) -> Vec<PrefetchCandidate> {
+    ) -> &[PrefetchCandidate] {
         let b = self.window.count(now);
         let window = self.config.observational_window.max(1);
         let lead = ((expected_delay as u128 * b as u128 / window as u128) as usize)
             / self.config.banks_per_rank.max(1);
-        let candidates = if self.config.single_delta_only {
-            self.prefetcher
-                .generate_single_delta(&self.table, self.config.buffer_capacity, lead)
+        let capacity = self.config.buffer_capacity;
+        if self.config.single_delta_only {
+            self.prefetcher.generate_single_delta(
+                &self.table,
+                capacity,
+                lead,
+                &mut self.candidates,
+            );
         } else {
             self.prefetcher
-                .generate_with_lead(&self.table, self.config.buffer_capacity, lead)
-        };
-        self.stats.candidates_emitted += candidates.len() as u64;
-        candidates
+                .generate_with_lead(&self.table, capacity, lead, &mut self.candidates);
+        }
+        self.stats.candidates_emitted += self.candidates.len() as u64;
+        &self.candidates
     }
 
     /// Marks the start of the rank's refresh (frozen cycles begin).
@@ -417,16 +426,15 @@ impl RopEngine {
         count: usize,
         now: Cycle,
         expected_delay: Cycle,
-    ) -> Vec<PrefetchCandidate> {
+    ) -> &[PrefetchCandidate] {
         let b = self.window.count(now);
         let window = self.config.observational_window.max(1);
         let lead = (expected_delay as u128 * b as u128 / window as u128) as usize
             / self.config.banks_per_rank.max(1);
-        let candidates = self
-            .prefetcher
-            .generate_bank(&self.table, bank, count, lead);
-        self.stats.candidates_emitted += candidates.len() as u64;
-        candidates
+        self.prefetcher
+            .generate_bank(&self.table, bank, count, lead, &mut self.candidates);
+        self.stats.candidates_emitted += self.candidates.len() as u64;
+        &self.candidates
     }
 
     /// Records reads that were already queued but unissued when the

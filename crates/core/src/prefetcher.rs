@@ -34,18 +34,31 @@ pub struct PrefetchCandidate {
     pub line_offset: u64,
 }
 
-/// Stateless candidate generator.
+/// Candidate generator. It keeps no state between calls beyond reusable
+/// scratch space, so generating a burst allocates nothing once the
+/// scratch has grown to the bank count.
 #[derive(Debug, Clone)]
 pub struct Prefetcher {
     /// Number of cache lines per bank (offsets beyond this are dropped).
     lines_per_bank: u64,
+    /// Per-bank Equation 3 weights.
+    weights: Vec<u64>,
+    /// Per-bank shares of the buffer.
+    shares: Vec<usize>,
+    /// (bank, remainder) pairs for largest-remainder apportioning.
+    remainders: Vec<(usize, u64)>,
 }
 
 impl Prefetcher {
     /// Creates a prefetcher for banks of `lines_per_bank` lines.
     pub fn new(lines_per_bank: u64) -> Self {
         assert!(lines_per_bank > 0);
-        Prefetcher { lines_per_bank }
+        Prefetcher {
+            lines_per_bank,
+            weights: Vec::new(),
+            shares: Vec::new(),
+            remainders: Vec::new(),
+        }
     }
 
     /// Generates at most `capacity` candidates from `table` with no lead
@@ -57,8 +70,10 @@ impl Prefetcher {
     /// replace-and-reset rule zeroes on every pattern flip — would starve
     /// random banks of coverage. The prior keeps shares near-uniform for
     /// uniform traffic while still letting strong bank locality dominate.
-    pub fn generate(&self, table: &PredictionTable, capacity: usize) -> Vec<PrefetchCandidate> {
-        self.generate_with_lead(table, capacity, 0)
+    pub fn generate(&mut self, table: &PredictionTable, capacity: usize) -> Vec<PrefetchCandidate> {
+        let mut out = Vec::with_capacity(capacity);
+        self.generate_with_lead(table, capacity, 0, &mut out);
+        out
     }
 
     /// Generates candidates starting `lead` pattern steps *ahead* of each
@@ -69,40 +84,45 @@ impl Prefetcher {
     /// are still served by DRAM — the rank is not frozen yet). Leading
     /// the extrapolation by the expected advance keeps the buffer aligned
     /// with the stream position at the moment the rank actually freezes.
+    ///
+    /// The candidates replace the contents of `out`.
     pub fn generate_with_lead(
-        &self,
+        &mut self,
         table: &PredictionTable,
         capacity: usize,
         lead: usize,
-    ) -> Vec<PrefetchCandidate> {
+        out: &mut Vec<PrefetchCandidate>,
+    ) {
+        out.clear();
         if capacity == 0 {
-            return Vec::new();
+            return;
         }
-        let weights: Vec<u64> = table
-            .iter()
-            .map(|e| {
-                if e.last_addr.is_some() {
-                    e.weight() + 2
-                } else {
-                    0
-                }
-            })
-            .collect();
-        let total: u64 = weights.iter().sum();
-        if total == 0 {
-            return self.fallback_next_line(table, capacity);
+        self.weights.clear();
+        self.weights.extend(table.iter().map(|e| {
+            if e.last_addr.is_some() {
+                e.weight() + 2
+            } else {
+                0
+            }
+        }));
+        if self.weights.iter().sum::<u64>() == 0 {
+            self.fallback_next_line(table, capacity, out);
+            return;
         }
 
-        let shares = apportion(&weights, capacity);
-        let mut out = Vec::with_capacity(capacity);
-        for (entry, share) in table.iter().zip(shares) {
+        apportion(
+            &self.weights,
+            capacity,
+            &mut self.shares,
+            &mut self.remainders,
+        );
+        for (entry, &share) in table.iter().zip(&self.shares) {
             if share == 0 {
                 continue;
             }
-            self.generate_for_bank(entry, share, lead, &mut out);
+            self.generate_for_bank(entry, share, lead, out);
         }
         out.truncate(capacity);
-        out
     }
 
     /// Candidates for a *single* bank — the per-bank-refresh (REFpb)
@@ -114,42 +134,47 @@ impl Prefetcher {
         bank: usize,
         count: usize,
         lead: usize,
-    ) -> Vec<PrefetchCandidate> {
-        let mut out = Vec::with_capacity(count);
+        out: &mut Vec<PrefetchCandidate>,
+    ) {
+        out.clear();
         if count > 0 {
-            self.generate_for_bank(table.entry(bank), count, lead, &mut out);
+            self.generate_for_bank(table.entry(bank), count, lead, out);
         }
-        out
     }
 
     /// Ablation variant: candidates replay only each bank's 1-delta
     /// pattern (multi-delta patterns ignored), falling back to next-line
     /// when the single delta has not repeated.
     pub fn generate_single_delta(
-        &self,
+        &mut self,
         table: &PredictionTable,
         capacity: usize,
         lead: usize,
-    ) -> Vec<PrefetchCandidate> {
+        out: &mut Vec<PrefetchCandidate>,
+    ) {
+        out.clear();
         if capacity == 0 {
-            return Vec::new();
+            return;
         }
-        let weights: Vec<u64> = table
-            .iter()
-            .map(|e| {
-                if e.last_addr.is_some() {
-                    e.f1 as u64 + 2
-                } else {
-                    0
-                }
-            })
-            .collect();
-        if weights.iter().sum::<u64>() == 0 {
-            return self.fallback_next_line(table, capacity);
+        self.weights.clear();
+        self.weights.extend(table.iter().map(|e| {
+            if e.last_addr.is_some() {
+                e.f1 as u64 + 2
+            } else {
+                0
+            }
+        }));
+        if self.weights.iter().sum::<u64>() == 0 {
+            self.fallback_next_line(table, capacity, out);
+            return;
         }
-        let shares = apportion(&weights, capacity);
-        let mut out = Vec::with_capacity(capacity);
-        for (entry, share) in table.iter().zip(shares) {
+        apportion(
+            &self.weights,
+            capacity,
+            &mut self.shares,
+            &mut self.remainders,
+        );
+        for (entry, &share) in table.iter().zip(&self.shares) {
             let Some(last) = entry.last_addr else {
                 continue;
             };
@@ -161,10 +186,9 @@ impl Prefetcher {
             } else {
                 1
             };
-            self.replay(entry.bank_id, last, &[delta], share, lead, &mut out);
+            self.replay(entry.bank_id, last, &[delta], share, lead, out);
         }
         out.truncate(capacity);
-        out
     }
 
     /// Candidates for one bank: the whole share replays the bank's
@@ -244,16 +268,17 @@ impl Prefetcher {
         &self,
         table: &PredictionTable,
         capacity: usize,
-    ) -> Vec<PrefetchCandidate> {
-        let touched: Vec<&PredictionEntry> =
-            table.iter().filter(|e| e.last_addr.is_some()).collect();
-        if touched.is_empty() {
-            return Vec::new();
+        out: &mut Vec<PrefetchCandidate>,
+    ) {
+        let touched = table.iter().filter(|e| e.last_addr.is_some()).count();
+        if touched == 0 {
+            return;
         }
-        let per_bank = (capacity / touched.len()).max(1);
-        let mut out = Vec::with_capacity(capacity);
-        for entry in touched {
-            let last = entry.last_addr.expect("filtered to touched banks");
+        let per_bank = (capacity / touched).max(1);
+        for entry in table.iter() {
+            let Some(last) = entry.last_addr else {
+                continue;
+            };
             for k in 1..=per_bank as u64 {
                 let off = last + k;
                 if off >= self.lines_per_bank {
@@ -267,23 +292,29 @@ impl Prefetcher {
                     out.push(cand);
                 }
                 if out.len() == capacity {
-                    return out;
+                    return;
                 }
             }
         }
-        out
     }
 }
 
-/// Largest-remainder apportionment of `total` units across `weights`.
-/// Returns zero shares when all weights are zero.
-fn apportion(weights: &[u64], total: usize) -> Vec<usize> {
+/// Largest-remainder apportionment of `total` units across `weights`,
+/// written to `shares` (all zero when every weight is zero).
+/// `remainders` is scratch space.
+fn apportion(
+    weights: &[u64],
+    total: usize,
+    shares: &mut Vec<usize>,
+    remainders: &mut Vec<(usize, u64)>,
+) {
+    shares.clear();
+    remainders.clear();
     let sum: u64 = weights.iter().sum();
     if sum == 0 || total == 0 {
-        return vec![0; weights.len()];
+        shares.resize(weights.len(), 0);
+        return;
     }
-    let mut shares: Vec<usize> = Vec::with_capacity(weights.len());
-    let mut remainders: Vec<(usize, u64)> = Vec::with_capacity(weights.len());
     let mut assigned = 0usize;
     for (i, &w) in weights.iter().enumerate() {
         let num = w as u128 * total as u128;
@@ -293,10 +324,12 @@ fn apportion(weights: &[u64], total: usize) -> Vec<usize> {
         remainders.push((i, rem));
         assigned += share;
     }
-    // Hand the leftover units to the largest remainders (ties: lower index).
+    // Hand the leftover units to the largest remainders (ties: lower
+    // index). Indices are distinct, so the order is total and an
+    // unstable (allocation-free) sort gives the same result.
     let mut leftover = total - assigned;
-    remainders.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    for (i, rem) in remainders {
+    remainders.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    for &(i, rem) in remainders.iter() {
         if leftover == 0 {
             break;
         }
@@ -307,7 +340,6 @@ fn apportion(weights: &[u64], total: usize) -> Vec<usize> {
         shares[i] += 1;
         leftover -= 1;
     }
-    shares
 }
 
 #[cfg(test)]
@@ -325,26 +357,32 @@ mod tests {
         t
     }
 
+    fn apportioned(weights: &[u64], total: usize) -> Vec<usize> {
+        let mut shares = Vec::new();
+        apportion(weights, total, &mut shares, &mut Vec::new());
+        shares
+    }
+
     #[test]
     fn apportion_splits_exactly() {
-        assert_eq!(apportion(&[1, 1, 1, 1], 8), vec![2, 2, 2, 2]);
-        let s = apportion(&[3, 1], 8);
+        assert_eq!(apportioned(&[1, 1, 1, 1], 8), vec![2, 2, 2, 2]);
+        let s = apportioned(&[3, 1], 8);
         assert_eq!(s.iter().sum::<usize>(), 8);
         assert_eq!(s, vec![6, 2]);
-        let s = apportion(&[2, 1, 1], 5);
+        let s = apportioned(&[2, 1, 1], 5);
         assert_eq!(s.iter().sum::<usize>(), 5);
         assert!(s[0] >= 2);
     }
 
     #[test]
     fn apportion_zero_weights() {
-        assert_eq!(apportion(&[0, 0], 4), vec![0, 0]);
+        assert_eq!(apportioned(&[0, 0], 4), vec![0, 0]);
     }
 
     #[test]
     fn stream_pattern_prefetches_next_strided_lines() {
         let t = table_with_stream(2, 1000, 4, 10);
-        let p = Prefetcher::new(LINES_PER_BANK);
+        let mut p = Prefetcher::new(LINES_PER_BANK);
         let c = p.generate(&t, 8);
         assert!(!c.is_empty());
         // Last address was 1000 + 9*4 = 1036; candidates continue +4.
@@ -363,7 +401,7 @@ mod tests {
     #[test]
     fn capacity_is_respected() {
         let t = table_with_stream(0, 0, 1, 100);
-        let p = Prefetcher::new(LINES_PER_BANK);
+        let mut p = Prefetcher::new(LINES_PER_BANK);
         for cap in [1usize, 16, 64, 128] {
             assert!(p.generate(&t, cap).len() <= cap);
         }
@@ -380,7 +418,7 @@ mod tests {
         for k in 0..5u64 {
             t.update(1, 1000 + k);
         }
-        let p = Prefetcher::new(LINES_PER_BANK);
+        let mut p = Prefetcher::new(LINES_PER_BANK);
         let c = p.generate(&t, 32);
         let bank0 = c.iter().filter(|x| x.bank == 0).count();
         let bank1 = c.iter().filter(|x| x.bank == 1).count();
@@ -391,7 +429,7 @@ mod tests {
     #[test]
     fn empty_table_yields_nothing() {
         let t = PredictionTable::new(8);
-        let p = Prefetcher::new(LINES_PER_BANK);
+        let mut p = Prefetcher::new(LINES_PER_BANK);
         assert!(p.generate(&t, 64).is_empty());
     }
 
@@ -400,7 +438,7 @@ mod tests {
         let mut t = PredictionTable::new(8);
         // One access: last_addr set but zero weight.
         t.update(3, 500);
-        let p = Prefetcher::new(LINES_PER_BANK);
+        let mut p = Prefetcher::new(LINES_PER_BANK);
         let c = p.generate(&t, 8);
         assert!(!c.is_empty());
         assert!(c.contains(&PrefetchCandidate {
@@ -414,7 +452,7 @@ mod tests {
         // Stream right at the top of the bank.
         let top = LINES_PER_BANK - 3;
         let t = table_with_stream(0, top - 40, 4, 11);
-        let p = Prefetcher::new(LINES_PER_BANK);
+        let mut p = Prefetcher::new(LINES_PER_BANK);
         let c = p.generate(&t, 64);
         assert!(c.iter().all(|x| x.line_offset < LINES_PER_BANK));
     }
@@ -426,7 +464,7 @@ mod tests {
         for _ in 0..20 {
             t.update(0, 77);
         }
-        let p = Prefetcher::new(LINES_PER_BANK);
+        let mut p = Prefetcher::new(LINES_PER_BANK);
         let c = p.generate(&t, 16);
         // Nothing useful can be predicted from a zero delta.
         assert!(c.iter().all(|x| x.line_offset != 77));
@@ -442,7 +480,7 @@ mod tests {
             addr = if i % 2 == 0 { addr + 2 } else { addr - 2 };
             t.update(0, addr);
         }
-        let p = Prefetcher::new(LINES_PER_BANK);
+        let mut p = Prefetcher::new(LINES_PER_BANK);
         let c = p.generate(&t, 32);
         let mut seen = c.clone();
         seen.sort_by_key(|x| (x.bank, x.line_offset));

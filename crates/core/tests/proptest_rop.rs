@@ -24,11 +24,11 @@ proptest! {
         for (bank, addr) in &accesses {
             table.update(*bank, *addr);
         }
-        let p = Prefetcher::new(LINES_PER_BANK);
-        for cands in [
-            p.generate_with_lead(&table, capacity, lead),
-            p.generate_single_delta(&table, capacity, lead),
-        ] {
+        let mut p = Prefetcher::new(LINES_PER_BANK);
+        let (mut multi, mut single) = (Vec::new(), Vec::new());
+        p.generate_with_lead(&table, capacity, lead, &mut multi);
+        p.generate_single_delta(&table, capacity, lead, &mut single);
+        for cands in [multi, single] {
             prop_assert!(cands.len() <= capacity);
             let mut seen = std::collections::HashSet::new();
             for c in &cands {

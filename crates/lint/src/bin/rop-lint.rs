@@ -23,17 +23,20 @@ use rop_memctrl::MechanismKind;
 use rop_sim_system::experiments::driver::{plan_jobs, EXPERIMENTS};
 use rop_sim_system::runner::RunSpec;
 
-const USAGE: &str = "usage: rop-lint <command> [args]\n\
-  check-config [experiment...]   vet experiment job configs (default: all)\n\
-  verify-rop [--mutate NAME]     search the real ROP engine's phase machine\n\
-                                 (mutations: no-completion no-hit-stats\n\
-                                 stuck-skip)\n\
-  src [--root DIR] [--baseline FILE] [--update-baseline]\n\
-                                 determinism/robustness source lint\n\
-  verify-mech [mech...] [--mutate NAME] [--depth N] [--trace-dir DIR]\n\
-                                 exhaustively model-check the refresh zoo\n\
-                                 (mechs: allbank allbank-pb elastic darp sarp\n\
-                                 raidr; default all)\n\
+// Plain line breaks, not `\n\` continuations: a continuation also
+// strips the next line's leading spaces, which are the layout here.
+const USAGE: &str = "\
+usage: rop-lint <command> [args]
+  check-config [experiment...]   vet experiment job configs (default: all)
+  verify-rop [--mutate NAME]     search the real ROP engine's phase machine
+                                 (mutations: no-completion no-hit-stats
+                                 stuck-skip)
+  src [--root DIR] [--baseline FILE] [--update-baseline]
+                                 determinism/robustness source lint
+  verify-mech [mech...] [--mutate NAME] [--depth N] [--trace-dir DIR]
+                                 exhaustively model-check the refresh zoo
+                                 (mechs: allbank allbank-pb elastic darp sarp
+                                 raidr; default all)
   rules                          list the config rule catalog";
 
 fn cmd_check_config(args: &[String]) -> Result<i32, String> {
@@ -283,5 +286,29 @@ fn main() {
             eprintln!("{msg}");
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::USAGE;
+
+    #[test]
+    fn usage_continuation_lines_keep_their_indent() {
+        let mut lines = USAGE.lines();
+        assert_eq!(lines.next(), Some("usage: rop-lint <command> [args]"));
+        let rest: Vec<&str> = lines.collect();
+        assert!(rest.len() >= 10, "{rest:?}");
+        for line in &rest {
+            assert!(line.starts_with("  "), "flush-left usage line: {line:?}");
+        }
+        // Wrapped descriptions line up under the description column.
+        let col = rest[0].find("vet experiment").expect("check-config row");
+        assert!(
+            rest.iter()
+                .filter(|l| l.trim_start().starts_with('('))
+                .all(|l| l.len() - l.trim_start().len() == col),
+            "{rest:?}"
+        );
     }
 }

@@ -13,15 +13,18 @@
 //! 3. refresh preparation for ranks whose drain is complete: precharge
 //!    remaining open banks, then issue REF;
 //! 4. FR-FCFS command scheduling over the request queues, with the
-//!    draining rank's requests (demand + prefetch) in a priority tier and
-//!    an age cap as a starvation guard.
+//!    draining rank's demand requests in a priority tier, ROP prefetches
+//!    below regular traffic, and an age cap as a starvation guard. The
+//!    queues are kept per bank with each bank's oldest candidates
+//!    cached, so a tick reads one pick set per bank instead of sorting
+//!    the queues.
 //!
 //! `tick` returns a *hint*: the next cycle at which calling `tick` again
 //! can possibly make progress, enabling the driver to fast-forward idle
 //! stretches without losing cycle accuracy.
 
 use rop_core::{PhaseTransition, RopConfig, RopEngine, RopPhase, SramBuffer};
-use rop_dram::{Command, DramDevice, EnergyBreakdown};
+use rop_dram::{Command, DramDevice, EnergyBreakdown, Geometry};
 use rop_events::{EventSink, TraceBuffer, TraceEvent};
 use rop_stats::RatioCounter;
 
@@ -80,6 +83,17 @@ pub struct MemCtrlStats {
     pub sram_lookups: u64,
     /// SRAM lookup hits.
     pub sram_hits: u64,
+    /// FR-FCFS scheduler calls: ticks that reached the request
+    /// scheduler (a tick that issued a refresh-preparation command does
+    /// not).
+    pub schedule_calls: u64,
+    /// Scheduler calls that issued a command.
+    pub schedule_issued: u64,
+    /// Queue entries the scheduler read to pick its candidates, summed
+    /// over calls.
+    pub schedule_entries_scanned: u64,
+    /// Command issue attempts the scheduler made, summed over calls.
+    pub issue_attempts: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -88,6 +102,10 @@ struct Queued {
     /// True once an ACT has been issued on behalf of this request (used
     /// for the row-buffer-hit statistic).
     acted: bool,
+    /// Member of its slot's drain set: queued when the slot's current
+    /// (or last) drain started. Only read while the slot drains; every
+    /// drain start rewrites the flag for each of the slot's requests.
+    in_set: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,6 +146,8 @@ struct SlotMap {
     per_bank: bool,
     /// Slots per rank: 1, or the bank count under per-bank scope.
     per_rank: usize,
+    /// Banks per rank.
+    banks: usize,
 }
 
 impl SlotMap {
@@ -136,6 +156,35 @@ impl SlotMap {
         SlotMap {
             per_bank,
             per_rank: if per_bank { banks_per_rank } else { 1 },
+            banks: banks_per_rank,
+        }
+    }
+
+    /// The global bank key of a request: `rank * banks + bank`.
+    #[inline]
+    fn bank_key(self, addr: &DecodedAddr) -> usize {
+        addr.rank * self.banks + addr.bank
+    }
+
+    /// The refresh slot a global bank key belongs to. Under per-bank
+    /// scope the slot index is the bank key itself.
+    // rop-lint: hot
+    #[inline]
+    fn of_bank(self, key: usize) -> usize {
+        if self.per_bank {
+            key
+        } else {
+            key / self.banks
+        }
+    }
+
+    /// The global bank keys a slot covers.
+    #[inline]
+    fn banks_of(self, slot: usize) -> std::ops::Range<usize> {
+        if self.per_bank {
+            slot..slot + 1
+        } else {
+            slot * self.banks..(slot + 1) * self.banks
         }
     }
 
@@ -173,78 +222,229 @@ impl SlotMap {
     }
 }
 
-/// Reusable per-tick scratch buffers. The scheduling loop runs every
-/// simulated command-bus cycle; taking these out of the controller,
-/// filling them, and putting them back keeps the steady-state hot path
-/// allocation-free (capacities are retained across ticks).
-/// One scheduling candidate, fully materialised at candidate-build time
-/// so the scheduler's sort/scan passes run over plain contiguous memory
-/// instead of chasing back into the request queues on every comparison.
+/// A scheduling candidate: one queued request and its place in the
+/// FR-FCFS order.
 #[derive(Debug, Clone, Copy)]
-struct Cand {
-    /// 0 = draining-rank demand, 1 = regular, 2 = ROP prefetch.
-    tier: u8,
-    /// Arrival cycle (FCFS age within a tier).
-    arrival: Cycle,
+struct Pick {
+    /// `tier << 62 | id`, the FR-FCFS order. Tier 0 is draining-slot
+    /// demand, 1 regular traffic, 2 ROP prefetches. Ids are allocated
+    /// in nondecreasing arrival order, so within a tier the id order is
+    /// the (arrival, id) order.
+    key: u64,
     /// Queue holding the request.
     kind: QueueKind,
-    /// Index within that queue.
-    idx: usize,
-    /// Global bank key: `rank * banks_per_rank + bank`.
+    /// Global bank key of the request.
     bank: u32,
-    /// The request's row is open in its bank right now.
+    /// Index within the bank's queue of `kind`.
+    idx: u32,
+    /// The request's row is open in its bank.
     hit: bool,
 }
 
+impl Pick {
+    fn new(tier: u64, kind: QueueKind, bank: usize, idx: usize, q: &Queued, hit: bool) -> Self {
+        debug_assert!(q.req.id < 1 << 62, "request id overflows the pick key");
+        Pick {
+            key: tier << 62 | q.req.id,
+            kind,
+            bank: bank as u32,
+            idx: idx as u32,
+            hit,
+        }
+    }
+}
+
+/// The earlier of two optional picks in FR-FCFS order.
+#[inline]
+fn earlier(a: Option<Pick>, b: Option<Pick>) -> Option<Pick> {
+    match (a, b) {
+        (Some(x), Some(y)) => Some(if y.key < x.key { y } else { x }),
+        (x, None) => x,
+        (None, y) => y,
+    }
+}
+
+/// A bank's oldest admissible requests, by class. Writes outside a
+/// drain set are kept apart because they only compete while the
+/// controller serves writes, which can flip on any tick without the
+/// bank changing.
+#[derive(Debug, Clone, Copy, Default)]
+struct BankPicks {
+    /// Oldest read or prefetch, and oldest such row hit.
+    read: Option<Pick>,
+    read_hit: Option<Pick>,
+    /// Oldest drain-set write (tier 0), and oldest such row hit.
+    drain_write: Option<Pick>,
+    drain_write_hit: Option<Pick>,
+    /// Oldest other write (tier 1), and oldest such row hit.
+    write: Option<Pick>,
+    write_hit: Option<Pick>,
+}
+
+/// A slot's admission state, as of the last scheduler call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SlotGate {
+    /// The slot drains: its drain-set requests rank in tier 0.
+    draining: bool,
+    /// Requests outside the drain set may not issue (scope frozen, or
+    /// quiescing for its refresh).
+    blocked: bool,
+    /// Drain-set requests and prefetches may not issue (scope frozen).
+    blocked_set: bool,
+    /// SARP: the subarray the slot's freeze or drain locks. Requests to
+    /// other subarrays are exempt from both gates.
+    sa_scope: Option<usize>,
+}
+
+/// One bank's share of the transaction queues and its cached FR-FCFS
+/// picks. Each queue is in id order, which is arrival order.
+#[derive(Debug, Default)]
+struct BankQueues {
+    reads: Vec<Queued>,
+    writes: Vec<Queued>,
+    prefetches: Vec<Queued>,
+    /// The picks are stale: a queue changed, or the slot's gate moved.
+    dirty: bool,
+    /// The open row the picks were computed against.
+    open_row: Option<usize>,
+    picks: BankPicks,
+}
+
+impl BankQueues {
+    fn with_capacity(reads: usize, writes: usize, prefetches: usize) -> Self {
+        BankQueues {
+            reads: Vec::with_capacity(reads),
+            writes: Vec::with_capacity(writes),
+            prefetches: Vec::with_capacity(prefetches),
+            ..BankQueues::default()
+        }
+    }
+
+    // rop-lint: hot
+    #[inline]
+    fn queue(&self, kind: QueueKind) -> &Vec<Queued> {
+        match kind {
+            QueueKind::Read => &self.reads,
+            QueueKind::Write => &self.writes,
+            QueueKind::Prefetch => &self.prefetches,
+        }
+    }
+
+    // rop-lint: hot
+    #[inline]
+    fn queue_mut(&mut self, kind: QueueKind) -> &mut Vec<Queued> {
+        match kind {
+            QueueKind::Read => &mut self.reads,
+            QueueKind::Write => &mut self.writes,
+            QueueKind::Prefetch => &mut self.prefetches,
+        }
+    }
+
+    /// Recomputes the picks: one pass over the bank's requests under
+    /// the slot's `gate`, with `open_row` open. Returns the number of
+    /// requests read.
+    // rop-lint: hot
+    fn rescan(
+        &mut self,
+        bank: usize,
+        gate: SlotGate,
+        open_row: Option<usize>,
+        geom: &Geometry,
+    ) -> u64 {
+        // A gate is waived for requests outside the slot's frozen
+        // subarray (SARP); `None` scope waives nothing.
+        let exempt = |row: usize| {
+            gate.sa_scope
+                .is_some_and(|sa| geom.subarray_of_row(row) != sa)
+        };
+        let offer = |best: &mut Option<Pick>, hit: &mut Option<Pick>, p: Pick| {
+            *best = earlier(*best, Some(p));
+            if p.hit {
+                *hit = earlier(*hit, Some(p));
+            }
+        };
+        let mut p = BankPicks::default();
+        for (i, q) in self.prefetches.iter().enumerate() {
+            let row = q.req.addr.row;
+            if !gate.blocked_set || exempt(row) {
+                let pick = Pick::new(2, QueueKind::Prefetch, bank, i, q, open_row == Some(row));
+                offer(&mut p.read, &mut p.read_hit, pick);
+            }
+        }
+        for (i, q) in self.reads.iter().enumerate() {
+            let row = q.req.addr.row;
+            let in_set = gate.draining && q.in_set;
+            let gated = if in_set {
+                gate.blocked_set
+            } else {
+                gate.blocked
+            };
+            if !gated || exempt(row) {
+                let tier = if in_set { 0 } else { 1 };
+                let pick = Pick::new(tier, QueueKind::Read, bank, i, q, open_row == Some(row));
+                offer(&mut p.read, &mut p.read_hit, pick);
+            }
+        }
+        for (i, q) in self.writes.iter().enumerate() {
+            let row = q.req.addr.row;
+            let in_set = gate.draining && q.in_set;
+            let gated = if in_set {
+                gate.blocked_set
+            } else {
+                gate.blocked
+            };
+            if !gated || exempt(row) {
+                let hit = open_row == Some(row);
+                if in_set {
+                    let pick = Pick::new(0, QueueKind::Write, bank, i, q, hit);
+                    offer(&mut p.drain_write, &mut p.drain_write_hit, pick);
+                } else {
+                    let pick = Pick::new(1, QueueKind::Write, bank, i, q, hit);
+                    offer(&mut p.write, &mut p.write_hit, pick);
+                }
+            }
+        }
+        self.picks = p;
+        self.open_row = open_row;
+        self.dirty = false;
+        (self.prefetches.len() + self.reads.len() + self.writes.len()) as u64
+    }
+}
+
+/// Reusable per-tick scratch buffers. Taking these out of the
+/// controller, filling them and putting them back keeps the
+/// steady-state hot path allocation-free (capacities are retained
+/// across ticks).
 #[derive(Debug, Default)]
 struct TickScratch {
-    /// FR-FCFS candidates, in queue order.
-    cands: Vec<Cand>,
-    /// Per-slot "is draining" snapshot.
-    draining: Vec<bool>,
-    /// Per-slot admission gates: (blocked for regular requests,
-    /// blocked even for drain-set/prefetch requests).
-    gates: Vec<(bool, bool)>,
-    /// Row-hit candidates (pass 1).
-    hits: Vec<Cand>,
-    /// Age-ordered candidates for the per-bank pass.
-    ordered: Vec<Cand>,
-    /// Per-bank "already owns a candidate" flags, indexed by the
-    /// flattened bank key; cleared at the start of every per-bank pass.
-    seen_banks: Vec<bool>,
+    /// Per-bank oldest admissible request (pass 0 and pass 2).
+    heads: Vec<Pick>,
+    /// Per-(bank, read/write) oldest admissible row hit (pass 1).
+    hits: Vec<Pick>,
     /// Refresh slots reported by the manager this tick.
     slots: Vec<usize>,
-    /// Per-slot SARP scope: the subarray a slot's refresh round locks
-    /// (None outside SARP, or when the slot is neither draining nor
-    /// frozen). Requests to other subarrays are exempt from the slot's
-    /// gates.
-    sa_scope: Vec<Option<usize>>,
     /// Prefetch lines whose fill landed this tick.
     filled: Vec<u64>,
-    /// Read ids blocked by a just-issued refresh.
-    blocked: Vec<u64>,
+    /// (id, bank key) of reads served or blocked by a refresh event,
+    /// sorted into id order before they are processed.
+    found: Vec<(u64, usize)>,
 }
 
 impl TickScratch {
     /// Scratch pre-sized to the controller's hard occupancy bounds, so
-    /// the per-cycle paths never grow these vectors: candidate lists
-    /// are capped by total queue capacity, per-slot lists by the
-    /// refresh-slot count, and the per-bank dedup list by the bank
-    /// count. (ROP prefetch queues have no configured cap; the
-    /// allowance below covers the paper's deepest configuration, and
-    /// anything beyond it merely grows once.)
+    /// the per-cycle paths never grow these vectors: pick lists are
+    /// capped by the bank count, per-slot lists by the refresh-slot
+    /// count, and request lists by the total queue capacity. (ROP
+    /// prefetch fills have no configured cap; the caller's allowance
+    /// covers the paper's deepest buffer, and anything beyond it merely
+    /// grows once.)
     fn with_bounds(queue_cap: usize, slots: usize, banks: usize) -> Self {
         TickScratch {
-            cands: Vec::with_capacity(queue_cap),
-            draining: Vec::with_capacity(slots),
-            gates: Vec::with_capacity(slots),
-            hits: Vec::with_capacity(queue_cap),
-            ordered: Vec::with_capacity(queue_cap),
-            seen_banks: vec![false; banks],
+            heads: Vec::with_capacity(banks),
+            hits: Vec::with_capacity(2 * banks),
             slots: Vec::with_capacity(slots),
-            sa_scope: Vec::with_capacity(slots),
             filled: Vec::with_capacity(queue_cap),
-            blocked: Vec::with_capacity(queue_cap),
+            found: Vec::with_capacity(queue_cap),
         }
     }
 }
@@ -267,14 +467,21 @@ pub struct MemController {
     refresh_started_at: Vec<Cycle>,
     /// Per-slot subarray scope of the in-flight refresh (SARP only).
     refresh_scope_sa: Vec<Option<usize>>,
-    read_q: Vec<Queued>,
-    write_q: Vec<Queued>,
-    prefetch_q: Vec<Queued>,
+    /// The transaction queues, split by bank (global bank key
+    /// `rank * banks_per_rank + bank`), each bank with its cached
+    /// FR-FCFS picks.
+    banks: Vec<BankQueues>,
+    /// Queued reads and writes, over all banks.
+    reads_queued: usize,
+    writes_queued: usize,
+    /// Per-slot admission state the bank picks were computed under.
+    gates: Vec<SlotGate>,
     /// (buffer key, fill-ready cycle) for prefetch data in flight.
     pending_fills: Vec<(u64, Cycle)>,
     completions: Vec<Completion>,
-    /// Per-rank drain sets: ids that must issue before the rank's REF.
-    drain_sets: Vec<Vec<u64>>,
+    /// Per-slot drain-set size: queued requests that must issue before
+    /// the slot's REF (see [`Queued::in_set`]).
+    drain_left: Vec<usize>,
     rop: Option<RopState>,
     analysis: Vec<RefreshAnalysis>,
     write_drain: bool,
@@ -293,6 +500,34 @@ pub struct MemController {
     /// Ids of reads observed blocked by refresh since the last drain
     /// (may contain duplicates; consumers dedup).
     blocked_ids: Vec<u64>,
+    /// Arrival cycle of the newest request id (ids must follow arrival
+    /// order; see [`alloc_id`]).
+    last_arrival: Cycle,
+}
+
+/// Allocates the next request id for a request arriving at `now`. Ids
+/// follow arrival order, so within a tier the FR-FCFS order (arrival,
+/// then id) is the id order, and every queue, appended to in id order,
+/// stays sorted by it.
+fn alloc_id(next_id: &mut u64, last_arrival: &mut Cycle, now: Cycle) -> u64 {
+    assert!(
+        now >= *last_arrival,
+        "request at {now} after one at {last_arrival}"
+    );
+    *last_arrival = now;
+    let id = *next_id;
+    *next_id += 1;
+    id
+}
+
+/// Appends a fresh request to a queue kept in id order.
+fn push_in_order(queue: &mut Vec<Queued>, req: MemRequest) {
+    debug_assert!(queue.last().is_none_or(|l| l.req.id < req.id));
+    queue.push(Queued {
+        req,
+        acted: false,
+        in_set: false,
+    });
 }
 
 impl MemController {
@@ -353,12 +588,22 @@ impl MemController {
         let mech = Mechanism::from_config(&cfg);
         MemController {
             analysis: (0..slots).map(|_| RefreshAnalysis::new(t_rfc)).collect(),
-            // Pre-sized to the hard bound (a drain set holds at most
-            // every queued request) so the snapshot loop in
-            // `handle_refresh_dues` never grows it mid-run.
-            drain_sets: (0..slots)
-                .map(|_| Vec::with_capacity(cfg.read_queue_capacity + cfg.write_queue_capacity))
+            drain_left: vec![0; slots],
+            // Pre-sized to the hard bounds (one bank can hold a whole
+            // queue, and a prefetch burst is at most one buffer's worth)
+            // so no steady-state push grows a bank's queue.
+            banks: (0..ranks * banks)
+                .map(|_| {
+                    BankQueues::with_capacity(
+                        cfg.read_queue_capacity,
+                        cfg.write_queue_capacity,
+                        cfg.rop.as_ref().map_or(0, |r| r.buffer_capacity),
+                    )
+                })
                 .collect(),
+            reads_queued: 0,
+            writes_queued: 0,
+            gates: vec![SlotGate::default(); slots],
             device,
             mapping,
             refresh,
@@ -366,16 +611,17 @@ impl MemController {
             slot_map,
             refresh_started_at: vec![Cycle::MAX; slots],
             refresh_scope_sa: vec![None; slots],
-            read_q: Vec::with_capacity(cfg.read_queue_capacity),
-            write_q: Vec::with_capacity(cfg.write_queue_capacity),
-            prefetch_q: Vec::new(),
             pending_fills: Vec::new(),
-            completions: Vec::new(),
+            // Room for one tick's worst burst: a full read queue
+            // swept from SRAM at refresh issue on top of as many
+            // SRAM-served arrivals; more grows once.
+            completions: Vec::with_capacity(2 * cfg.read_queue_capacity),
             rop,
             write_drain: false,
             next_id: 0,
             track_blocked: false,
             blocked_ids: Vec::new(),
+            last_arrival: 0,
             stats: MemCtrlStats::default(),
             trace: TraceBuffer::new(),
             scratch: TickScratch::with_bounds(
@@ -461,7 +707,7 @@ impl MemController {
     /// Number of refresh slots: ranks (all-bank mode) or rank×bank pairs
     /// (per-bank mode).
     pub fn refresh_slots(&self) -> usize {
-        self.drain_sets.len()
+        self.drain_left.len()
     }
 
     /// True while `slot`'s refresh blocks this *particular* request at
@@ -569,12 +815,12 @@ impl MemController {
 
     /// Number of read-queue entries currently pending.
     pub fn read_queue_len(&self) -> usize {
-        self.read_q.len()
+        self.reads_queued
     }
 
     /// Number of write-queue entries currently pending.
     pub fn write_queue_len(&self) -> usize {
-        self.write_q.len()
+        self.writes_queued
     }
 
     /// Full energy breakdown: DRAM (device model) + ROP SRAM accesses.
@@ -600,6 +846,10 @@ impl MemController {
     /// when the controller cannot accept it this cycle (queue full — the
     /// core must retry). Reads arriving while their rank is frozen consult
     /// the SRAM buffer and may complete without touching DRAM.
+    ///
+    /// # Panics
+    /// Panics if `now` is earlier than a previously enqueued request's
+    /// cycle: request ids must follow arrival order.
     pub fn enqueue_read(&mut self, line_addr: u64, core: usize, now: Cycle) -> Option<u64> {
         let addr = self.mapping.decode(line_addr);
         let slot = self.slot_map.of(&addr);
@@ -632,7 +882,7 @@ impl MemController {
                     }
                     let latency = rop.latency;
                     // Served from SRAM: no DRAM involvement at all.
-                    let id = self.alloc_id();
+                    let id = self.alloc_id(now);
                     let done_at = now + latency;
                     self.completions.push(Completion {
                         id,
@@ -649,11 +899,11 @@ impl MemController {
             }
         }
 
-        if self.read_q.len() >= self.cfg.read_queue_capacity {
+        if self.reads_queued >= self.cfg.read_queue_capacity {
             self.stats.read_queue_full += 1;
             return None;
         }
-        let id = self.alloc_id();
+        let id = self.alloc_id(now);
         if refreshing {
             self.stats.reads_blocked_by_refresh += 1;
             if self.track_blocked {
@@ -661,8 +911,9 @@ impl MemController {
             }
         }
         self.note_arrival(addr.rank, addr.bank, addr, true, now);
-        self.read_q.push(Queued {
-            req: MemRequest {
+        self.push_request(
+            QueueKind::Read,
+            MemRequest {
                 id,
                 line_addr,
                 addr,
@@ -671,23 +922,27 @@ impl MemController {
                 core,
                 is_prefetch: false,
             },
-            acted: false,
-        });
+        );
         Some(id)
     }
 
     /// Enqueues a write (store or LLC writeback). Returns false when the
     /// write queue is full (the core must retry).
+    ///
+    /// # Panics
+    /// Panics if `now` is earlier than a previously enqueued request's
+    /// cycle, as [`Self::enqueue_read`] does.
     pub fn enqueue_write(&mut self, line_addr: u64, core: usize, now: Cycle) -> bool {
-        if self.write_q.len() >= self.cfg.write_queue_capacity {
+        if self.writes_queued >= self.cfg.write_queue_capacity {
             self.stats.write_queue_full += 1;
             return false;
         }
         let addr = self.mapping.decode(line_addr);
-        let id = self.alloc_id();
+        let id = self.alloc_id(now);
         self.note_arrival(addr.rank, addr.bank, addr, false, now);
-        self.write_q.push(Queued {
-            req: MemRequest {
+        self.push_request(
+            QueueKind::Write,
+            MemRequest {
                 id,
                 line_addr,
                 addr,
@@ -696,16 +951,46 @@ impl MemController {
                 core,
                 is_prefetch: false,
             },
-            acted: false,
-        });
+        );
         self.stats.writes_accepted += 1;
         true
     }
 
-    fn alloc_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
+    /// Allocates the next request id for a request arriving at `now`.
+    fn alloc_id(&mut self, now: Cycle) -> u64 {
+        alloc_id(&mut self.next_id, &mut self.last_arrival, now)
+    }
+
+    /// Appends a request to its bank's `kind` queue. Ids are allocated
+    /// in nondecreasing arrival order, which keeps every queue in
+    /// (arrival, id) order: the FR-FCFS picks rely on it.
+    fn push_request(&mut self, kind: QueueKind, req: MemRequest) {
+        let bq = &mut self.banks[self.slot_map.bank_key(&req.addr)];
+        push_in_order(bq.queue_mut(kind), req);
+        bq.dirty = true;
+        match kind {
+            QueueKind::Read => self.reads_queued += 1,
+            QueueKind::Write => self.writes_queued += 1,
+            QueueKind::Prefetch => {}
+        }
+    }
+
+    /// Takes request `idx` out of bank `bank`'s `kind` queue, keeping
+    /// the occupancy counts and the drain-set size in step.
+    // rop-lint: hot
+    fn remove_request(&mut self, kind: QueueKind, bank: usize, idx: usize) -> Queued {
+        let bq = &mut self.banks[bank];
+        let q = bq.queue_mut(kind).remove(idx);
+        bq.dirty = true;
+        match kind {
+            QueueKind::Read => self.reads_queued -= 1,
+            QueueKind::Write => self.writes_queued -= 1,
+            QueueKind::Prefetch => {}
+        }
+        if q.in_set {
+            self.drain_left[self.slot_map.of_bank(bank)] -= 1;
+        }
+        q
     }
 
     /// Records an accepted demand arrival with the analysis and ROP hooks.
@@ -741,9 +1026,9 @@ impl MemController {
         self.handle_refresh_dues(now);
 
         // 3. Write-drain hysteresis.
-        if self.write_q.len() >= self.cfg.write_drain_high {
+        if self.writes_queued >= self.cfg.write_drain_high {
             self.write_drain = true;
-        } else if self.write_q.len() <= self.cfg.write_drain_low {
+        } else if self.writes_queued <= self.cfg.write_drain_low {
             self.write_drain = false;
         }
 
@@ -765,10 +1050,29 @@ impl MemController {
         if let Some(e) = self.mech.next_event(&self.refresh, now) {
             earliest_hint = earliest_hint.min(e);
         }
+        if let Some(e) = self.grace_expiry(now) {
+            earliest_hint = earliest_hint.min(e);
+        }
         if let Some(&(_, at)) = self.pending_fills.iter().min_by_key(|&&(_, at)| at) {
             earliest_hint = earliest_hint.min(at.max(now.saturating_add(1)));
         }
         earliest_hint.max(now.saturating_add(1))
+    }
+
+    /// The next cycle at which a Draining slot's ROP prefetch-grace
+    /// window runs out. [`Self::drain_complete`] turns true then even
+    /// with prefetches still queued, so the tick hint must name it; the
+    /// manager's own hint only knows the postpone deadline.
+    // rop-lint: hot
+    fn grace_expiry(&self, now: Cycle) -> Option<Cycle> {
+        self.rop.as_ref()?;
+        (0..self.refresh_slots())
+            .filter_map(|slot| match self.refresh.state(slot) {
+                RefreshState::Draining { due } => Some(due.saturating_add(self.cfg.prefetch_grace)),
+                _ => None,
+            })
+            .filter(|&at| at > now)
+            .min()
     }
 
     // rop-lint: hot
@@ -796,34 +1100,41 @@ impl MemController {
         // Late fills: prefetch data issued just before REF can land after
         // the rank froze. Reads already swept (and skipped as in-flight)
         // get matched against the arriving lines, exactly as an MSHR
-        // would match a fill against its waiting queue.
+        // would match a fill against its waiting queue — oldest first.
         let latency = rop.latency;
-        let mut i = 0;
-        while i < self.read_q.len() {
-            let req = self.read_q[i].req;
-            let slot = self.slot_map.of(&req.addr);
-            if self.request_frozen(slot, &req.addr, now) && filled.contains(&req.line_addr) {
-                let rop = self.rop.as_mut().expect("rop enabled");
-                rop.refresh_lookups[slot] += 1;
-                rop.refresh_hits[slot] += 1;
-                let served = rop.buffer.lookup(req.line_addr);
-                debug_assert!(served, "line was just inserted");
-                self.stats.sram_lookups += 1;
-                self.stats.sram_hits += 1;
-                self.read_q.remove(i);
-                self.completions.push(Completion {
-                    id: req.id,
-                    core: req.core,
-                    done_at: now.saturating_add(latency),
-                    from_sram: true,
-                });
-                self.stats.reads_completed += 1;
-                self.stats.reads_from_sram += 1;
-                self.stats.sum_read_latency += now.saturating_add(latency) - req.arrival;
-            } else {
-                i += 1;
+        let mut found = std::mem::take(&mut self.scratch.found);
+        found.clear();
+        for (bank, bq) in self.banks.iter().enumerate() {
+            for q in &bq.reads {
+                let slot = self.slot_map.of_bank(bank);
+                if self.request_frozen(slot, &q.req.addr, now) && filled.contains(&q.req.line_addr)
+                {
+                    found.push((q.req.id, bank));
+                }
             }
         }
+        found.sort_unstable();
+        for &(id, bank) in &found {
+            let req = self.remove_read(bank, id).req;
+            let slot = self.slot_map.of_bank(bank);
+            let rop = self.rop.as_mut().expect("rop enabled");
+            rop.refresh_lookups[slot] += 1;
+            rop.refresh_hits[slot] += 1;
+            let served = rop.buffer.lookup(req.line_addr);
+            debug_assert!(served, "line was just inserted");
+            self.stats.sram_lookups += 1;
+            self.stats.sram_hits += 1;
+            self.completions.push(Completion {
+                id: req.id,
+                core: req.core,
+                done_at: now.saturating_add(latency),
+                from_sram: true,
+            });
+            self.stats.reads_completed += 1;
+            self.stats.reads_from_sram += 1;
+            self.stats.sum_read_latency += now.saturating_add(latency) - req.arrival;
+        }
+        self.scratch.found = found;
         self.scratch.filled = filled;
     }
 
@@ -855,20 +1166,22 @@ impl MemController {
             if started != Cycle::MAX {
                 let mut blocked = 0u64;
                 let mut ids = std::mem::take(&mut self.blocked_ids);
-                for q in &self.read_q {
-                    if self.slot_map.of(&q.req.addr) != slot {
-                        continue;
-                    }
-                    if let Some(sa) = scope_sa {
-                        if self.cfg.dram.geometry.subarray_of_row(q.req.addr.row) != sa {
-                            continue;
+                let first = ids.len();
+                for bank in self.slot_map.banks_of(slot) {
+                    for q in &self.banks[bank].reads {
+                        if let Some(sa) = scope_sa {
+                            if self.cfg.dram.geometry.subarray_of_row(q.req.addr.row) != sa {
+                                continue;
+                            }
+                        }
+                        blocked += now - started.max(q.req.arrival);
+                        if self.track_blocked {
+                            ids.push(q.req.id);
                         }
                     }
-                    blocked += now - started.max(q.req.arrival);
-                    if self.track_blocked {
-                        ids.push(q.req.id);
-                    }
                 }
+                // Queue order across the slot's banks: oldest first.
+                ids[first..].sort_unstable();
                 self.blocked_ids = ids;
                 // A u64 counter of blocked cycles cannot overflow in any
                 // reachable run length. // rop-lint: allow(cycle-cast)
@@ -911,13 +1224,11 @@ impl MemController {
         // `busy` for the mechanism: does the slot's scope have pending
         // demand?
         let slot_map = self.slot_map;
-        let read_q = &self.read_q;
-        let write_q = &self.write_q;
+        let banks = &self.banks;
         let busy = |slot: usize| {
-            read_q
-                .iter()
-                .chain(write_q.iter())
-                .any(|q| slot_map.of(&q.req.addr) == slot)
+            slot_map
+                .banks_of(slot)
+                .any(|b| !banks[b].reads.is_empty() || !banks[b].writes.is_empty())
         };
         let mut due = std::mem::take(&mut self.scratch.slots);
         due.clear();
@@ -944,22 +1255,24 @@ impl MemController {
             // Snapshot the drain set: everything queued for this slot's
             // scope (rank, or single bank in per-bank mode; under SARP
             // only the refreshing subarray needs to drain — the rest of
-            // the bank keeps flowing through the refresh). The slot's
-            // Vec is refilled in place, keeping its capacity.
+            // the bank keeps flowing through the refresh). Every
+            // request of the slot has its membership flag rewritten.
             let sa_filter = match shape {
                 RoundShape::Subarray { subarray } => Some(subarray),
                 _ => None,
             };
             let geom = self.cfg.dram.geometry;
-            let set = &mut self.drain_sets[slot];
-            set.clear();
-            for q in self.read_q.iter().chain(self.write_q.iter()) {
-                if slot_map.of(&q.req.addr) == slot
-                    && sa_filter.is_none_or(|sa| geom.subarray_of_row(q.req.addr.row) == sa)
-                {
-                    set.push(q.req.id);
+            let mut members = 0;
+            for bank in slot_map.banks_of(slot) {
+                let bq = &mut self.banks[bank];
+                bq.dirty = true;
+                for q in bq.reads.iter_mut().chain(bq.writes.iter_mut()) {
+                    q.in_set =
+                        sa_filter.is_none_or(|sa| geom.subarray_of_row(q.req.addr.row) == sa);
+                    members += usize::from(q.in_set);
                 }
             }
+            self.drain_left[slot] = members;
 
             if let Some(rop) = &mut self.rop {
                 // The buffer is claimable when free, already owned by this
@@ -1038,10 +1351,11 @@ impl MemController {
                 .mapping
                 .encode_bank_line(rank, cand.bank, cand.line_offset);
             let addr = self.mapping.decode(line_addr);
-            let id = self.next_id;
-            self.next_id += 1;
-            self.prefetch_q.push(Queued {
-                req: MemRequest {
+            let id = alloc_id(&mut self.next_id, &mut self.last_arrival, now);
+            let bq = &mut self.banks[self.slot_map.bank_key(&addr)];
+            push_in_order(
+                &mut bq.prefetches,
+                MemRequest {
                     id,
                     line_addr,
                     addr,
@@ -1050,8 +1364,8 @@ impl MemController {
                     core: usize::MAX,
                     is_prefetch: true,
                 },
-                acted: false,
-            });
+            );
+            bq.dirty = true;
             self.stats.prefetches_issued += 1;
         }
     }
@@ -1059,7 +1373,7 @@ impl MemController {
     /// True when `slot`'s snapshot of demand requests has been issued (or
     /// the postpone deadline forces the refresh).
     fn demand_drained(&self, slot: usize, now: Cycle) -> bool {
-        self.refresh.drain_deadline_passed(slot, now) || self.drain_sets[slot].is_empty()
+        self.refresh.drain_deadline_passed(slot, now) || self.drain_left[slot] == 0
     }
 
     /// True when `slot`'s drain obligations are met: the demand drain set
@@ -1073,9 +1387,9 @@ impl MemController {
             return false;
         }
         let prefetch_done = (!self
-            .prefetch_q
-            .iter()
-            .any(|q| self.slot_map.of(&q.req.addr) == slot)
+            .slot_map
+            .banks_of(slot)
+            .any(|b| !self.banks[b].prefetches.is_empty())
             && !self.rop.as_ref().is_some_and(|r| r.prefetch_pending[slot]))
             || self
                 .refresh
@@ -1226,10 +1540,14 @@ impl MemController {
                         rop.engines[rank].refresh_started_scoped(now, scope_bank);
                         // Prefetches for this slot that have not issued
                         // can no longer help; drop them.
-                        let before = self.prefetch_q.len();
-                        let slot_map = self.slot_map;
-                        self.prefetch_q.retain(|q| slot_map.of(&q.req.addr) != slot);
-                        self.stats.prefetches_dropped += (before - self.prefetch_q.len()) as u64;
+                        for bank in self.slot_map.banks_of(slot) {
+                            let bq = &mut self.banks[bank];
+                            if !bq.prefetches.is_empty() {
+                                self.stats.prefetches_dropped += bq.prefetches.len() as u64;
+                                bq.prefetches.clear();
+                                bq.dirty = true;
+                            }
+                        }
                     }
                     self.sweep_blocked_reads(slot, now);
                     return Some(Ok(()));
@@ -1254,28 +1572,32 @@ impl MemController {
         // blocked; siblings keep flowing and are not swept.
         let scope_sa = self.refresh_scope_sa[slot];
         let geom = self.cfg.dram.geometry;
-        let mut blocked = std::mem::take(&mut self.scratch.blocked);
+        let mut blocked = std::mem::take(&mut self.scratch.found);
         blocked.clear();
-        blocked.extend(
-            self.read_q
-                .iter()
-                .filter(|q| {
-                    self.slot_map.of(&q.req.addr) == slot
-                        && scope_sa.is_none_or(|sa| geom.subarray_of_row(q.req.addr.row) == sa)
-                })
-                .map(|q| q.req.id),
-        );
+        for bank in self.slot_map.banks_of(slot) {
+            blocked.extend(
+                self.banks[bank]
+                    .reads
+                    .iter()
+                    .filter(|q| {
+                        scope_sa.is_none_or(|sa| geom.subarray_of_row(q.req.addr.row) == sa)
+                    })
+                    .map(|q| (q.req.id, bank)),
+            );
+        }
+        // Oldest first across the slot's banks.
+        blocked.sort_unstable();
         if blocked.is_empty() {
-            self.scratch.blocked = blocked;
+            self.scratch.found = blocked;
             return;
         }
         self.analysis[slot].note_blocked_at_refresh_start(blocked.len() as u64);
         let Some(rop) = &mut self.rop else {
             self.stats.reads_blocked_by_refresh += blocked.len() as u64;
             if self.track_blocked {
-                self.blocked_ids.extend_from_slice(&blocked);
+                self.blocked_ids.extend(blocked.iter().map(|&(id, _)| id));
             }
-            self.scratch.blocked = blocked;
+            self.scratch.found = blocked;
             return;
         };
         rop.engines[rank].note_blocked_queued(blocked.len() as u64);
@@ -1283,19 +1605,15 @@ impl MemController {
             // Training phase: the buffer is off, nothing can be served.
             self.stats.reads_blocked_by_refresh += blocked.len() as u64;
             if self.track_blocked {
-                self.blocked_ids.extend_from_slice(&blocked);
+                self.blocked_ids.extend(blocked.iter().map(|&(id, _)| id));
             }
-            self.scratch.blocked = blocked;
+            self.scratch.found = blocked;
             return;
         }
         let latency = rop.latency;
-        for &id in &blocked {
-            let idx = self
-                .read_q
-                .iter()
-                .position(|q| q.req.id == id)
-                .expect("id collected above");
-            let req = self.read_q[idx].req;
+        for &(id, bank) in &blocked {
+            let idx = self.read_index(bank, id);
+            let req = self.banks[bank].reads[idx].req;
             // The line may still be in flight from a just-issued prefetch;
             // defer judgement — `apply_fills` re-matches it on arrival.
             if self
@@ -1305,12 +1623,13 @@ impl MemController {
             {
                 continue;
             }
+            let rop = self.rop.as_mut().expect("rop enabled");
             rop.refresh_lookups[slot] += 1;
             self.stats.sram_lookups += 1;
             if rop.buffer.lookup(req.line_addr) {
                 rop.refresh_hits[slot] += 1;
                 self.stats.sram_hits += 1;
-                self.read_q.remove(idx);
+                self.remove_request(QueueKind::Read, bank, idx);
                 self.completions.push(Completion {
                     id: req.id,
                     core: req.core,
@@ -1327,24 +1646,38 @@ impl MemController {
                 }
             }
         }
-        self.scratch.blocked = blocked;
+        self.scratch.found = blocked;
     }
 
-    /// True when requests in `slot`'s scope must not be issued (scope
-    /// frozen, or quiescing for an imminent refresh).
+    /// Position of the queued read `id` in bank `bank`'s read queue.
+    fn read_index(&self, bank: usize, id: u64) -> usize {
+        self.banks[bank]
+            .reads
+            .binary_search_by_key(&id, |q| q.req.id)
+            .expect("read is queued")
+    }
+
+    /// Removes the queued read `id` from bank `bank`.
+    fn remove_read(&mut self, bank: usize, id: u64) -> Queued {
+        let idx = self.read_index(bank, id);
+        self.remove_request(QueueKind::Read, bank, idx)
+    }
+
+    /// `slot`'s admission state at `now`.
     // rop-lint: hot
-    fn slot_blocked(&self, slot: usize, now: Cycle, in_drain_set: bool) -> bool {
-        if self.slot_frozen(slot, now) {
-            return true;
-        }
-        match self.refresh.state(slot) {
-            RefreshState::Draining { .. } => {
-                // Demand keeps flowing through the drain and the prefetch
-                // burst (prefetches yield to it on the command bus); only
-                // the final precharge-and-REF stage quiesces the scope.
-                self.drain_complete(slot, now) && !in_drain_set
-            }
-            _ => false,
+    fn slot_gate(&self, slot: usize, now: Cycle) -> SlotGate {
+        let frozen = self.slot_frozen(slot, now);
+        let draining = matches!(self.refresh.state(slot), RefreshState::Draining { .. });
+        // Demand keeps flowing through the drain and the prefetch burst
+        // (prefetches yield to it on the command bus); only the final
+        // precharge-and-REF stage quiesces the scope, and then only for
+        // requests outside the drain set.
+        let quiesced = draining && !frozen && self.drain_complete(slot, now);
+        SlotGate {
+            draining,
+            blocked: frozen || quiesced,
+            blocked_set: frozen,
+            sa_scope: self.slot_sa_scope(slot, now),
         }
     }
 
@@ -1378,140 +1711,97 @@ impl MemController {
     /// keeps the steady-state loop allocation-free.
     // rop-lint: hot
     fn schedule(&mut self, now: Cycle) -> Result<(), Cycle> {
+        self.stats.schedule_calls += 1;
         let mut s = std::mem::take(&mut self.scratch);
         let result = self.schedule_with(now, &mut s);
         self.scratch = s;
+        if result.is_ok() {
+            self.stats.schedule_issued += 1;
+        }
         result
     }
 
+    /// One scheduling decision over the per-bank picks.
+    ///
+    /// Tier 0: draining-slot demand (must issue before its REF); tier 1:
+    /// regular traffic; tier 2: ROP prefetches — strictly
+    /// opportunistic, they only get bus slots no demand request can use
+    /// this cycle (§IV-D's "minimise interference with demand
+    /// requests"). Within a tier, oldest first.
+    ///
+    /// A bank's picks change only when its queues change, its open row
+    /// changes, or its slot's gate moves, so only such banks are
+    /// rescanned; the rest of a call reads one pick set per bank. A
+    /// failed issue attempt mutates nothing, and every row hit of one
+    /// (bank, read/write) group needs the same column command timing,
+    /// so each group's oldest hit stands for all of them.
     // rop-lint: hot
     fn schedule_with(&mut self, now: Cycle, s: &mut TickScratch) -> Result<(), Cycle> {
-        // Tier 0: draining-rank demand (must issue before its REF);
-        // tier 1: regular traffic; tier 2: ROP prefetches — strictly
-        // opportunistic, they only get bus slots no demand request can
-        // use this cycle (§IV-D's "minimise interference with demand
-        // requests").
-        //
-        // Candidates are materialised once — tier, arrival, bank key
-        // and row-hit flag — so the three passes below sort and scan
-        // plain arrays without re-deriving keys through the queues on
-        // every comparison. Nothing mutates controller state until a
-        // command actually issues (at which point we return), so the
-        // snapshot stays valid for the whole call.
-        s.cands.clear();
-        s.draining.clear();
-        s.gates.clear();
-        s.sa_scope.clear();
         for slot in 0..self.refresh_slots() {
-            s.draining.push(matches!(
-                self.refresh.state(slot),
-                RefreshState::Draining { .. }
-            ));
-            s.gates.push((
-                self.slot_blocked(slot, now, false),
-                self.slot_blocked(slot, now, true),
-            ));
-            s.sa_scope.push(self.slot_sa_scope(slot, now));
-        }
-        let geom = self.cfg.dram.geometry;
-        let banks = geom.banks_per_rank;
-        // A gate is waived for requests outside the slot's frozen
-        // subarray (SARP); `None` scope waives nothing.
-        let sa_exempt = |scope: Option<usize>, row: usize| {
-            scope.is_some_and(|sa| geom.subarray_of_row(row) != sa)
-        };
-
-        for (i, q) in self.prefetch_q.iter().enumerate() {
-            let slot = self.slot_map.of(&q.req.addr);
-            if !s.gates[slot].1 || sa_exempt(s.sa_scope[slot], q.req.addr.row) {
-                s.cands
-                    .push(self.materialize(2, QueueKind::Prefetch, i, q, banks));
-            }
-        }
-        let serve_writes = self.write_drain || self.read_q.is_empty();
-        for (i, q) in self.read_q.iter().enumerate() {
-            let slot = self.slot_map.of(&q.req.addr);
-            let in_set = self.drain_sets[slot].contains(&q.req.id);
-            let gated = if in_set {
-                s.gates[slot].1
-            } else {
-                s.gates[slot].0
-            };
-            if gated && !sa_exempt(s.sa_scope[slot], q.req.addr.row) {
-                continue;
-            }
-            let tier = if s.draining[slot] && in_set { 0 } else { 1 };
-            s.cands
-                .push(self.materialize(tier, QueueKind::Read, i, q, banks));
-        }
-        for (i, q) in self.write_q.iter().enumerate() {
-            let slot = self.slot_map.of(&q.req.addr);
-            let in_set = self.drain_sets[slot].contains(&q.req.id);
-            let gated = if in_set {
-                s.gates[slot].1
-            } else {
-                s.gates[slot].0
-            };
-            if gated && !sa_exempt(s.sa_scope[slot], q.req.addr.row) {
-                continue;
-            }
-            let tier = if s.draining[slot] && in_set {
-                0
-            } else if serve_writes {
-                1
-            } else {
-                continue;
-            };
-            s.cands
-                .push(self.materialize(tier, QueueKind::Write, i, q, banks));
-        }
-
-        if s.cands.is_empty() {
-            return Err(Cycle::MAX);
-        }
-
-        let mut earliest = Cycle::MAX;
-
-        // Pass 0: starvation guard — serve the oldest over-age request.
-        let oldest = s.cands.iter().min_by_key(|c| (c.tier, c.arrival)).copied();
-        if let Some(c) = oldest {
-            if self.queued(c.kind, c.idx).req.age(now) > self.cfg.age_cap {
-                match self.issue_for(c.kind, c.idx, now) {
-                    Ok(()) => return Ok(()),
-                    Err(e) => earliest = earliest.min(e),
+            let gate = self.slot_gate(slot, now);
+            if gate != self.gates[slot] {
+                self.gates[slot] = gate;
+                for bank in self.slot_map.banks_of(slot) {
+                    self.banks[bank].dirty = true;
                 }
             }
         }
-
-        // Pass 1: ready row-hit column commands, tier then age order.
+        let serve_writes = self.write_drain || self.reads_queued == 0;
+        let geom = self.cfg.dram.geometry;
+        s.heads.clear();
         s.hits.clear();
-        for c in s.cands.iter().filter(|c| c.hit) {
-            s.hits.push(*c);
+        for (bank, bq) in self.banks.iter_mut().enumerate() {
+            let open = self
+                .device
+                .open_row(bank / geom.banks_per_rank, bank % geom.banks_per_rank);
+            if bq.dirty || bq.open_row != open {
+                let gate = self.gates[self.slot_map.of_bank(bank)];
+                self.stats.schedule_entries_scanned += bq.rescan(bank, gate, open, &geom);
+            }
+            let p = &bq.picks;
+            let (write, write_hit) = if serve_writes {
+                (
+                    earlier(p.drain_write, p.write),
+                    earlier(p.drain_write_hit, p.write_hit),
+                )
+            } else {
+                (p.drain_write, p.drain_write_hit)
+            };
+            s.heads.extend(earlier(p.read, write));
+            s.hits.extend(p.read_hit);
+            s.hits.extend(write_hit);
         }
-        s.hits.sort_unstable_by_key(|c| (c.tier, c.arrival));
-        for i in 0..s.hits.len() {
-            let c = s.hits[i];
-            match self.issue_for(c.kind, c.idx, now) {
+
+        let Some(&oldest) = s.heads.iter().min_by_key(|p| p.key) else {
+            return Err(Cycle::MAX);
+        };
+        let mut earliest = Cycle::MAX;
+
+        // Pass 0: starvation guard — serve the oldest over-age request.
+        if self.queued(oldest).req.age(now) > self.cfg.age_cap {
+            match self.issue_for(oldest, now) {
                 Ok(()) => return Ok(()),
                 Err(e) => earliest = earliest.min(e),
             }
         }
 
-        // Pass 2: oldest request per bank drives PRE/ACT (or its column
-        // command once the row opens). Bank keys were frozen into the
-        // candidates up front, so the dedup flags are independent of
-        // anything a failed issue attempt could touch and the issue
-        // loop folds into the dedup scan.
-        s.ordered.clear();
-        s.ordered.extend_from_slice(&s.cands);
-        s.ordered.sort_unstable_by_key(|c| (c.tier, c.arrival));
-        s.seen_banks.fill(false);
-        for i in 0..s.ordered.len() {
-            let c = s.ordered[i];
-            if std::mem::replace(&mut s.seen_banks[c.bank as usize], true) {
+        // Pass 1: ready row-hit column commands, oldest group first.
+        s.hits.sort_unstable_by_key(|p| p.key);
+        for &p in &s.hits {
+            match self.issue_for(p, now) {
+                Ok(()) => return Ok(()),
+                Err(e) => earliest = earliest.min(e),
+            }
+        }
+
+        // Pass 2: each bank's oldest request drives PRE/ACT. A head that
+        // is a row hit is its group's oldest hit, already tried above.
+        s.heads.sort_unstable_by_key(|p| p.key);
+        for &p in &s.heads {
+            if p.hit {
                 continue;
             }
-            match self.issue_for(c.kind, c.idx, now) {
+            match self.issue_for(p, now) {
                 Ok(()) => return Ok(()),
                 Err(e) => earliest = earliest.min(e),
             }
@@ -1520,37 +1810,18 @@ impl MemController {
         Err(earliest)
     }
 
-    /// Builds the materialised scheduling snapshot for one queued
-    /// request (see [`Cand`]).
     // rop-lint: hot
-    #[inline]
-    fn materialize(&self, tier: u8, kind: QueueKind, idx: usize, q: &Queued, banks: usize) -> Cand {
-        let a = &q.req.addr;
-        Cand {
-            tier,
-            arrival: q.req.arrival,
-            kind,
-            idx,
-            bank: (a.rank * banks + a.bank) as u32,
-            hit: self.device.open_row(a.rank, a.bank) == Some(a.row),
-        }
+    fn queued(&self, p: Pick) -> &Queued {
+        &self.banks[p.bank as usize].queue(p.kind)[p.idx as usize]
     }
 
-    // rop-lint: hot
-    fn queued(&self, kind: QueueKind, i: usize) -> &Queued {
-        match kind {
-            QueueKind::Read => &self.read_q[i],
-            QueueKind::Write => &self.write_q[i],
-            QueueKind::Prefetch => &self.prefetch_q[i],
-        }
-    }
-
-    /// Issues the next command required by request `(kind, i)`. `Ok(())`
+    /// Issues the next command required by request `p`. `Ok(())`
     /// when a command was issued (column commands also retire the
     /// request); `Err(earliest)` when timing forbids issuing now.
     // rop-lint: hot
-    fn issue_for(&mut self, kind: QueueKind, i: usize, now: Cycle) -> Result<(), Cycle> {
-        let req = self.queued(kind, i).req;
+    fn issue_for(&mut self, p: Pick, now: Cycle) -> Result<(), Cycle> {
+        self.stats.issue_attempts += 1;
+        let Queued { req, acted, .. } = *self.queued(p);
         let (rank, bank, row, col) = (req.addr.rank, req.addr.bank, req.addr.row, req.addr.col);
         match self.device.open_row(rank, bank) {
             Some(open) if open == row => {
@@ -1576,7 +1847,6 @@ impl MemController {
                     return Err(e);
                 }
                 let outcome = self.device.issue(&cmd, now);
-                let acted = self.queued(kind, i).acted;
                 if !req.is_prefetch {
                     self.stats.row_buffer.record(!acted);
                     if !req.is_write {
@@ -1589,7 +1859,7 @@ impl MemController {
                         }
                     }
                 }
-                self.retire(kind, i, outcome.data_at.expect("column command"), now);
+                self.retire(p, outcome.data_at.expect("column command"));
                 Ok(())
             }
             Some(_) => {
@@ -1611,7 +1881,7 @@ impl MemController {
                 match self.device.earliest_issue(&cmd, now) {
                     Ok(e) if e <= now => {
                         self.device.issue(&cmd, now);
-                        self.mark_acted(kind, i);
+                        self.banks[p.bank as usize].queue_mut(p.kind)[p.idx as usize].acted = true;
                         Ok(())
                     }
                     Ok(e) => Err(e),
@@ -1621,32 +1891,14 @@ impl MemController {
         }
     }
 
-    // rop-lint: hot
-    fn mark_acted(&mut self, kind: QueueKind, i: usize) {
-        match kind {
-            QueueKind::Read => self.read_q[i].acted = true,
-            QueueKind::Write => self.write_q[i].acted = true,
-            QueueKind::Prefetch => self.prefetch_q[i].acted = true,
-        }
-    }
-
     /// Removes a request whose column command issued, delivering its
     /// effect (completion, fill, or write retirement).
     // rop-lint: hot
-    fn retire(&mut self, kind: QueueKind, i: usize, data_at: Cycle, now: Cycle) {
-        let q = match kind {
-            QueueKind::Read => self.read_q.remove(i),
-            QueueKind::Write => self.write_q.remove(i),
-            QueueKind::Prefetch => self.prefetch_q.remove(i),
-        };
-        let req = q.req;
-        // Remove from the slot's drain set if present.
-        let slot = self.slot_map.of(&req.addr);
-        let set = &mut self.drain_sets[slot];
-        if let Some(pos) = set.iter().position(|&id| id == req.id) {
-            set.swap_remove(pos);
-        }
-        match kind {
+    fn retire(&mut self, p: Pick, data_at: Cycle) {
+        let req = self
+            .remove_request(p.kind, p.bank as usize, p.idx as usize)
+            .req;
+        match p.kind {
             QueueKind::Read => {
                 self.completions.push(Completion {
                     id: req.id,
@@ -1664,7 +1916,6 @@ impl MemController {
                 self.pending_fills.push((req.line_addr, data_at));
             }
         }
-        let _ = now;
     }
 }
 
@@ -1728,6 +1979,104 @@ mod tests {
         assert_eq!(s.row_buffer.hits(), 1); // second read hits the open row
         let comps = completions(&mut c);
         assert_eq!(comps.len(), 2);
+    }
+
+    /// Ids of every queued request (reads, writes and prefetches).
+    fn queued_ids(c: &MemController) -> std::collections::BTreeSet<u64> {
+        c.banks
+            .iter()
+            .flat_map(|b| b.reads.iter().chain(&b.writes).chain(&b.prefetches))
+            .map(|q| q.req.id)
+            .collect()
+    }
+
+    /// More than 20 same-cycle requests across banks, the order
+    /// decided by the tie-break: 48 writes queued at the cycle the
+    /// first refresh falls due enter its drain set (tier 0, one
+    /// arrival cycle), and a younger tier-1 read hit sorts ahead of
+    /// them in queue order. std's unstable sort moves equal keys on
+    /// such input, so only the request id keeps each (bank, read/write)
+    /// group retiring oldest first.
+    #[test]
+    fn same_cycle_requests_issue_in_id_order() {
+        let mut c = baseline_1rank();
+        let due = c.refresh.next_due(0);
+        let mut group = std::collections::HashMap::new();
+        let line = |c: &MemController, bank, col| c.mapping().encode_bank_line(0, bank, col);
+        for (bank, cols) in [(0, 36), (1, 4), (2, 4), (3, 4)] {
+            for col in 0..cols {
+                assert!(c.enqueue_write(line(&c, bank, col), 0, due));
+                group.insert(c.next_id - 1, (bank, true));
+            }
+        }
+        c.tick(due);
+        assert_eq!(c.drain_left[0], 48, "the writes form the drain set");
+        let id = c.enqueue_read(line(&c, 0, 100), 0, due + 1).expect("room");
+        group.insert(id, (0, false));
+
+        let mut retired = Vec::new();
+        let mut queued = queued_ids(&c);
+        let mut now = due + 1;
+        while !queued.is_empty() {
+            assert!(now < due + 100_000, "requests starved");
+            now = c.tick(now).max(now + 1);
+            let left = queued_ids(&c);
+            retired.extend(queued.difference(&left).copied());
+            queued = left;
+        }
+        for bank in 0..4 {
+            let order: Vec<u64> = retired
+                .iter()
+                .copied()
+                .filter(|id| group[id] == (bank, true))
+                .collect();
+            assert!(
+                order.windows(2).all(|w| w[0] < w[1]),
+                "bank {bank} retired its writes as {order:?}"
+            );
+        }
+    }
+
+    /// The scheduler counters on a fixed trace: a row hit, a row
+    /// conflict, a second bank and two writes, all queued at cycle 0
+    /// and served before the first refresh falls due.
+    #[test]
+    fn scheduler_counters_on_a_fixed_trace() {
+        let mut c = baseline_1rank();
+        let line = |c: &MemController, bank, row: u64, col| {
+            let lines_per_row = c.cfg.dram.geometry.lines_per_row as u64;
+            c.mapping()
+                .encode_bank_line(0, bank, row * lines_per_row + col)
+        };
+        for (bank, row, col) in [(0, 0, 0), (0, 0, 1), (0, 5, 0), (3, 2, 7)] {
+            c.enqueue_read(line(&c, bank, row, col), 0, 0).unwrap();
+        }
+        for (bank, row, col) in [(0, 5, 3), (6, 1, 1)] {
+            assert!(c.enqueue_write(line(&c, bank, row, col), 0, 0));
+        }
+        let mut now = 0;
+        while c.read_queue_len() + c.write_queue_len() > 0 {
+            now = c.tick(now);
+            assert!(now < 2_000, "requests starved");
+        }
+        assert_eq!(c.refreshes_issued(0), 0);
+        let d = c.device.counts();
+        let s = c.stats();
+        // Every scheduled command is one that issued; there was no
+        // refresh preparation.
+        assert_eq!(
+            s.schedule_issued,
+            d.activates + d.precharges + d.reads + d.writes
+        );
+        assert_eq!(
+            (
+                s.schedule_calls,
+                s.schedule_issued,
+                s.schedule_entries_scanned,
+                s.issue_attempts
+            ),
+            (20, 11, 22, 27)
+        );
     }
 
     #[test]

@@ -88,12 +88,14 @@ pub(crate) fn controller_for(cfg: &SystemConfig) -> MemController {
 
 impl<F: Frontend> Engine<F> {
     pub(crate) fn with_frontend(cfg: SystemConfig, ctrl: MemController, fe: F) -> Self {
+        // Sized like the controller's completion buffer it drains.
+        let due = Vec::with_capacity(2 * ctrl.config().read_queue_capacity);
         Engine {
             cfg,
             ctrl,
             fe,
             inflight: TimingWheel::new(),
-            due: Vec::new(),
+            due,
             now: 0,
             events: 0,
             wall_seconds: 0.0,

@@ -199,6 +199,14 @@ pub struct SweepJob {
     pub audit: bool,
 }
 
+/// Revision of the simulation model, folded into every job fingerprint.
+/// Bump it whenever a change moves what some job simulates without
+/// touching its configuration, so a resumed store never serves metrics
+/// the current model would not reproduce. Revision 1: FR-FCFS ties
+/// break on request id, and the controller wakes when a ROP
+/// prefetch-grace window expires.
+pub const MODEL_REVISION: u32 = 1;
+
 impl SweepJob {
     /// A single-core job as the paper's single-core experiments run it.
     pub fn single(prefix: &str, benchmark: Benchmark, kind: SystemKind, spec: RunSpec) -> Self {
@@ -239,15 +247,22 @@ impl SweepJob {
     }
 
     /// Content hash of the job identity: the fully-resolved
-    /// configuration plus the run spec (instructions, cycle cap, seed).
-    /// Two jobs with the same hash would simulate the identical system,
-    /// so a results store can dedup on it; any config or spec change
-    /// produces a fresh identity. FNV-1a over the `Debug` rendering of
-    /// the resolved config — stable across runs of the same build, and
-    /// deliberately *invalidated* when a config field is added or
-    /// changed, which is exactly when cached metrics go stale.
+    /// configuration, the run spec (instructions, cycle cap, seed) and
+    /// the [`MODEL_REVISION`]. Two jobs with the same hash would
+    /// simulate the identical system, so a results store can dedup on
+    /// it. FNV-1a over the `Debug` rendering of the resolved config —
+    /// stable across runs of the same build, and invalidated when a
+    /// config field is added or changed. A model change that moves
+    /// results under an unchanged configuration (a scheduler tie-break,
+    /// a wake-up hint) bumps [`MODEL_REVISION`] instead, so cached
+    /// metrics go stale then too.
     pub fn fingerprint(&self) -> u64 {
-        let canonical = format!("{:?}|{:?}", self.config, self.spec);
+        self.fingerprint_at(MODEL_REVISION)
+    }
+
+    /// [`SweepJob::fingerprint`] under an explicit model revision.
+    fn fingerprint_at(&self, revision: u32) -> u64 {
+        let canonical = format!("{:?}|{:?}|model-rev{revision}", self.config, self.spec);
         fnv1a_64(canonical.as_bytes())
     }
 
@@ -591,6 +606,22 @@ mod tests {
         let mut e = a.clone();
         e.spec.seed += 1;
         assert_ne!(a.fingerprint(), e.fingerprint());
+    }
+
+    #[test]
+    fn model_revision_bump_changes_every_job_id() {
+        let jobs = crate::experiments::driver::plan_jobs("all", RunSpec::quick())
+            .expect("the full grid plans");
+        assert!(jobs.len() > 100, "{} jobs", jobs.len());
+        for job in &jobs {
+            assert_eq!(job.fingerprint(), job.fingerprint_at(MODEL_REVISION));
+            assert_ne!(
+                job.fingerprint_at(MODEL_REVISION),
+                job.fingerprint_at(MODEL_REVISION + 1),
+                "{}",
+                job.label
+            );
+        }
     }
 
     #[test]

@@ -446,6 +446,33 @@ mod tests {
         }
     }
 
+    /// Every simulated field of a run: the metrics JSON without host
+    /// time and without the event count (the per-cycle loop counts
+    /// every cycle as an event).
+    fn simulated_fields(m: &RunMetrics) -> String {
+        let mut m = m.clone();
+        m.wall_seconds = 0.0;
+        m.events = 0;
+        m.to_json().render()
+    }
+
+    #[test]
+    fn event_loop_wakes_when_the_prefetch_grace_window_expires() {
+        // Training cut to 4 refreshes, so the engine prefetches within
+        // the window. A drain holding queued prefetches completes when
+        // the grace window runs out; without that cycle in the tick
+        // hint the event loop wakes late and the runs diverge.
+        let kind = SystemKind::Rop { buffer: 64 };
+        let mut cfg = SystemConfig::single_core(Benchmark::Libquantum, kind, 42);
+        let mut ctrl = kind.memctrl_config(cfg.ranks, cfg.seed);
+        ctrl.rop.as_mut().expect("ROP system").training_refreshes = 4;
+        cfg.ctrl_override = Some(ctrl);
+        let me = System::new(cfg.clone()).run_until(600_000, 20_000_000);
+        let mr = System::new(cfg).run_until_reference(600_000, 20_000_000);
+        assert!(me.prefetches > 0, "{} prefetches", me.prefetches);
+        assert_eq!(simulated_fields(&me), simulated_fields(&mr));
+    }
+
     #[test]
     fn event_loop_is_cycle_exact_refresh_heavy() {
         // tREFI/8 (still > tRFC, so the config stays legal): REF

@@ -34,10 +34,15 @@
 //! one due cycle at a time and sorting each same-cycle batch by id. The
 //! differential oracle and the wheel-vs-heap proptest below pin this.
 //!
-//! Allocation: slots are `Vec`s that are emptied but never dropped, so
-//! after warm-up the steady-state push/pop cycle allocates nothing (the
-//! `hot-alloc` lint rule and `crates/bench/tests/alloc_free.rs` guard
-//! this).
+//! Allocation: near slots are linked lists threaded through one node
+//! arena with a free list, so the arena grows only when more events are
+//! in flight at once than ever before, wherever they land. (Per-slot
+//! `Vec`s would each grow to their own high-water mark, and a burst of
+//! same-cycle SRAM completions landing on a fresh slot would allocate
+//! long after warm-up.) Far slots are `Vec`s that are emptied but never
+//! dropped. After warm-up the steady-state push/pop cycle allocates
+//! nothing (the `hot-alloc` lint rule and
+//! `crates/bench/tests/alloc_free.rs` guard this).
 
 use rop_memctrl::Completion;
 
@@ -58,6 +63,16 @@ const FAR1_HORIZON: u64 = 1 << (NEAR_BITS + FAR_BITS);
 const FAR2_SHIFT: u32 = NEAR_BITS + FAR_BITS;
 const FAR2_HORIZON: u64 = 1 << (NEAR_BITS + 2 * FAR_BITS);
 
+/// End of a near-slot list.
+const NIL: u32 = u32::MAX;
+
+/// One near-wheel event, linked into its slot's list (or the free list).
+#[derive(Debug, Clone, Copy)]
+struct NearNode {
+    c: Completion,
+    next: u32,
+}
+
 /// Calendar queue over [`Completion`]s keyed by `done_at`, popping in
 /// ascending `(done_at, id)` order.
 #[derive(Debug)]
@@ -65,7 +80,12 @@ pub struct TimingWheel {
     /// Lower bound on every pending event's `done_at` (except `past`
     /// entries); advanced by [`TimingWheel::pop_due`].
     clock: Cycle,
-    near: Vec<Vec<Completion>>,
+    /// Head node of each near slot's list (`NIL` when empty).
+    near: Vec<u32>,
+    /// Node arena behind the near slots.
+    nodes: Vec<NearNode>,
+    /// Head of the arena's free list.
+    free: u32,
     /// One bit per near slot, set while the slot is non-empty.
     near_occ: [u64; NEAR_SLOTS / 64],
     far1: Vec<Vec<Completion>>,
@@ -95,7 +115,9 @@ impl TimingWheel {
     pub fn new() -> Self {
         TimingWheel {
             clock: 0,
-            near: (0..NEAR_SLOTS).map(|_| Vec::new()).collect(),
+            near: vec![NIL; NEAR_SLOTS],
+            nodes: Vec::new(),
+            free: NIL,
             near_occ: [0; NEAR_SLOTS / 64],
             far1: (0..FAR_SLOTS).map(|_| Vec::new()).collect(),
             far1_occ: 0,
@@ -144,7 +166,19 @@ impl TimingWheel {
         let delta = c.done_at - self.clock;
         if delta < NEAR_SLOTS as u64 {
             let s = (c.done_at & NEAR_MASK) as usize;
-            self.near[s].push(c);
+            let node = NearNode {
+                c,
+                next: self.near[s],
+            };
+            self.near[s] = if self.free == NIL {
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            } else {
+                let i = self.free;
+                self.free = self.nodes[i as usize].next;
+                self.nodes[i as usize] = node;
+                i
+            };
             self.near_occ[s >> 6] |= 1u64 << (s & 63);
         } else if delta < FAR1_HORIZON {
             let j = ((c.done_at >> FAR1_SHIFT) & FAR_MASK) as usize;
@@ -187,13 +221,17 @@ impl TimingWheel {
             // Same-slot events from a later rotation must leave the near
             // wheel (its cycle reconstruction assumes delta < 256), so
             // the slot always drains completely.
-            let slot = &mut self.near[s];
-            for c in slot.drain(..) {
+            let mut i = std::mem::replace(&mut self.near[s], NIL);
+            while i != NIL {
+                let NearNode { c, next } = self.nodes[i as usize];
+                self.nodes[i as usize].next = self.free;
+                self.free = i;
                 if c.done_at == e {
                     out.push(c);
                 } else {
                     self.rehome.push(c);
                 }
+                i = next;
             }
             self.near_occ[s >> 6] &= !(1u64 << (s & 63));
             let mut rehome = std::mem::take(&mut self.rehome);
