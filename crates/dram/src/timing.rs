@@ -201,6 +201,19 @@ impl TimingParams {
         if self.t_faw < self.t_rrd {
             return Err("tFAW must be at least tRRD".into());
         }
+        // A column command moves the data bus forward by at least one
+        // burst and can lift the rank-switch penalty off its own rank's
+        // column commands. With the burst at least tRTRS, the first
+        // covers the second, so no command lowers another column
+        // command's earliest-issue cycle: the controller's cached
+        // not-before bounds rely on it.
+        if self.burst_cycles() < self.t_rtrs {
+            return Err(format!(
+                "burst ({} cycles) must be at least tRTRS ({})",
+                self.burst_cycles(),
+                self.t_rtrs
+            ));
+        }
         Ok(())
     }
 }
@@ -273,6 +286,20 @@ mod tests {
             ..TimingParams::ddr4_1600_8gb()
         };
         assert!(t.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_burst_shorter_than_trtrs() {
+        let t = TimingParams {
+            t_rtrs: 5, // > the 4-cycle burst
+            ..TimingParams::ddr4_1600_8gb()
+        };
+        assert!(t.validate().is_err());
+        let t = TimingParams {
+            t_rtrs: 4,
+            ..TimingParams::ddr4_1600_8gb()
+        };
+        assert!(t.validate().is_ok(), "a burst equal to tRTRS is legal");
     }
 
     #[test]

@@ -15,16 +15,17 @@
 //! 4. FR-FCFS command scheduling over the request queues, with the
 //!    draining rank's demand requests in a priority tier, ROP prefetches
 //!    below regular traffic, and an age cap as a starvation guard. The
-//!    queues are kept per bank with each bank's oldest candidates
-//!    cached, so a tick reads one pick set per bank instead of sorting
-//!    the queues.
+//!    queues are kept per bank, and each bank's oldest candidates sit
+//!    in a key-sorted index kept across ticks: a tick re-enters only the
+//!    banks that changed, and passes over a candidate whose cached
+//!    not-before bound lies in the future without asking the device.
 //!
 //! `tick` returns a *hint*: the next cycle at which calling `tick` again
 //! can possibly make progress, enabling the driver to fast-forward idle
 //! stretches without losing cycle accuracy.
 
 use rop_core::{PhaseTransition, RopConfig, RopEngine, RopPhase, SramBuffer};
-use rop_dram::{Command, DramDevice, EnergyBreakdown, Geometry};
+use rop_dram::{Command, DramDevice, EnergyBreakdown, Geometry, IssueOutcome};
 use rop_events::{EventSink, TraceBuffer, TraceEvent};
 use rop_stats::RatioCounter;
 
@@ -92,8 +93,14 @@ pub struct MemCtrlStats {
     /// Queue entries the scheduler read to pick its candidates, summed
     /// over calls.
     pub schedule_entries_scanned: u64,
-    /// Command issue attempts the scheduler made, summed over calls.
+    /// Times the scheduler asked the device when a candidate's next
+    /// command can issue (an ask at a ready candidate issues it),
+    /// summed over calls.
     pub issue_attempts: u64,
+    /// Candidates the scheduler passed over without asking the device,
+    /// because their cached not-before bound lay in the future, summed
+    /// over calls.
+    pub bound_skips: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -224,7 +231,7 @@ impl SlotMap {
 
 /// A scheduling candidate: one queued request and its place in the
 /// FR-FCFS order.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Pick {
     /// `tier << 62 | id`, the FR-FCFS order. Tier 0 is draining-slot
     /// demand, 1 regular traffic, 2 ROP prefetches. Ids are allocated
@@ -268,7 +275,7 @@ fn earlier(a: Option<Pick>, b: Option<Pick>) -> Option<Pick> {
 /// drain set are kept apart because they only compete while the
 /// controller serves writes, which can flip on any tick without the
 /// bank changing.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct BankPicks {
     /// Oldest read or prefetch, and oldest such row hit.
     read: Option<Pick>,
@@ -279,6 +286,24 @@ struct BankPicks {
     /// Oldest other write (tier 1), and oldest such row hit.
     write: Option<Pick>,
     write_hit: Option<Pick>,
+}
+
+impl BankPicks {
+    /// What the bank lists while the controller does (`serve_writes`)
+    /// or does not serve writes: its head, the oldest admissible
+    /// request, and the oldest row hit of its read and write groups.
+    #[inline]
+    fn listed(&self, serve_writes: bool) -> (Option<Pick>, [Option<Pick>; 2]) {
+        let (write, write_hit) = if serve_writes {
+            (
+                earlier(self.drain_write, self.write),
+                earlier(self.drain_write_hit, self.write_hit),
+            )
+        } else {
+            (self.drain_write, self.drain_write_hit)
+        };
+        (earlier(self.read, write), [self.read_hit, write_hit])
+    }
 }
 
 /// A slot's admission state, as of the last scheduler call.
@@ -296,17 +321,14 @@ struct SlotGate {
     sa_scope: Option<usize>,
 }
 
-/// One bank's share of the transaction queues and its cached FR-FCFS
-/// picks. Each queue is in id order, which is arrival order.
+/// One bank's share of the transaction queues and its FR-FCFS picks.
+/// Each queue is in id order, which is arrival order.
 #[derive(Debug, Default)]
 struct BankQueues {
     reads: Vec<Queued>,
     writes: Vec<Queued>,
     prefetches: Vec<Queued>,
-    /// The picks are stale: a queue changed, or the slot's gate moved.
-    dirty: bool,
-    /// The open row the picks were computed against.
-    open_row: Option<usize>,
+    /// The picks the candidate index lists for this bank.
     picks: BankPicks,
 }
 
@@ -340,17 +362,22 @@ impl BankQueues {
         }
     }
 
-    /// Recomputes the picks: one pass over the bank's requests under
-    /// the slot's `gate`, with `open_row` open. Returns the number of
-    /// requests read.
+    /// Requests queued at this bank, over all three queues.
+    #[inline]
+    fn len(&self) -> usize {
+        self.prefetches.len() + self.reads.len() + self.writes.len()
+    }
+
+    /// The bank's picks: one pass over its requests under the slot's
+    /// `gate`, with `open_row` open.
     // rop-lint: hot
-    fn rescan(
-        &mut self,
+    fn scan(
+        &self,
         bank: usize,
         gate: SlotGate,
         open_row: Option<usize>,
         geom: &Geometry,
-    ) -> u64 {
+    ) -> BankPicks {
         // A gate is waived for requests outside the slot's frozen
         // subarray (SARP); `None` scope waives nothing.
         let exempt = |row: usize| {
@@ -404,10 +431,136 @@ impl BankQueues {
                 }
             }
         }
-        self.picks = p;
-        self.open_row = open_row;
-        self.dirty = false;
-        (self.prefetches.len() + self.reads.len() + self.writes.len()) as u64
+        p
+    }
+}
+
+/// A listed candidate: a pick and its not-before bound.
+#[derive(Debug, Clone, Copy)]
+struct Cand {
+    pick: Pick,
+    /// The device's last earliest-issue answer for the pick's next
+    /// command (0 until asked). Never above the true answer: see
+    /// [`CandIndex`].
+    bound: Cycle,
+    /// [`CandIndex::epoch`] when `bound` was asked. Until the next
+    /// command issues, an asked bound is exact.
+    epoch: u64,
+}
+
+/// One candidate list of the index (see [`CandIndex::list`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ListKind {
+    /// Each bank's head: its oldest admissible request.
+    Heads,
+    /// Each (bank, read/write) group's oldest row hit.
+    Hits,
+}
+
+/// The FR-FCFS candidate index, kept across scheduler calls.
+///
+/// For each serve-writes state it holds two lists sorted by key: the
+/// bank heads and the group-oldest row hits of every bank, so at most
+/// one entry per bank in a head list and two in a hit list. Only banks
+/// marked stale are re-entered: their old keys are removed by binary
+/// search and their new picks inserted, with fresh (unasked) bounds.
+/// A bank is marked when its queues change, its slot's gate moves, or
+/// the controller issues ACT or PRE there (its open row changes).
+///
+/// A bound is an earliest-issue answer for the candidate's next
+/// command. The device's timing registers only rise under commands to
+/// other banks, and a command to the candidate's own bank marks it
+/// stale, so a bound never exceeds the true answer and a candidate
+/// whose bound lies after `now` cannot issue. Until the next command
+/// ([`Self::epoch`] unchanged) the true answer is `max(now, bound)`.
+#[derive(Debug, Default)]
+struct CandIndex {
+    /// Heads, indexed by `serve_writes as usize`.
+    heads: [Vec<Cand>; 2],
+    /// Row hits, indexed by `serve_writes as usize`.
+    hits: [Vec<Cand>; 2],
+    /// Banks to re-enter at the next call, each listed once.
+    stale: Vec<u32>,
+    /// Per bank: listed in `stale`.
+    is_stale: Vec<bool>,
+    /// Commands the controller has issued.
+    epoch: u64,
+}
+
+impl CandIndex {
+    /// An empty index for `banks` banks, pre-sized to its hard bounds.
+    fn with_banks(banks: usize) -> Self {
+        let list = |per_bank: usize| Vec::with_capacity(per_bank * banks);
+        CandIndex {
+            heads: [list(1), list(1)],
+            hits: [list(2), list(2)],
+            stale: Vec::with_capacity(banks),
+            is_stale: vec![false; banks],
+            epoch: 0,
+        }
+    }
+
+    /// Marks `bank`'s picks stale.
+    // rop-lint: hot
+    #[inline]
+    fn mark(&mut self, bank: usize) {
+        if !self.is_stale[bank] {
+            self.is_stale[bank] = true;
+            self.stale.push(bank as u32);
+        }
+    }
+
+    // rop-lint: hot
+    #[inline]
+    fn list(&self, kind: ListKind, sw: usize) -> &Vec<Cand> {
+        match kind {
+            ListKind::Heads => &self.heads[sw],
+            ListKind::Hits => &self.hits[sw],
+        }
+    }
+
+    // rop-lint: hot
+    #[inline]
+    fn list_mut(&mut self, kind: ListKind, sw: usize) -> &mut Vec<Cand> {
+        match kind {
+            ListKind::Heads => &mut self.heads[sw],
+            ListKind::Hits => &mut self.hits[sw],
+        }
+    }
+
+    /// Takes one bank's `picks` out of the lists (`add` false) or puts
+    /// them in with unasked bounds (`add` true).
+    // rop-lint: hot
+    fn enter(&mut self, picks: &BankPicks, add: bool) {
+        for sw in 0..2 {
+            let (head, [read_hit, write_hit]) = picks.listed(sw == 1);
+            enter_one(&mut self.heads[sw], head, add);
+            enter_one(&mut self.hits[sw], read_hit, add);
+            enter_one(&mut self.hits[sw], write_hit, add);
+        }
+    }
+}
+
+/// Removes `p` from the key-sorted `list` (`add` false), or inserts it
+/// in key order with an unasked bound (`add` true).
+// rop-lint: hot
+#[inline]
+fn enter_one(list: &mut Vec<Cand>, p: Option<Pick>, add: bool) {
+    let Some(pick) = p else { return };
+    match (list.binary_search_by_key(&pick.key, |c| c.pick.key), add) {
+        (Err(i), true) => list.insert(
+            i,
+            Cand {
+                pick,
+                bound: 0,
+                epoch: 0,
+            },
+        ),
+        (Ok(i), false) => {
+            list.remove(i);
+        }
+        // Keys are unique, and a bank takes out exactly what it put in.
+        _ => unreachable!("candidate index out of step with the bank picks"),
     }
 }
 
@@ -417,10 +570,6 @@ impl BankQueues {
 /// across ticks).
 #[derive(Debug, Default)]
 struct TickScratch {
-    /// Per-bank oldest admissible request (pass 0 and pass 2).
-    heads: Vec<Pick>,
-    /// Per-(bank, read/write) oldest admissible row hit (pass 1).
-    hits: Vec<Pick>,
     /// Refresh slots reported by the manager this tick.
     slots: Vec<usize>,
     /// Prefetch lines whose fill landed this tick.
@@ -432,16 +581,13 @@ struct TickScratch {
 
 impl TickScratch {
     /// Scratch pre-sized to the controller's hard occupancy bounds, so
-    /// the per-cycle paths never grow these vectors: pick lists are
-    /// capped by the bank count, per-slot lists by the refresh-slot
-    /// count, and request lists by the total queue capacity. (ROP
-    /// prefetch fills have no configured cap; the caller's allowance
-    /// covers the paper's deepest buffer, and anything beyond it merely
-    /// grows once.)
-    fn with_bounds(queue_cap: usize, slots: usize, banks: usize) -> Self {
+    /// the per-cycle paths never grow these vectors: per-slot lists are
+    /// capped by the refresh-slot count, and request lists by the total
+    /// queue capacity. (ROP prefetch fills have no configured cap; the
+    /// caller's allowance covers the paper's deepest buffer, and
+    /// anything beyond it merely grows once.)
+    fn with_bounds(queue_cap: usize, slots: usize) -> Self {
         TickScratch {
-            heads: Vec::with_capacity(banks),
-            hits: Vec::with_capacity(2 * banks),
             slots: Vec::with_capacity(slots),
             filled: Vec::with_capacity(queue_cap),
             found: Vec::with_capacity(queue_cap),
@@ -468,9 +614,11 @@ pub struct MemController {
     /// Per-slot subarray scope of the in-flight refresh (SARP only).
     refresh_scope_sa: Vec<Option<usize>>,
     /// The transaction queues, split by bank (global bank key
-    /// `rank * banks_per_rank + bank`), each bank with its cached
-    /// FR-FCFS picks.
+    /// `rank * banks_per_rank + bank`), each bank with its FR-FCFS
+    /// picks.
     banks: Vec<BankQueues>,
+    /// The bank picks in FR-FCFS order, with their not-before bounds.
+    index: CandIndex,
     /// Queued reads and writes, over all banks.
     reads_queued: usize,
     writes_queued: usize,
@@ -601,6 +749,7 @@ impl MemController {
                     )
                 })
                 .collect(),
+            index: CandIndex::with_banks(ranks * banks),
             reads_queued: 0,
             writes_queued: 0,
             gates: vec![SlotGate::default(); slots],
@@ -627,7 +776,6 @@ impl MemController {
             scratch: TickScratch::with_bounds(
                 cfg.read_queue_capacity + cfg.write_queue_capacity + 128,
                 slots,
-                ranks * banks,
             ),
             cfg,
         }
@@ -965,9 +1113,9 @@ impl MemController {
     /// in nondecreasing arrival order, which keeps every queue in
     /// (arrival, id) order: the FR-FCFS picks rely on it.
     fn push_request(&mut self, kind: QueueKind, req: MemRequest) {
-        let bq = &mut self.banks[self.slot_map.bank_key(&req.addr)];
-        push_in_order(bq.queue_mut(kind), req);
-        bq.dirty = true;
+        let bank = self.slot_map.bank_key(&req.addr);
+        push_in_order(self.banks[bank].queue_mut(kind), req);
+        self.index.mark(bank);
         match kind {
             QueueKind::Read => self.reads_queued += 1,
             QueueKind::Write => self.writes_queued += 1,
@@ -979,9 +1127,8 @@ impl MemController {
     /// the occupancy counts and the drain-set size in step.
     // rop-lint: hot
     fn remove_request(&mut self, kind: QueueKind, bank: usize, idx: usize) -> Queued {
-        let bq = &mut self.banks[bank];
-        let q = bq.queue_mut(kind).remove(idx);
-        bq.dirty = true;
+        let q = self.banks[bank].queue_mut(kind).remove(idx);
+        self.index.mark(bank);
         match kind {
             QueueKind::Read => self.reads_queued -= 1,
             QueueKind::Write => self.writes_queued -= 1,
@@ -1265,7 +1412,7 @@ impl MemController {
             let mut members = 0;
             for bank in slot_map.banks_of(slot) {
                 let bq = &mut self.banks[bank];
-                bq.dirty = true;
+                self.index.mark(bank);
                 for q in bq.reads.iter_mut().chain(bq.writes.iter_mut()) {
                     q.in_set =
                         sa_filter.is_none_or(|sa| geom.subarray_of_row(q.req.addr.row) == sa);
@@ -1352,9 +1499,9 @@ impl MemController {
                 .encode_bank_line(rank, cand.bank, cand.line_offset);
             let addr = self.mapping.decode(line_addr);
             let id = alloc_id(&mut self.next_id, &mut self.last_arrival, now);
-            let bq = &mut self.banks[self.slot_map.bank_key(&addr)];
+            let bank = self.slot_map.bank_key(&addr);
             push_in_order(
-                &mut bq.prefetches,
+                &mut self.banks[bank].prefetches,
                 MemRequest {
                     id,
                     line_addr,
@@ -1365,7 +1512,7 @@ impl MemController {
                     is_prefetch: true,
                 },
             );
-            bq.dirty = true;
+            self.index.mark(bank);
             self.stats.prefetches_issued += 1;
         }
     }
@@ -1445,7 +1592,7 @@ impl MemController {
                     let cmd = Command::Precharge { rank, bank };
                     match self.device.earliest_issue(&cmd, now) {
                         Ok(e) if e <= now => {
-                            self.device.issue(&cmd, now);
+                            self.issue_command(&cmd, now);
                             return Some(Ok(()));
                         }
                         Ok(e) => earliest = earliest.min(e),
@@ -1461,7 +1608,7 @@ impl MemController {
                             None => Command::Refresh { rank },
                         };
                         match self.device.earliest_issue(&cmd, now) {
-                            Ok(e) if e <= now => Some(self.device.issue(&cmd, now)),
+                            Ok(e) if e <= now => Some(self.issue_command(&cmd, now)),
                             Ok(e) => {
                                 earliest = earliest.min(e);
                                 None
@@ -1475,11 +1622,14 @@ impl MemController {
                             .device
                             .earliest_subarray_refresh(rank, bank, subarray, now)
                         {
-                            Ok(e) if e <= now => Some(
-                                self.device
-                                    .try_issue_subarray_refresh(rank, bank, subarray, now)
-                                    .expect("legal at its earliest-issue cycle"),
-                            ),
+                            Ok(e) if e <= now => {
+                                self.index.epoch += 1;
+                                Some(
+                                    self.device
+                                        .try_issue_subarray_refresh(rank, bank, subarray, now)
+                                        .expect("legal at its earliest-issue cycle"),
+                                )
+                            }
                             Ok(e) => {
                                 earliest = earliest.min(e);
                                 None
@@ -1494,6 +1644,7 @@ impl MemController {
                         covers_256,
                     } => match self.device.earliest_issue(&Command::Refresh { rank }, now) {
                         Ok(e) if e <= now => {
+                            self.index.epoch += 1;
                             let o = self
                                 .device
                                 .try_issue_refresh_scaled(rank, now, duration)
@@ -1545,7 +1696,7 @@ impl MemController {
                             if !bq.prefetches.is_empty() {
                                 self.stats.prefetches_dropped += bq.prefetches.len() as u64;
                                 bq.prefetches.clear();
-                                bq.dirty = true;
+                                self.index.mark(bank);
                             }
                         }
                     }
@@ -1705,23 +1856,51 @@ impl MemController {
 
     /// FR-FCFS scheduling. `Ok(())` = one command issued; `Err(earliest)`
     /// = nothing ready, next possible issue at `earliest`.
-    ///
-    /// This runs every command-bus cycle, so its working sets live in
-    /// [`TickScratch`] — taken out here, refilled, and put back, which
-    /// keeps the steady-state loop allocation-free.
     // rop-lint: hot
     fn schedule(&mut self, now: Cycle) -> Result<(), Cycle> {
         self.stats.schedule_calls += 1;
-        let mut s = std::mem::take(&mut self.scratch);
-        let result = self.schedule_with(now, &mut s);
-        self.scratch = s;
+        let result = self.schedule_indexed(now);
         if result.is_ok() {
             self.stats.schedule_issued += 1;
         }
+        #[cfg(debug_assertions)]
+        self.check_index(now);
         result
     }
 
-    /// One scheduling decision over the per-bank picks.
+    /// Brings the candidate index up to date: recomputes each slot's
+    /// gate, marking the slot's banks when it moved, then re-enters
+    /// every marked bank.
+    // rop-lint: hot
+    fn refresh_index(&mut self, now: Cycle) {
+        for slot in 0..self.refresh_slots() {
+            let gate = self.slot_gate(slot, now);
+            if gate != self.gates[slot] {
+                self.gates[slot] = gate;
+                for bank in self.slot_map.banks_of(slot) {
+                    self.index.mark(bank);
+                }
+            }
+        }
+        let geom = self.cfg.dram.geometry;
+        let mut stale = std::mem::take(&mut self.index.stale);
+        for &b in &stale {
+            let bank = b as usize;
+            let bq = &mut self.banks[bank];
+            let open = self
+                .device
+                .open_row(bank / geom.banks_per_rank, bank % geom.banks_per_rank);
+            self.index.enter(&bq.picks, false);
+            bq.picks = bq.scan(bank, self.gates[self.slot_map.of_bank(bank)], open, &geom);
+            self.index.enter(&bq.picks, true);
+            self.index.is_stale[bank] = false;
+            self.stats.schedule_entries_scanned += bq.len() as u64;
+        }
+        stale.clear();
+        self.index.stale = stale;
+    }
+
+    /// One scheduling decision over the candidate index.
     ///
     /// Tier 0: draining-slot demand (must issue before its REF); tier 1:
     /// regular traffic; tier 2: ROP prefetches — strictly
@@ -1729,66 +1908,31 @@ impl MemController {
     /// this cycle (§IV-D's "minimise interference with demand
     /// requests"). Within a tier, oldest first.
     ///
-    /// A bank's picks change only when its queues change, its open row
-    /// changes, or its slot's gate moves, so only such banks are
-    /// rescanned; the rest of a call reads one pick set per bank. A
-    /// failed issue attempt mutates nothing, and every row hit of one
+    /// A failed issue attempt mutates nothing, and every row hit of one
     /// (bank, read/write) group needs the same column command timing,
-    /// so each group's oldest hit stands for all of them.
+    /// so each group's oldest hit stands for all of them. A candidate
+    /// whose bound lies after `now` cannot issue, so it is passed over
+    /// without asking the device.
     // rop-lint: hot
-    fn schedule_with(&mut self, now: Cycle, s: &mut TickScratch) -> Result<(), Cycle> {
-        for slot in 0..self.refresh_slots() {
-            let gate = self.slot_gate(slot, now);
-            if gate != self.gates[slot] {
-                self.gates[slot] = gate;
-                for bank in self.slot_map.banks_of(slot) {
-                    self.banks[bank].dirty = true;
-                }
-            }
-        }
-        let serve_writes = self.write_drain || self.reads_queued == 0;
-        let geom = self.cfg.dram.geometry;
-        s.heads.clear();
-        s.hits.clear();
-        for (bank, bq) in self.banks.iter_mut().enumerate() {
-            let open = self
-                .device
-                .open_row(bank / geom.banks_per_rank, bank % geom.banks_per_rank);
-            if bq.dirty || bq.open_row != open {
-                let gate = self.gates[self.slot_map.of_bank(bank)];
-                self.stats.schedule_entries_scanned += bq.rescan(bank, gate, open, &geom);
-            }
-            let p = &bq.picks;
-            let (write, write_hit) = if serve_writes {
-                (
-                    earlier(p.drain_write, p.write),
-                    earlier(p.drain_write_hit, p.write_hit),
-                )
-            } else {
-                (p.drain_write, p.drain_write_hit)
-            };
-            s.heads.extend(earlier(p.read, write));
-            s.hits.extend(p.read_hit);
-            s.hits.extend(write_hit);
-        }
-
-        let Some(&oldest) = s.heads.iter().min_by_key(|p| p.key) else {
+    fn schedule_indexed(&mut self, now: Cycle) -> Result<(), Cycle> {
+        self.refresh_index(now);
+        let sw = usize::from(self.write_drain || self.reads_queued == 0);
+        let Some(oldest) = self.index.heads[sw].first() else {
             return Err(Cycle::MAX);
         };
         let mut earliest = Cycle::MAX;
 
         // Pass 0: starvation guard — serve the oldest over-age request.
-        if self.queued(oldest).req.age(now) > self.cfg.age_cap {
-            match self.issue_for(oldest, now) {
+        if self.queued(oldest.pick).req.age(now) > self.cfg.age_cap {
+            match self.try_listed(ListKind::Heads, sw, 0, now) {
                 Ok(()) => return Ok(()),
                 Err(e) => earliest = earliest.min(e),
             }
         }
 
         // Pass 1: ready row-hit column commands, oldest group first.
-        s.hits.sort_unstable_by_key(|p| p.key);
-        for &p in &s.hits {
-            match self.issue_for(p, now) {
+        for i in 0..self.index.hits[sw].len() {
+            match self.try_listed(ListKind::Hits, sw, i, now) {
                 Ok(()) => return Ok(()),
                 Err(e) => earliest = earliest.min(e),
             }
@@ -1796,18 +1940,74 @@ impl MemController {
 
         // Pass 2: each bank's oldest request drives PRE/ACT. A head that
         // is a row hit is its group's oldest hit, already tried above.
-        s.heads.sort_unstable_by_key(|p| p.key);
-        for &p in &s.heads {
-            if p.hit {
+        for i in 0..self.index.heads[sw].len() {
+            if self.index.heads[sw][i].pick.hit {
                 continue;
             }
-            match self.issue_for(p, now) {
+            match self.try_listed(ListKind::Heads, sw, i, now) {
                 Ok(()) => return Ok(()),
                 Err(e) => earliest = earliest.min(e),
             }
         }
 
-        Err(earliest)
+        Err(self.exact_hint(sw, now, earliest))
+    }
+
+    /// Tries the candidate at `i` in list `kind`: passed over while its
+    /// bound lies after `now`, else asked, and issued when ready. A
+    /// failed ask leaves its answer as the new bound.
+    // rop-lint: hot
+    fn try_listed(&mut self, kind: ListKind, sw: usize, i: usize, now: Cycle) -> Result<(), Cycle> {
+        let c = self.index.list(kind, sw)[i];
+        if c.bound > now {
+            self.stats.bound_skips += 1;
+            // A bound asked before the last command is only a floor;
+            // `exact_hint` settles the ones that matter.
+            return Err(if c.epoch == self.index.epoch {
+                c.bound
+            } else {
+                Cycle::MAX
+            });
+        }
+        let result = self.issue_for(c.pick, now);
+        if let Err(e) = result {
+            self.set_bound(kind, sw, i, e);
+        }
+        result
+    }
+
+    /// The exact tick hint of a call that issued nothing. `earliest` is
+    /// the minimum over the answers this call got and the bounds of the
+    /// current epoch. Every other candidate holds a bound after `now`
+    /// that may have risen since: it is asked again only while its
+    /// bound is below the running minimum (its true answer is at least
+    /// its bound, so the rest cannot lower the minimum).
+    // rop-lint: hot
+    fn exact_hint(&mut self, sw: usize, now: Cycle, mut earliest: Cycle) -> Cycle {
+        for kind in [ListKind::Hits, ListKind::Heads] {
+            for i in 0..self.index.list(kind, sw).len() {
+                let c = self.index.list(kind, sw)[i];
+                let tried_as_hit = kind == ListKind::Heads && c.pick.hit;
+                if tried_as_hit || c.epoch == self.index.epoch || c.bound >= earliest {
+                    continue;
+                }
+                let (_, e) = self.ask(c.pick, now);
+                self.set_bound(kind, sw, i, e);
+                earliest = earliest.min(e);
+            }
+        }
+        earliest
+    }
+
+    /// Stores `bound`, asked in the current epoch, for the candidate at
+    /// `i` in list `kind`.
+    // rop-lint: hot
+    #[inline]
+    fn set_bound(&mut self, kind: ListKind, sw: usize, i: usize, bound: Cycle) {
+        let epoch = self.index.epoch;
+        let c = &mut self.index.list_mut(kind, sw)[i];
+        c.bound = bound;
+        c.epoch = epoch;
     }
 
     // rop-lint: hot
@@ -1815,38 +2015,53 @@ impl MemController {
         &self.banks[p.bank as usize].queue(p.kind)[p.idx as usize]
     }
 
+    /// The command `req` needs next: its column command when its row is
+    /// open, PRE on a row conflict, ACT on a closed bank.
+    // rop-lint: hot
+    fn next_command(&self, req: &MemRequest) -> Command {
+        let (rank, bank, row, column) = (req.addr.rank, req.addr.bank, req.addr.row, req.addr.col);
+        match self.device.open_row(rank, bank) {
+            Some(open) if open == row && req.is_write => Command::Write { rank, bank, column },
+            Some(open) if open == row => Command::Read { rank, bank, column },
+            Some(_) => Command::Precharge { rank, bank },
+            None => Command::Activate { rank, bank, row },
+        }
+    }
+
+    /// Asks the device when pick `p`'s next command can issue
+    /// (`Cycle::MAX`: not in the current state). Counts one issue
+    /// attempt.
+    // rop-lint: hot
+    fn ask(&mut self, p: Pick, now: Cycle) -> (Command, Cycle) {
+        self.stats.issue_attempts += 1;
+        let cmd = self.next_command(&self.queued(p).req);
+        let e = match self.device.earliest_issue(&cmd, now) {
+            Ok(e) => e,
+            Err(err) => {
+                // A column command finds its row open, and PRE its bank.
+                debug_assert!(
+                    matches!(cmd, Command::Activate { .. }),
+                    "{cmd:?} refused: {err:?}"
+                );
+                Cycle::MAX
+            }
+        };
+        (cmd, e)
+    }
+
     /// Issues the next command required by request `p`. `Ok(())`
     /// when a command was issued (column commands also retire the
     /// request); `Err(earliest)` when timing forbids issuing now.
     // rop-lint: hot
     fn issue_for(&mut self, p: Pick, now: Cycle) -> Result<(), Cycle> {
-        self.stats.issue_attempts += 1;
+        let (cmd, e) = self.ask(p, now);
+        if e > now {
+            return Err(e);
+        }
         let Queued { req, acted, .. } = *self.queued(p);
-        let (rank, bank, row, col) = (req.addr.rank, req.addr.bank, req.addr.row, req.addr.col);
-        match self.device.open_row(rank, bank) {
-            Some(open) if open == row => {
-                // Column command.
-                let cmd = if req.is_write {
-                    Command::Write {
-                        rank,
-                        bank,
-                        column: col,
-                    }
-                } else {
-                    Command::Read {
-                        rank,
-                        bank,
-                        column: col,
-                    }
-                };
-                let e = self
-                    .device
-                    .earliest_issue(&cmd, now)
-                    .expect("row open, column command must be structurally legal");
-                if e > now {
-                    return Err(e);
-                }
-                let outcome = self.device.issue(&cmd, now);
+        let outcome = self.issue_command(&cmd, now);
+        match cmd {
+            Command::Read { rank, bank, .. } | Command::Write { rank, bank, .. } => {
                 if !req.is_prefetch {
                     self.stats.row_buffer.record(!acted);
                     if !req.is_write {
@@ -1860,32 +2075,93 @@ impl MemController {
                     }
                 }
                 self.retire(p, outcome.data_at.expect("column command"));
-                Ok(())
             }
-            Some(_) => {
-                // Row conflict: precharge.
-                let cmd = Command::Precharge { rank, bank };
-                let e = self
-                    .device
-                    .earliest_issue(&cmd, now)
-                    .expect("open bank must be prechargeable");
-                if e > now {
-                    return Err(e);
-                }
-                self.device.issue(&cmd, now);
-                Ok(())
+            Command::Activate { .. } => {
+                self.banks[p.bank as usize].queue_mut(p.kind)[p.idx as usize].acted = true;
             }
-            None => {
-                // Closed bank: activate.
-                let cmd = Command::Activate { rank, bank, row };
-                match self.device.earliest_issue(&cmd, now) {
-                    Ok(e) if e <= now => {
-                        self.device.issue(&cmd, now);
-                        self.banks[p.bank as usize].queue_mut(p.kind)[p.idx as usize].acted = true;
-                        Ok(())
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Issues `cmd` at `now` (the caller has checked it is legal). Every
+    /// command starts a new index epoch; ACT and PRE change their bank's
+    /// open row, so they also mark the bank stale.
+    // rop-lint: hot
+    fn issue_command(&mut self, cmd: &Command, now: Cycle) -> IssueOutcome {
+        self.index.epoch += 1;
+        if let Command::Activate { rank, bank, .. } | Command::Precharge { rank, bank } = *cmd {
+            self.index
+                .mark(rank * self.cfg.dram.geometry.banks_per_rank + bank);
+        }
+        self.device.issue(cmd, now)
+    }
+
+    /// The debug self-check run after every scheduler call.
+    ///
+    /// Every bank not marked stale holds the picks a from-scratch scan
+    /// gives under its slot's gate and its open row. Each list of the
+    /// index holds exactly the listed picks of every bank, in strict key
+    /// order (each entry is a pick of its bank, and the counts agree).
+    /// Every bound of such a bank is at most the device's answer for
+    /// its candidate's next command, and equal to it while the bound's
+    /// epoch is current.
+    #[cfg(debug_assertions)]
+    fn check_index(&self, now: Cycle) {
+        let geom = self.cfg.dram.geometry;
+        for (bank, bq) in self.banks.iter().enumerate() {
+            if self.index.is_stale[bank] {
+                continue;
+            }
+            let open = self
+                .device
+                .open_row(bank / geom.banks_per_rank, bank % geom.banks_per_rank);
+            let gate = self.gates[self.slot_map.of_bank(bank)];
+            assert_eq!(
+                bq.picks,
+                bq.scan(bank, gate, open, &geom),
+                "bank {bank} holds stale picks at cycle {now}"
+            );
+        }
+        // What a bank lists in list `kind` of serve-writes state `sw`.
+        let listed = |bq: &BankQueues, kind: ListKind, sw: usize| {
+            let (head, hits) = bq.picks.listed(sw == 1);
+            match kind {
+                ListKind::Heads => [head, None],
+                ListKind::Hits => hits,
+            }
+        };
+        for sw in 0..2 {
+            for kind in [ListKind::Heads, ListKind::Hits] {
+                let list = self.index.list(kind, sw);
+                let want: usize = self
+                    .banks
+                    .iter()
+                    .map(|bq| listed(bq, kind, sw).iter().flatten().count())
+                    .sum();
+                assert_eq!(list.len(), want, "{kind:?}[{sw}] at cycle {now}");
+                assert!(
+                    list.windows(2).all(|w| w[0].pick.key < w[1].pick.key),
+                    "{kind:?}[{sw}] out of key order at cycle {now}"
+                );
+                for c in list {
+                    let bank = c.pick.bank as usize;
+                    assert!(
+                        listed(&self.banks[bank], kind, sw).contains(&Some(c.pick)),
+                        "{kind:?}[{sw}] lists {c:?}, not a pick of bank {bank}"
+                    );
+                    if self.index.is_stale[bank] {
+                        continue;
                     }
-                    Ok(e) => Err(e),
-                    Err(_) => Err(Cycle::MAX),
+                    let cmd = self.next_command(&self.queued(c.pick).req);
+                    let e = self.device.earliest_issue(&cmd, now).unwrap_or(Cycle::MAX);
+                    assert!(
+                        c.bound <= e,
+                        "{c:?}: bound above the device's answer {e} for {cmd:?} at cycle {now}"
+                    );
+                    if c.epoch == self.index.epoch && c.bound > now {
+                        assert_eq!(c.bound, e, "{c:?}: current-epoch bound inexact for {cmd:?}");
+                    }
                 }
             }
         }
@@ -2073,9 +2349,10 @@ mod tests {
                 s.schedule_calls,
                 s.schedule_issued,
                 s.schedule_entries_scanned,
-                s.issue_attempts
+                s.issue_attempts,
+                s.bound_skips
             ),
-            (20, 11, 22, 27)
+            (20, 11, 22, 25, 6)
         );
     }
 
