@@ -161,11 +161,6 @@ impl DramDevice {
         self.state.open_row(self.state.bank_index(rank, bank))
     }
 
-    /// True when every bank of `rank` is precharged.
-    pub fn rank_idle(&self, rank: usize) -> bool {
-        self.state.all_banks_idle(rank)
-    }
-
     /// True while `(rank, bank)` is held by a per-bank refresh (REFpb).
     pub fn is_bank_refreshing(&self, rank: usize, bank: usize, now: Cycle) -> bool {
         self.state

@@ -101,6 +101,9 @@ pub struct MemCtrlStats {
     /// because their cached not-before bound lay in the future, summed
     /// over calls.
     pub bound_skips: u64,
+    /// Candidate-index entries inserted, removed or slid to a new key
+    /// when the scheduler re-entered a changed bank, summed over calls.
+    pub index_moves: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -271,39 +274,21 @@ fn earlier(a: Option<Pick>, b: Option<Pick>) -> Option<Pick> {
     }
 }
 
-/// A bank's oldest admissible requests, by class. Writes outside a
-/// drain set are kept apart because they only compete while the
+/// What a bank lists in the candidate index while the controller does
+/// or does not serve writes (index `serve_writes as usize`): its head,
+/// the oldest admissible request, and the oldest row hit of its read
+/// and write groups. Writes outside a drain set compete only while the
 /// controller serves writes, which can flip on any tick without the
-/// bank changing.
+/// bank changing, so the picks of both states are kept.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct BankPicks {
-    /// Oldest read or prefetch, and oldest such row hit.
-    read: Option<Pick>,
+    /// The head, per serve-writes state.
+    head: [Option<Pick>; 2],
+    /// The oldest read or prefetch row hit, listed in both states.
     read_hit: Option<Pick>,
-    /// Oldest drain-set write (tier 0), and oldest such row hit.
-    drain_write: Option<Pick>,
-    drain_write_hit: Option<Pick>,
-    /// Oldest other write (tier 1), and oldest such row hit.
-    write: Option<Pick>,
-    write_hit: Option<Pick>,
-}
-
-impl BankPicks {
-    /// What the bank lists while the controller does (`serve_writes`)
-    /// or does not serve writes: its head, the oldest admissible
-    /// request, and the oldest row hit of its read and write groups.
-    #[inline]
-    fn listed(&self, serve_writes: bool) -> (Option<Pick>, [Option<Pick>; 2]) {
-        let (write, write_hit) = if serve_writes {
-            (
-                earlier(self.drain_write, self.write),
-                earlier(self.drain_write_hit, self.write_hit),
-            )
-        } else {
-            (self.drain_write, self.drain_write_hit)
-        };
-        (earlier(self.read, write), [self.read_hit, write_hit])
-    }
+    /// The oldest write row hit, per serve-writes state: drain-set
+    /// writes only, or all writes.
+    write_hit: [Option<Pick>; 2],
 }
 
 /// A slot's admission state, as of the last scheduler call.
@@ -384,18 +369,20 @@ impl BankQueues {
             gate.sa_scope
                 .is_some_and(|sa| geom.subarray_of_row(row) != sa)
         };
-        let offer = |best: &mut Option<Pick>, hit: &mut Option<Pick>, p: Pick| {
+        // Per class, the oldest pick and the oldest row hit: reads and
+        // prefetches, drain-set writes (tier 0), other writes (tier 1).
+        let offer = |[best, hit]: &mut [Option<Pick>; 2], p: Pick| {
             *best = earlier(*best, Some(p));
             if p.hit {
                 *hit = earlier(*hit, Some(p));
             }
         };
-        let mut p = BankPicks::default();
+        let (mut read, mut drain_write, mut write) = ([None; 2], [None; 2], [None; 2]);
         for (i, q) in self.prefetches.iter().enumerate() {
             let row = q.req.addr.row;
             if !gate.blocked_set || exempt(row) {
                 let pick = Pick::new(2, QueueKind::Prefetch, bank, i, q, open_row == Some(row));
-                offer(&mut p.read, &mut p.read_hit, pick);
+                offer(&mut read, pick);
             }
         }
         for (i, q) in self.reads.iter().enumerate() {
@@ -409,7 +396,7 @@ impl BankQueues {
             if !gated || exempt(row) {
                 let tier = if in_set { 0 } else { 1 };
                 let pick = Pick::new(tier, QueueKind::Read, bank, i, q, open_row == Some(row));
-                offer(&mut p.read, &mut p.read_hit, pick);
+                offer(&mut read, pick);
             }
         }
         for (i, q) in self.writes.iter().enumerate() {
@@ -424,14 +411,19 @@ impl BankQueues {
                 let hit = open_row == Some(row);
                 if in_set {
                     let pick = Pick::new(0, QueueKind::Write, bank, i, q, hit);
-                    offer(&mut p.drain_write, &mut p.drain_write_hit, pick);
+                    offer(&mut drain_write, pick);
                 } else {
                     let pick = Pick::new(1, QueueKind::Write, bank, i, q, hit);
-                    offer(&mut p.write, &mut p.write_hit, pick);
+                    offer(&mut write, pick);
                 }
             }
         }
-        p
+        let drain_head = earlier(read[0], drain_write[0]);
+        BankPicks {
+            head: [drain_head, earlier(drain_head, write[0])],
+            read_hit: read[1],
+            write_hit: [drain_write[1], earlier(drain_write[1], write[1])],
+        }
     }
 }
 
@@ -462,16 +454,19 @@ enum ListKind {
 /// For each serve-writes state it holds two lists sorted by key: the
 /// bank heads and the group-oldest row hits of every bank, so at most
 /// one entry per bank in a head list and two in a hit list. Only banks
-/// marked stale are re-entered: their old keys are removed by binary
-/// search and their new picks inserted, with fresh (unasked) bounds.
+/// marked stale are re-entered, slot by slot (see [`Self::reenter`]):
+/// a pick that stays keeps its entry, a changed one slides to its new
+/// key, and only a slot that appears or disappears inserts or removes.
 /// A bank is marked when its queues change, its slot's gate moves, or
-/// the controller issues ACT or PRE there (its open row changes).
+/// the controller issues ACT or PRE there (its open row changes, which
+/// also sets [`Self::row_moved`]).
 ///
 /// A bound is an earliest-issue answer for the candidate's next
-/// command. The device's timing registers only rise under commands to
-/// other banks, and a command to the candidate's own bank marks it
-/// stale, so a bound never exceeds the true answer and a candidate
-/// whose bound lies after `now` cannot issue. Until the next command
+/// command. The device's timing registers only rise, so a bound never
+/// exceeds the true answer for the same command, and a candidate whose
+/// bound lies after `now` cannot issue. A re-entered pick for the same
+/// request keeps its bound unless its bank's row moved: only a row move
+/// changes which command a request needs next. Until the next command
 /// ([`Self::epoch`] unchanged) the true answer is `max(now, bound)`.
 #[derive(Debug, Default)]
 struct CandIndex {
@@ -483,6 +478,8 @@ struct CandIndex {
     stale: Vec<u32>,
     /// Per bank: listed in `stale`.
     is_stale: Vec<bool>,
+    /// Per bank: ACT or PRE issued there since its last re-entry.
+    row_moved: Vec<bool>,
     /// Commands the controller has issued.
     epoch: u64,
 }
@@ -496,6 +493,7 @@ impl CandIndex {
             hits: [list(2), list(2)],
             stale: Vec::with_capacity(banks),
             is_stale: vec![false; banks],
+            row_moved: vec![false; banks],
             epoch: 0,
         }
     }
@@ -528,39 +526,84 @@ impl CandIndex {
         }
     }
 
-    /// Takes one bank's `picks` out of the lists (`add` false) or puts
-    /// them in with unasked bounds (`add` true).
+    /// Re-enters stale `bank`, whose listed picks change from `old` to
+    /// `new`, and clears its marks. Returns the entries inserted,
+    /// removed or slid.
     // rop-lint: hot
-    fn enter(&mut self, picks: &BankPicks, add: bool) {
+    fn reenter(&mut self, bank: usize, old: &BankPicks, new: &BankPicks) -> u64 {
+        self.is_stale[bank] = false;
+        let moved = std::mem::take(&mut self.row_moved[bank]);
+        let mut moves = 0;
         for sw in 0..2 {
-            let (head, [read_hit, write_hit]) = picks.listed(sw == 1);
-            enter_one(&mut self.heads[sw], head, add);
-            enter_one(&mut self.hits[sw], read_hit, add);
-            enter_one(&mut self.hits[sw], write_hit, add);
+            moves += reenter_one(&mut self.heads[sw], old.head[sw], new.head[sw], moved);
+            moves += reenter_one(&mut self.hits[sw], old.read_hit, new.read_hit, moved);
+            moves += reenter_one(
+                &mut self.hits[sw],
+                old.write_hit[sw],
+                new.write_hit[sw],
+                moved,
+            );
         }
+        moves
     }
 }
 
-/// Removes `p` from the key-sorted `list` (`add` false), or inserts it
-/// in key order with an unasked bound (`add` true).
+/// Moves one listed slot of a bank from pick `old` to pick `new` in
+/// the key-sorted `list`; `moved`: the bank's row moved since the slot
+/// was entered. A pick for the same request (same key) keeps its entry,
+/// and its bound unless `moved`; a new key slides the entry there, with
+/// an unasked bound. Returns the entries inserted, removed or slid.
 // rop-lint: hot
 #[inline]
-fn enter_one(list: &mut Vec<Cand>, p: Option<Pick>, add: bool) {
-    let Some(pick) = p else { return };
-    match (list.binary_search_by_key(&pick.key, |c| c.pick.key), add) {
-        (Err(i), true) => list.insert(
-            i,
-            Cand {
-                pick,
-                bound: 0,
-                epoch: 0,
-            },
-        ),
-        (Ok(i), false) => {
-            list.remove(i);
+fn reenter_one(list: &mut Vec<Cand>, old: Option<Pick>, new: Option<Pick>, moved: bool) -> u64 {
+    if old == new && !moved {
+        return 0;
+    }
+    let fresh = |pick| Cand {
+        pick,
+        bound: 0,
+        epoch: 0,
+    };
+    let at = |list: &[Cand], key: u64| list.binary_search_by_key(&key, |c| c.pick.key);
+    // Keys are unique, and the list holds every pick the bank listed.
+    let listed = |list: &[Cand], key| at(list, key).expect("candidate index out of step");
+    match (old, new) {
+        (Some(o), Some(n)) if o.key == n.key => {
+            // The hit flag follows the open row.
+            debug_assert!(moved || o.hit == n.hit, "{o:?} -> {n:?} with no row move");
+            let i = listed(list, o.key);
+            list[i] = if moved {
+                fresh(n)
+            } else {
+                Cand { pick: n, ..list[i] }
+            };
+            0
         }
-        // Keys are unique, and a bank takes out exactly what it put in.
-        _ => unreachable!("candidate index out of step with the bank picks"),
+        (Some(o), Some(n)) => {
+            // Shift the entries between the old and the new place by
+            // one, toward the old place.
+            let i = listed(list, o.key);
+            let j = if n.key > o.key {
+                let j = i + at(&list[i + 1..], n.key).unwrap_err();
+                list.copy_within(i + 1..=j, i);
+                j
+            } else {
+                let j = at(&list[..i], n.key).unwrap_err();
+                list.copy_within(j..i, j + 1);
+                j
+            };
+            list[j] = fresh(n);
+            1
+        }
+        (Some(o), None) => {
+            list.remove(listed(list, o.key));
+            1
+        }
+        (None, Some(n)) => {
+            list.insert(at(list, n.key).unwrap_err(), fresh(n));
+            1
+        }
+        (None, None) => 0,
     }
 }
 
@@ -796,11 +839,6 @@ impl MemController {
         }
     }
 
-    /// True when the event trace is being collected.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_enabled()
-    }
-
     /// Drains every layer's buffered trace events into `sink` in the
     /// documented merge order: controller first, then the device, then
     /// the per-rank engines, then the SRAM buffer. Within one tick this
@@ -932,13 +970,6 @@ impl MemController {
     /// ROP engine statistics for `rank`, if ROP is enabled.
     pub fn rop_engine_stats(&self, rank: usize) -> Option<rop_core::EngineStats> {
         self.rop.as_ref().map(|r| r.engines[rank].stats())
-    }
-
-    /// SRAM buffer (writes, reads-served) counts, if ROP is enabled.
-    pub fn rop_buffer_counts(&self) -> Option<(u64, u64)> {
-        self.rop
-            .as_ref()
-            .map(|r| (r.buffer.write_count(), r.buffer.read_count()))
     }
 
     /// (λ, β) of `rank`'s engine, if ROP is enabled and trained.
@@ -1890,10 +1921,9 @@ impl MemController {
             let open = self
                 .device
                 .open_row(bank / geom.banks_per_rank, bank % geom.banks_per_rank);
-            self.index.enter(&bq.picks, false);
-            bq.picks = bq.scan(bank, self.gates[self.slot_map.of_bank(bank)], open, &geom);
-            self.index.enter(&bq.picks, true);
-            self.index.is_stale[bank] = false;
+            let picks = bq.scan(bank, self.gates[self.slot_map.of_bank(bank)], open, &geom);
+            self.stats.index_moves += self.index.reenter(bank, &bq.picks, &picks);
+            bq.picks = picks;
             self.stats.schedule_entries_scanned += bq.len() as u64;
         }
         stale.clear();
@@ -2086,13 +2116,14 @@ impl MemController {
 
     /// Issues `cmd` at `now` (the caller has checked it is legal). Every
     /// command starts a new index epoch; ACT and PRE change their bank's
-    /// open row, so they also mark the bank stale.
+    /// open row, so they also mark the bank stale with its row moved.
     // rop-lint: hot
     fn issue_command(&mut self, cmd: &Command, now: Cycle) -> IssueOutcome {
         self.index.epoch += 1;
         if let Command::Activate { rank, bank, .. } | Command::Precharge { rank, bank } = *cmd {
-            self.index
-                .mark(rank * self.cfg.dram.geometry.banks_per_rank + bank);
+            let key = rank * self.cfg.dram.geometry.banks_per_rank + bank;
+            self.index.mark(key);
+            self.index.row_moved[key] = true;
         }
         self.device.issue(cmd, now)
     }
@@ -2125,10 +2156,10 @@ impl MemController {
         }
         // What a bank lists in list `kind` of serve-writes state `sw`.
         let listed = |bq: &BankQueues, kind: ListKind, sw: usize| {
-            let (head, hits) = bq.picks.listed(sw == 1);
+            let p = &bq.picks;
             match kind {
-                ListKind::Heads => [head, None],
-                ListKind::Hits => hits,
+                ListKind::Heads => [p.head[sw], None],
+                ListKind::Hits => [p.read_hit, p.write_hit[sw]],
             }
         };
         for sw in 0..2 {
@@ -2350,10 +2381,80 @@ mod tests {
                 s.schedule_issued,
                 s.schedule_entries_scanned,
                 s.issue_attempts,
-                s.bound_skips
+                s.bound_skips,
+                s.index_moves
             ),
-            (20, 11, 22, 25, 6)
+            (20, 11, 22, 25, 6, 31)
         );
+    }
+
+    /// A re-entered pick keeps its bound only while its bank's row
+    /// stays put. Bank 0's head X is an over-age read hit whose RD
+    /// waits out the write-to-read turnaround of a write to bank 1, so
+    /// pass 0 leaves a bound on X's head entry. Bank 0 is then
+    /// precharged, as refresh preparation does when a drain deadline
+    /// passes with X still queued: X now needs an ACT that is legal
+    /// before that bound. A read to bank 2 arrives and its ACT issues.
+    /// Had X's head entry kept the old bound, the call would pass X
+    /// over and leave its bound above the device's answer.
+    #[test]
+    fn a_row_move_resets_kept_bounds() {
+        let mut c = baseline_1rank();
+        let lines_per_row = c.cfg.dram.geometry.lines_per_row as u64;
+        let line = |c: &MemController, bank, row: u64| {
+            c.mapping().encode_bank_line(0, bank, row * lines_per_row)
+        };
+        let issue = |c: &mut MemController, cmd: Command, not_before: Cycle| {
+            let at = c.device.earliest_issue(&cmd, not_before).unwrap();
+            c.issue_command(&cmd, at);
+            at
+        };
+        let x = c.enqueue_read(line(&c, 0, 5), 0, 0).unwrap();
+        let x_act = Command::Activate {
+            rank: 0,
+            bank: 0,
+            row: 5,
+        };
+        issue(&mut c, x_act, 1_900);
+        let b1 = Command::Activate {
+            rank: 0,
+            bank: 1,
+            row: 1,
+        };
+        let b1 = issue(&mut c, b1, 1_990);
+        let write = Command::Write {
+            rank: 0,
+            bank: 1,
+            column: 0,
+        };
+        let write = issue(&mut c, write, b1 + 1);
+
+        let t1 = write + 1;
+        assert!(t1 > c.cfg.age_cap, "X must be over age");
+        // The first head: its request id, row-hit flag and bound.
+        let head = |c: &MemController| {
+            let h = c.index.heads[0][0];
+            (c.queued(h.pick).req.id, h.pick.hit, h.bound)
+        };
+        let hint = c.tick(t1);
+        let (id, hit, rd_bound) = head(&c);
+        assert_eq!((id, hit), (x, true));
+        assert_eq!(hint, rd_bound, "X's RD waits for the write turnaround");
+
+        let pre = issue(&mut c, Command::Precharge { rank: 0, bank: 0 }, t1 + 1);
+        let now = pre + 1;
+        let act_at = c.device.earliest_issue(&x_act, now).unwrap();
+        assert!(
+            act_at < rd_bound,
+            "ACT at {act_at} is legal before {rd_bound}"
+        );
+        c.enqueue_read(line(&c, 2, 3), 0, now).unwrap();
+        c.tick(now);
+        assert_eq!(c.device.counts().activates, 3, "bank 2's ACT issued");
+        let (id, hit, bound) = head(&c);
+        assert_eq!((id, hit), (x, false));
+        let act_at = c.device.earliest_issue(&x_act, now).unwrap();
+        assert!(bound <= act_at, "X's bound {bound} > {act_at}");
     }
 
     #[test]

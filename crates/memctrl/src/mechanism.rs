@@ -627,7 +627,6 @@ impl RefreshMechanism for Raidr {
 #[derive(Debug, Clone)]
 pub struct RetentionBins {
     bits_64: Box<[u64; BLOOM_WORDS]>,
-    bits_128: Box<[u64; BLOOM_WORDS]>,
     seed: u64,
     frac_64: f64,
     frac_le_128: f64,
@@ -684,7 +683,6 @@ impl RetentionBins {
         }
         RetentionBins {
             bits_64,
-            bits_128,
             seed,
             frac_64: c_64 as f64 / rows as f64,
             frac_le_128: (c_64 + c_128) as f64 / rows as f64,
@@ -716,12 +714,6 @@ impl RetentionBins {
     /// True when the filters place `row` in the 64 ms bin.
     pub fn in_bin_64(&self, row: usize) -> bool {
         bloom_query(&self.bits_64, self.seed, row)
-    }
-
-    /// True when the filters place `row` in the 128 ms bin (and not in
-    /// the 64 ms bin, which takes precedence).
-    pub fn in_bin_128(&self, row: usize) -> bool {
-        !self.in_bin_64(row) && bloom_query(&self.bits_128, self.seed, row)
     }
 }
 

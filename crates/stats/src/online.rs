@@ -59,11 +59,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum observation; 0 when empty.
     pub fn min(&self) -> f64 {
         if self.n == 0 {

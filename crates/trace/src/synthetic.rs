@@ -101,12 +101,6 @@ impl SyntheticWorkload {
         self.records_emitted
     }
 
-    /// Sets the byte base address (used by the multicore harness to give
-    /// each core a disjoint footprint).
-    pub fn set_base_addr(&mut self, base: u64) {
-        self.params.base_addr = base;
-    }
-
     /// Exponentially distributed gap with the given mean (>= 0),
     /// rounded to nearest by the shared sampler (the old floor
     /// truncation biased every gap ~0.5 below the configured mean).

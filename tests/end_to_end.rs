@@ -252,3 +252,26 @@ fn scheduler_asks_per_call_stay_bounded_on_wl1() {
         s.schedule_calls
     );
 }
+
+/// A host-independent guard on candidate-index upkeep, on the same run
+/// as `scheduler_asks_per_call_stay_bounded_on_wl1`. Re-entering a
+/// changed bank updates its listed entries in place and slides a
+/// changed one, which keeps index moves (entries inserted, removed or
+/// slid) near 2.5 per scheduler call here. Taking every entry of a
+/// re-entered bank out and putting it back makes about 3.4.
+#[test]
+fn index_moves_per_call_stay_bounded_on_wl1() {
+    let wl1 = WORKLOAD_MIXES[0];
+    let cfg = SystemConfig::multi_core(wl1.programs, SystemKind::Rop { buffer: 64 }, 1);
+    let mut sys = System::new(cfg);
+    sys.run_until(100_000, CAP);
+    let s = sys.controller().stats();
+    assert!(s.schedule_calls > 10_000, "{} calls", s.schedule_calls);
+    let per_call = s.index_moves as f64 / s.schedule_calls as f64;
+    assert!(
+        per_call < 3.0,
+        "{per_call:.2} index moves per scheduler call ({} moves, {} calls)",
+        s.index_moves,
+        s.schedule_calls
+    );
+}
