@@ -104,6 +104,11 @@ pub struct MemCtrlStats {
     /// Candidate-index entries inserted, removed or slid to a new key
     /// when the scheduler re-entered a changed bank, summed over calls.
     pub index_moves: u64,
+    /// Refresh slots examined by refresh bookkeeping, summed over
+    /// ticks: every slot a per-slot loop of the controller, the
+    /// refresh manager or the mechanism looked at (completion and due
+    /// polls, refresh preparation, slot gates, hints).
+    pub refresh_slot_visits: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -666,7 +671,12 @@ pub struct MemController {
     reads_queued: usize,
     writes_queued: usize,
     /// Per-slot admission state the bank picks were computed under.
+    /// An Idle slot's gate is always `SlotGate::default()`.
     gates: Vec<SlotGate>,
+    /// The non-Idle refresh slots in slot order: each slot the due poll
+    /// reports joins, each slot the completion poll reports leaves. The
+    /// per-tick slot loops walk this instead of every slot.
+    active: Vec<usize>,
     /// (buffer key, fill-ready cycle) for prefetch data in flight.
     pending_fills: Vec<(u64, Cycle)>,
     completions: Vec<Completion>,
@@ -796,6 +806,7 @@ impl MemController {
             reads_queued: 0,
             writes_queued: 0,
             gates: vec![SlotGate::default(); slots],
+            active: Vec::with_capacity(slots),
             device,
             mapping,
             refresh,
@@ -1193,6 +1204,15 @@ impl MemController {
     /// another call can possibly make progress.
     // rop-lint: hot
     pub fn tick(&mut self, now: Cycle) -> Cycle {
+        let hint = self.tick_inner(now);
+        self.stats.refresh_slot_visits += self.refresh.take_visits();
+        #[cfg(debug_assertions)]
+        self.check_active(now);
+        hint
+    }
+
+    // rop-lint: hot
+    fn tick_inner(&mut self, now: Cycle) -> Cycle {
         if let Some(rop) = &mut self.rop {
             rop.buffer.set_trace_cycle(now);
         }
@@ -1225,6 +1245,7 @@ impl MemController {
         }
 
         // Nothing issued: compute the fast-forward hint.
+        self.refresh.settle_floor();
         if let Some(e) = self.mech.next_event(&self.refresh, now) {
             earliest_hint = earliest_hint.min(e);
         }
@@ -1244,8 +1265,10 @@ impl MemController {
     // rop-lint: hot
     fn grace_expiry(&self, now: Cycle) -> Option<Cycle> {
         self.rop.as_ref()?;
-        (0..self.refresh_slots())
-            .filter_map(|slot| match self.refresh.state(slot) {
+        self.refresh.note_visits(self.active.len());
+        self.active
+            .iter()
+            .filter_map(|&slot| match self.refresh.state(slot) {
                 RefreshState::Draining { due } => Some(due.saturating_add(self.cfg.prefetch_grace)),
                 _ => None,
             })
@@ -1322,6 +1345,18 @@ impl MemController {
         slots.clear();
         self.refresh.poll_complete_into(now, &mut slots);
         for &slot in &slots {
+            // Thawed: off the active list, and back to the Idle gate.
+            let at = self
+                .active
+                .binary_search(&slot)
+                .expect("a thawed slot was active");
+            self.active.remove(at);
+            if self.gates[slot] != SlotGate::default() {
+                self.gates[slot] = SlotGate::default();
+                for bank in self.slot_map.banks_of(slot) {
+                    self.index.mark(bank);
+                }
+            }
             let rank = self.slot_map.rank(slot);
             let scope_bank = self.slot_map.bank(slot);
             // A skipped RAIDR round never started (sentinel stays at
@@ -1413,6 +1448,11 @@ impl MemController {
         self.mech
             .poll_due(&mut self.refresh, now, &busy, self.write_drain, &mut due);
         for &slot in &due {
+            let at = self
+                .active
+                .binary_search(&slot)
+                .expect_err("a due slot was Idle");
+            self.active.insert(at, slot);
             let rank = self.slot_map.rank(slot);
             let shape = self.mech.round_shape(&self.refresh, slot);
             // RAIDR rounds with no retention bin due never touch the
@@ -1581,7 +1621,11 @@ impl MemController {
     fn try_refresh_prep(&mut self, now: Cycle) -> Option<Result<(), Cycle>> {
         let mut earliest = Cycle::MAX;
         let mut any = false;
-        for slot in 0..self.refresh_slots() {
+        self.refresh.note_visits(self.active.len());
+        // By index: a slot stays on the list through this loop (only a
+        // completion poll takes one off), and an issue returns at once.
+        for i in 0..self.active.len() {
+            let slot = self.active[i];
             if !matches!(self.refresh.state(slot), RefreshState::Draining { .. }) {
                 continue;
             }
@@ -1899,12 +1943,15 @@ impl MemController {
         result
     }
 
-    /// Brings the candidate index up to date: recomputes each slot's
-    /// gate, marking the slot's banks when it moved, then re-enters
-    /// every marked bank.
+    /// Brings the candidate index up to date: recomputes each active
+    /// slot's gate, marking the slot's banks when it moved, then
+    /// re-enters every marked bank. An Idle slot's gate is the default,
+    /// set once when it thaws.
     // rop-lint: hot
     fn refresh_index(&mut self, now: Cycle) {
-        for slot in 0..self.refresh_slots() {
+        self.refresh.note_visits(self.active.len());
+        for i in 0..self.active.len() {
+            let slot = self.active[i];
             let gate = self.slot_gate(slot, now);
             if gate != self.gates[slot] {
                 self.gates[slot] = gate;
@@ -2195,6 +2242,33 @@ impl MemController {
                     }
                 }
             }
+        }
+    }
+
+    /// The active list holds exactly the non-Idle slots, in slot order,
+    /// and every Idle slot's gate, stored and recomputed, is the default.
+    #[cfg(debug_assertions)]
+    fn check_active(&self, now: Cycle) {
+        // Compared without collecting: the allocation audit runs this
+        // check too.
+        let busy = (0..self.refresh_slots())
+            .filter(|&slot| self.refresh.state(slot) != RefreshState::Idle);
+        assert!(
+            self.active.iter().copied().eq(busy),
+            "active refresh slots {:?} at cycle {now}",
+            self.active
+        );
+        for slot in (0..self.refresh_slots()).filter(|s| self.active.binary_search(s).is_err()) {
+            assert_eq!(
+                self.gates[slot],
+                SlotGate::default(),
+                "slot {slot} at {now}"
+            );
+            assert_eq!(
+                self.slot_gate(slot, now),
+                SlotGate::default(),
+                "Idle slot {slot} gated at cycle {now}"
+            );
         }
     }
 

@@ -250,6 +250,7 @@ impl RefreshMechanism for Elastic {
     ) {
         self.postponed.clear();
         let t_refi = base.t_refi();
+        base.note_visits(base.ranks());
         for slot in 0..base.ranks() {
             // Accrue debt as due times pass (possibly several after a
             // long fast-forward), whatever state the slot is in.
@@ -293,6 +294,7 @@ impl RefreshMechanism for Elastic {
     }
 
     fn next_event(&self, base: &RefreshManager, now: Cycle) -> Option<Cycle> {
+        base.note_visits(base.ranks());
         let owed_idle =
             (0..base.ranks()).any(|s| self.debt[s] > 0 && base.state(s) == RefreshState::Idle);
         // Owed refreshes fire at the next idle poll. The manager's own
@@ -335,6 +337,13 @@ pub struct Darp {
     /// Last demand arrival per slot.
     last_activity: Vec<Cycle>,
     pulled_in: u64,
+    /// Every slot in (next due, slot) order. Only an issued refresh
+    /// moves a due time, and it passes through
+    /// [`RefreshMechanism::on_refresh_issued`], which re-files the slot;
+    /// the manager's initial stagger is already in slot order.
+    by_due: Vec<usize>,
+    /// Pull-in candidates of one poll, put back in slot order.
+    cands: Vec<usize>,
 }
 
 impl Darp {
@@ -349,6 +358,8 @@ impl Darp {
             idle_window: 64,
             last_activity: vec![0; slots],
             pulled_in: 0,
+            by_due: (0..slots).collect(),
+            cands: Vec::with_capacity(slots),
         }
     }
 }
@@ -368,27 +379,41 @@ impl RefreshMechanism for Darp {
         } else {
             self.lookahead
         };
-        for slot in 0..base.ranks() {
-            if base.state(slot) != RefreshState::Idle {
-                continue;
-            }
+        // Only slots due within the lookahead can pull in: walk the due
+        // order up to the first one past it.
+        let mut cands = std::mem::take(&mut self.cands);
+        cands.clear();
+        let mut seen = 0;
+        for &slot in &self.by_due {
+            seen += 1;
             let due = base.next_due(slot);
-            if due == Cycle::MAX || due <= now || due - now > look {
+            if due == Cycle::MAX || due.saturating_sub(now) > look {
+                break;
+            }
+            if base.state(slot) != RefreshState::Idle || due <= now {
                 continue;
             }
             if busy(slot) || now < self.last_activity[slot] + self.idle_window {
                 continue;
             }
+            cands.push(slot);
+        }
+        base.note_visits(seen);
+        // A pull-in blocks its later siblings, so the candidates start
+        // draining in slot order, as a walk over every slot would.
+        cands.sort_unstable();
+        for &slot in &cands {
             // One refresh in flight per rank: out-of-order, not en masse.
             let first = (slot / self.banks_per_rank) * self.banks_per_rank;
             if (first..first + self.banks_per_rank).any(|s| base.state(s) != RefreshState::Idle) {
                 continue;
             }
-            if base.start_drain(slot, due) {
+            if base.start_drain(slot, base.next_due(slot)) {
                 self.pulled_in += 1;
                 out.push(slot);
             }
         }
+        self.cands = cands;
         base.poll_due_into(now, out);
     }
 
@@ -403,7 +428,16 @@ impl RefreshMechanism for Darp {
         _now: Cycle,
         until: Cycle,
     ) {
+        let key = |s: usize| (base.next_due(s), s);
+        let from = self
+            .by_due
+            .binary_search_by_key(&key(slot), |&s| key(s))
+            .expect("every slot is filed by its due time");
         base.refresh_issued(slot, until);
+        // The due moved one tREFI later: slide the slot to its new place.
+        let key = |s: usize| (base.next_due(s), s);
+        let to = from + self.by_due[from + 1..].partition_point(|&s| key(s) < key(slot));
+        self.by_due[from..=to].rotate_left(1);
     }
 
     // rop-lint: hot
@@ -413,32 +447,35 @@ impl RefreshMechanism for Darp {
 
     fn next_event(&self, base: &RefreshManager, now: Cycle) -> Option<Cycle> {
         let mut next = base.next_event(now);
-        let mut consider = |c: Cycle| {
-            if c > now {
-                next = Some(next.map_or(c, |n| n.min(c)));
+        // Each wake below is at least `due - widest`, so once that
+        // reaches the best hint so far, no later slot in due order can
+        // lower it.
+        let widest = self.lookahead.max(self.drain_lookahead);
+        let mut seen = 0;
+        for &slot in &self.by_due {
+            let due = base.next_due(slot);
+            if due == Cycle::MAX || next.is_some_and(|n| due.saturating_sub(widest) >= n) {
+                break;
             }
-        };
-        for slot in 0..base.ranks() {
-            if base.state(slot) == RefreshState::Idle {
-                let due = base.next_due(slot);
-                if due == Cycle::MAX {
-                    continue;
-                }
-                // A pull-in becomes possible once the due enters the
-                // lookahead window *and* the bank has sat idle long
-                // enough. Hints must never be late (the event engine
-                // would fast-forward past a cycle where the reference
-                // loop acts), so consider both lookaheads — waking at
-                // the wider write-drain one is at worst a no-op tick.
-                let idle_ok = self.last_activity[slot] + self.idle_window;
-                for look in [self.lookahead, self.drain_lookahead] {
-                    let t = due.saturating_sub(look).max(idle_ok);
-                    if t < due {
-                        consider(t);
-                    }
+            seen += 1;
+            if base.state(slot) != RefreshState::Idle {
+                continue;
+            }
+            // A pull-in becomes possible once the due enters the
+            // lookahead window *and* the bank has sat idle long enough.
+            // Hints must never be late (the event engine would
+            // fast-forward past a cycle where the reference loop acts),
+            // so consider both lookaheads — waking at the wider
+            // write-drain one is at worst a no-op tick.
+            let idle_ok = self.last_activity[slot] + self.idle_window;
+            for look in [self.lookahead, self.drain_lookahead] {
+                let t = due.saturating_sub(look).max(idle_ok);
+                if t < due && t > now {
+                    next = Some(next.map_or(t, |n| n.min(t)));
                 }
             }
         }
+        base.note_visits(seen);
         next
     }
 

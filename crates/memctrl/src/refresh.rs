@@ -15,6 +15,17 @@
 //! The manager has no policy of its own: *when* a slot starts draining
 //! beyond the plain due-time rule (DARP's pull-ins, Elastic's debt) is
 //! the refresh mechanism's call (see [`crate::mechanism`]).
+//!
+//! Each slot has one *event* cycle: its due time while Idle, its drain
+//! deadline while Draining, its completion while Refreshing. The manager
+//! keeps a lower bound on all of them (the *floor*) and a flag saying
+//! whether the floor is the minimum itself, both kept in O(1) per
+//! mutation. Below the floor no poll can move a slot, so the polls
+//! return at once, and while the floor is exact and in the future it is
+//! the hint. Only a walk over the slots (a poll at or past the floor, or
+//! [`RefreshManager::settle_floor`]) makes an inexact floor exact again.
+
+use std::cell::Cell;
 
 use crate::Cycle;
 
@@ -49,6 +60,16 @@ pub struct RefreshManager {
     issued: Vec<u64>,
     /// True when refresh is disabled (ideal no-refresh memory).
     enabled: bool,
+    /// A lower bound on every slot's event cycle (`Cycle::MAX` when
+    /// refresh is disabled).
+    floor: Cycle,
+    /// `floor` is the minimum event cycle itself.
+    floor_exact: bool,
+    /// Slots examined by per-slot loops (the manager's and, through
+    /// [`Self::note_visits`], the mechanism's) since the last
+    /// [`Self::take_visits`]. A `Cell` so the `&self` hint paths count
+    /// too.
+    visits: Cell<u64>,
 }
 
 impl RefreshManager {
@@ -65,6 +86,66 @@ impl RefreshManager {
             state: vec![RefreshState::Idle; slots],
             issued: vec![0; slots],
             enabled,
+            // Slot 0 falls due first.
+            floor: if enabled { t_refi } else { Cycle::MAX },
+            floor_exact: true,
+            visits: Cell::new(0),
+        }
+    }
+
+    /// `slot`'s event cycle: due time, drain deadline or completion.
+    #[inline]
+    fn event_of(&self, slot: usize) -> Cycle {
+        match self.state[slot] {
+            RefreshState::Idle => self.next_due[slot],
+            RefreshState::Draining { due } => due + self.max_postpone,
+            RefreshState::Refreshing { until } => until,
+        }
+    }
+
+    /// Keeps the floor after one slot's event moved from `old` to `new`.
+    #[inline]
+    fn moved(&mut self, old: Cycle, new: Cycle) {
+        if new < self.floor {
+            // Every other slot sits at or above the old floor.
+            self.floor = new;
+            self.floor_exact = true;
+        } else if old == self.floor && new != old {
+            // The minimum may have risen with it.
+            self.floor_exact = false;
+        }
+    }
+
+    /// The minimum event cycle over all slots.
+    fn min_event(&self) -> Cycle {
+        self.note_visits(self.state.len());
+        (0..self.state.len())
+            .map(|slot| self.event_of(slot))
+            .min()
+            .unwrap_or(Cycle::MAX)
+    }
+
+    /// A lower bound on every slot's event cycle: its due time while
+    /// Idle, its drain deadline while Draining, its completion while
+    /// Refreshing (`Cycle::MAX` when refresh is disabled). No poll
+    /// before this cycle moves a slot.
+    pub fn floor(&self) -> Cycle {
+        self.floor
+    }
+
+    /// True when [`Self::floor`] is the minimum event cycle itself, not
+    /// only a bound below it.
+    pub fn floor_exact(&self) -> bool {
+        self.floor_exact
+    }
+
+    /// Makes the floor exact, walking the slots only when it is not.
+    /// The hint path calls this so [`Self::next_event`] can answer from
+    /// the floor after a mutation raised the slot that held it.
+    pub fn settle_floor(&mut self) {
+        if self.enabled && !self.floor_exact {
+            self.floor = self.min_event();
+            self.floor_exact = true;
         }
     }
 
@@ -93,6 +174,19 @@ impl RefreshManager {
         }
     }
 
+    /// Counts `n` slots examined by a per-slot loop over this manager's
+    /// slots (the work counter behind
+    /// [`crate::MemCtrlStats::refresh_slot_visits`]).
+    #[inline]
+    pub(crate) fn note_visits(&self, n: usize) {
+        self.visits.set(self.visits.get() + n as u64);
+    }
+
+    /// Slots examined since the last call, resetting the count.
+    pub(crate) fn take_visits(&mut self) -> u64 {
+        self.visits.take()
+    }
+
     /// Total refreshes issued on `slot`.
     pub fn issued(&self, slot: usize) -> u64 {
         self.issued[slot]
@@ -104,9 +198,11 @@ impl RefreshManager {
     /// ROP for a decision.
     // rop-lint: hot
     pub fn poll_due_into(&mut self, now: Cycle, out: &mut Vec<usize>) {
-        if !self.enabled {
+        if now < self.floor {
             return;
         }
+        self.note_visits(self.state.len());
+        let mut floor = Cycle::MAX;
         for slot in 0..self.state.len() {
             if self.state[slot] == RefreshState::Idle && now >= self.next_due[slot] {
                 self.state[slot] = RefreshState::Draining {
@@ -114,7 +210,10 @@ impl RefreshManager {
                 };
                 out.push(slot);
             }
+            floor = floor.min(self.event_of(slot));
         }
+        self.floor = floor;
+        self.floor_exact = true;
     }
 
     /// Starts `slot`'s drain with its deadline counting from `due`:
@@ -128,7 +227,9 @@ impl RefreshManager {
         if !self.enabled || self.state[slot] != RefreshState::Idle {
             return false;
         }
+        let old = self.event_of(slot);
         self.state[slot] = RefreshState::Draining { due };
+        self.moved(old, due + self.max_postpone);
         true
     }
 
@@ -158,15 +259,22 @@ impl RefreshManager {
             // issues REF from Draining.
             other => panic!("refresh issued on slot {slot} in state {other:?}"), // rop-lint: allow(no-panic)
         }
+        let old = self.event_of(slot);
         self.state[slot] = RefreshState::Refreshing { until };
         self.next_due[slot] += self.t_refi;
         self.issued[slot] += 1;
+        self.moved(old, until);
     }
 
     /// Transitions Refreshing → Idle for every slot whose refresh has
     /// completed at `now`, appending the thawed slots to `out`.
     // rop-lint: hot
     pub fn poll_complete_into(&mut self, now: Cycle, out: &mut Vec<usize>) {
+        if now < self.floor {
+            return;
+        }
+        self.note_visits(self.state.len());
+        let mut floor = Cycle::MAX;
         for slot in 0..self.state.len() {
             if let RefreshState::Refreshing { until } = self.state[slot] {
                 if now >= until {
@@ -174,15 +282,23 @@ impl RefreshManager {
                     out.push(slot);
                 }
             }
+            floor = floor.min(self.event_of(slot));
         }
+        self.floor = floor;
+        self.floor_exact = true;
     }
 
     /// The earliest future cycle at which this manager needs attention
     /// (a due time, a drain deadline or a completion), for
-    /// fast-forwarding.
+    /// fast-forwarding. An exact floor in the future is the answer;
+    /// otherwise every slot is walked.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         if !self.enabled {
             return None;
+        }
+        if self.floor_exact && self.floor > now {
+            // Every event lies after `now`, so each counts as it is.
+            return Some(self.floor);
         }
         let mut next: Option<Cycle> = None;
         let mut consider = |c: Cycle| {
@@ -190,6 +306,7 @@ impl RefreshManager {
                 next = Some(next.map_or(c, |n| n.min(c)));
             }
         };
+        self.note_visits(self.state.len());
         for slot in 0..self.state.len() {
             match self.state[slot] {
                 RefreshState::Idle => consider(self.next_due[slot]),

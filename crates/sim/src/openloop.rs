@@ -38,7 +38,6 @@
 //! the differential tests compare [`OpenLoopSystem::run`] against.
 
 use std::collections::VecDeque;
-use std::collections::{BTreeMap, BTreeSet};
 
 use rop_memctrl::{Completion, MemController};
 use rop_trace::{Arrival, ArrivalGen};
@@ -60,6 +59,68 @@ struct PendingReq {
     is_write: bool,
 }
 
+/// The reads a front-end has injected and not yet scored, indexed by
+/// request id: each one's scheduled arrival and whether a refresh
+/// freeze blocked it. Controller ids rise with every request (writes
+/// take ids too), so the live reads sit in a window from the oldest
+/// unscored one to the newest id, which the queue depth bounds.
+#[derive(Debug)]
+struct ReadSlab {
+    /// The id of `entries[0]`.
+    first: u64,
+    /// Per id from `first` on: `(arrival, blocked)` for a live read,
+    /// `None` for a write's id or a scored read.
+    entries: VecDeque<Option<(Cycle, bool)>>,
+}
+
+impl ReadSlab {
+    fn with_capacity(ids: usize) -> Self {
+        ReadSlab {
+            first: 0,
+            entries: VecDeque::with_capacity(ids),
+        }
+    }
+
+    /// Files read `id`, newer than every id filed before.
+    fn insert(&mut self, id: u64, at: Cycle) {
+        if self.entries.is_empty() {
+            self.first = id;
+        }
+        let end = self.first + self.entries.len() as u64;
+        debug_assert!(id >= end, "read ids must rise");
+        for _ in end..id {
+            self.entries.push_back(None);
+        }
+        self.entries.push_back(Some((at, false)));
+    }
+
+    fn entry(&mut self, id: u64) -> Option<&mut (Cycle, bool)> {
+        let i = usize::try_from(id.checked_sub(self.first)?).ok()?;
+        self.entries.get_mut(i)?.as_mut()
+    }
+
+    /// Marks live read `id` as blocked by a refresh freeze.
+    fn mark_blocked(&mut self, id: u64) {
+        if let Some(e) = self.entry(id) {
+            e.1 = true;
+        }
+    }
+
+    /// Takes live read `id` out: its arrival and blocked flag.
+    fn remove(&mut self, id: u64) -> Option<(Cycle, bool)> {
+        let taken = self.entry(id).copied();
+        if taken.is_some() {
+            let i = (id - self.first) as usize;
+            self.entries[i] = None;
+            while let Some(None) = self.entries.front() {
+                self.entries.pop_front();
+                self.first += 1;
+            }
+        }
+        taken
+    }
+}
+
 /// A complete open-loop machine: arrival generators → frontend backlog
 /// → controller → DRAM.
 pub type OpenLoopSystem = Engine<ArrivalFrontend>;
@@ -75,10 +136,9 @@ pub struct ArrivalFrontend {
     tenant_base: Vec<u64>,
     /// FIFO of requests that have arrived but not yet been accepted.
     backlog: VecDeque<PendingReq>,
-    /// Read id → scheduled arrival cycle, for latency on completion.
-    arrival_of: BTreeMap<u64, Cycle>,
-    /// Read ids observed blocked by a refresh freeze (dedup set).
-    blocked: BTreeSet<u64>,
+    /// Live reads by id: scheduled arrival (latency is scored from it
+    /// on completion) and whether a refresh freeze blocked them.
+    reads: ReadSlab,
     blocked_scratch: Vec<u64>,
     read_hist: LatencyHistogram,
     refresh_hist: LatencyHistogram,
@@ -131,7 +191,7 @@ impl ArrivalFrontend {
                 let Some(id) = ctrl.enqueue_read(head.line_addr, head.tenant, now) else {
                     break;
                 };
-                self.arrival_of.insert(id, head.at);
+                self.reads.insert(id, head.at);
                 self.reads_injected += 1;
             }
             self.backlog.pop_front();
@@ -142,10 +202,10 @@ impl ArrivalFrontend {
 impl Frontend for ArrivalFrontend {
     /// Scores a delivered read against its SLO clock.
     fn deliver(&mut self, c: Completion) {
-        if let Some(at) = self.arrival_of.remove(&c.id) {
+        if let Some((at, blocked)) = self.reads.remove(c.id) {
             let latency = c.done_at.saturating_sub(at);
             self.read_hist.record(latency);
-            if self.blocked.remove(&c.id) {
+            if blocked {
                 self.refresh_hist.record(latency);
             }
         }
@@ -161,7 +221,7 @@ impl Frontend for ArrivalFrontend {
     fn after_tick(&mut self, ctrl: &mut MemController, _now: Cycle) {
         ctrl.drain_refresh_blocked_into(&mut self.blocked_scratch);
         for &id in &self.blocked_scratch {
-            self.blocked.insert(id);
+            self.reads.mark_blocked(id);
         }
         self.blocked_scratch.clear();
     }
@@ -237,8 +297,11 @@ impl OpenLoopSystem {
             heads,
             tenant_base,
             backlog: VecDeque::new(),
-            arrival_of: BTreeMap::new(),
-            blocked: BTreeSet::new(),
+            // Live ids span about one pass through the controller's
+            // queues; more grows once.
+            reads: ReadSlab::with_capacity(
+                4 * (ctrl.config().read_queue_capacity + ctrl.config().write_queue_capacity),
+            ),
             blocked_scratch: Vec::new(),
             read_hist: LatencyHistogram::new(),
             refresh_hist: LatencyHistogram::new(),
@@ -252,8 +315,15 @@ impl OpenLoopSystem {
     /// Runs the injector for the configured duration and returns the
     /// metrics (with `open_loop` populated).
     pub fn run(&mut self) -> RunMetrics {
-        self.drive(self.fe.spec.duration, true);
+        self.advance_to(self.fe.spec.duration);
         self.collect()
+    }
+
+    /// Runs the injector event-driven up to cycle `until`, capped at the
+    /// configured window's end, without collecting metrics; a later
+    /// call or [`OpenLoopSystem::run`] carries on from there.
+    pub fn advance_to(&mut self, until: Cycle) {
+        self.drive(until.min(self.fe.spec.duration), true);
     }
 
     /// [`OpenLoopSystem::run`] stepping every single cycle: the

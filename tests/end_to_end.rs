@@ -275,3 +275,34 @@ fn index_moves_per_call_stay_bounded_on_wl1() {
         s.schedule_calls
     );
 }
+
+/// A host-independent guard on refresh bookkeeping: refresh-slot visits
+/// (slots examined by the per-slot loops of the controller, the refresh
+/// manager and the mechanism) per controller tick, on DARP and SARP
+/// 4-tenant open-loop windows, where per-bank refresh runs 32 slots.
+/// Walking only the slots whose state can change keeps this near 10
+/// (DARP) and 1.6 (SARP); walking every slot in every loop makes 186
+/// and 141. Each bound sits well below the full walk and under twice the
+/// measured rate, so a regression of either mechanism's fast path fails
+/// here: DARP's hint walking every slot again adds about 16 per tick.
+#[test]
+fn refresh_slot_visits_per_tick_stay_bounded_on_per_bank_mechanisms() {
+    use rop_sim::sim::experiments::tail_latency::{arrival_processes, tail_config};
+    use rop_sim::sim::OpenLoopSystem;
+    let duration = 20_000;
+    let [_, mmpp, _] = arrival_processes(duration);
+    for (kind, bound) in [(SystemKind::Darp, 16.0), (SystemKind::Sarp, 3.0)] {
+        let mut sys = OpenLoopSystem::new(tail_config(kind, mmpp.clone(), 180.0, duration, 1));
+        let m = sys.run();
+        let slots = sys.controller().refresh_slots();
+        assert_eq!(slots, 32);
+        let visits = sys.controller().stats().refresh_slot_visits;
+        let per_tick = visits as f64 / m.events as f64;
+        assert!(
+            per_tick < bound,
+            "{}: {per_tick:.2} refresh-slot visits per tick ({visits} visits, {} ticks), bound {bound}",
+            kind.label(),
+            m.events
+        );
+    }
+}

@@ -31,8 +31,10 @@ fn refresh_heavy(mut cfg: SystemConfig) -> SystemConfig {
 }
 
 /// The pinned runs: ROP-64 single-core and on WL1, every refresh
-/// mechanism of the zoo on lbm, and one open-loop MMPP window on the
-/// stock timing.
+/// mechanism of the zoo on lbm, one open-loop MMPP window on the stock
+/// timing, and DARP and SARP 4-tenant open-loop windows: the per-bank
+/// mechanisms run 32 refresh slots there, which is where the refresh
+/// bookkeeping's slot-skipping paths do their work.
 fn jobs() -> Vec<SweepJob> {
     let spec = |instructions| RunSpec {
         instructions,
@@ -79,12 +81,21 @@ fn jobs() -> Vec<SweepJob> {
         tail_config(SystemKind::Rop { buffer: 64 }, mmpp, 200.0, duration, 1),
         spec(duration),
     ));
+    let duration = 20_000;
+    let [_, mmpp, _] = arrival_processes(duration);
+    for kind in [SystemKind::Darp, SystemKind::Sarp] {
+        jobs.push(SweepJob::custom(
+            format!("open-loop/MMPP/{}", kind.label()),
+            tail_config(kind, mmpp.clone(), 180.0, duration, 1),
+            spec(duration),
+        ));
+    }
     jobs
 }
 
 #[test]
 fn simulated_output_is_pinned() {
-    const WANT: [(&str, u64); 10] = [
+    const WANT: [(&str, u64); 12] = [
         ("libquantum/ROP-64", 0xf9f975114d87e6f7),
         ("WL1/ROP-64", 0x6d96d6b1cd456b9a),
         ("lbm/Baseline", 0x6e531ef55d55f214),
@@ -95,6 +106,8 @@ fn simulated_output_is_pinned() {
         ("lbm/SARP", 0x1c0ec1caf7e4b315),
         ("lbm/RAIDR", 0xb70c74af24b1fd66),
         ("open-loop/MMPP/ROP-64", 0xefce4ea438a3563e),
+        ("open-loop/MMPP/DARP", 0xd33b03d26f9be351),
+        ("open-loop/MMPP/SARP", 0xa85d1f233c7389f1),
     ];
     let got = parallel_map(jobs(), |job| {
         let mut m = job.run();
