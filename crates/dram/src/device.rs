@@ -295,6 +295,22 @@ impl DramDevice {
         }
     }
 
+    /// A channel-wide lower bound on [`Self::earliest_issue`] for every
+    /// WRITE (`write`) or READ, whatever its rank and bank: the channel's
+    /// CAS-to-CAS gate and the data bus without the rank-switch penalty.
+    // rop-lint: hot
+    #[inline]
+    pub fn column_floor(&self, write: bool) -> Cycle {
+        let t = &self.config.timing;
+        if write {
+            self.next_write_ok
+                .max(self.data_bus_free.saturating_sub(t.cwl))
+        } else {
+            self.next_read_ok
+                .max(self.data_bus_free.saturating_sub(t.cl))
+        }
+    }
+
     /// Earliest cycle the data bus permits a column command whose data
     /// phase starts `cas` cycles after issue, from `rank`.
     // rop-lint: hot

@@ -118,6 +118,37 @@ proptest! {
         }
     }
 
+    /// The column floor is a channel-wide lower bound: after any command
+    /// sequence, no READ or WRITE to any open bank of either rank can
+    /// issue before the floor of its kind.
+    #[test]
+    fn column_floor_bounds_every_column_command(
+        ops in proptest::collection::vec(op_strategy(), 1..200),
+    ) {
+        let mut dev = DramDevice::new(DramConfig::baseline(2));
+        let mut now = 0u64;
+        for op in ops {
+            if let Op::Wait { cycles } = op {
+                now += cycles as u64;
+                continue;
+            }
+            let cmd = to_command(op).expect("non-wait op");
+            if let Ok(at) = dev.earliest_issue(&cmd, now) {
+                dev.issue(&cmd, at);
+                now = at;
+            }
+            for (rank, bank) in (0..2).flat_map(|r| (0..8).map(move |b| (r, b))) {
+                let read = Command::Read { rank, bank, column: 0 };
+                let write = Command::Write { rank, bank, column: 0 };
+                for (cmd, floor) in [(read, dev.column_floor(false)), (write, dev.column_floor(true))] {
+                    if let Ok(at) = dev.earliest_issue(&cmd, now) {
+                        prop_assert!(floor <= at, "floor {floor} above {at} for {cmd:?} at {now}");
+                    }
+                }
+            }
+        }
+    }
+
     /// A rank under refresh accepts no ACT before the refresh completes,
     /// and the lock lasts exactly tRFC.
     #[test]

@@ -109,6 +109,9 @@ pub struct MemCtrlStats {
     /// refresh manager or the mechanism looked at (completion and due
     /// polls, refresh preparation, slot gates, hints).
     pub refresh_slot_visits: u64,
+    /// Full controller ticks run. [`MemController::tick`] skips the
+    /// work of a tick that provably cannot act and does not count it.
+    pub ticks: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -612,6 +615,36 @@ fn reenter_one(list: &mut Vec<Cand>, old: Option<Pick>, new: Option<Pick>, moved
     }
 }
 
+/// The running minima of one scheduler call's passes.
+struct PassMin {
+    now: Cycle,
+    /// [`CandIndex::epoch`] during the passes.
+    epoch: u64,
+    /// The minimum over the answers the call got and the bounds of the
+    /// current epoch it passed over.
+    earliest: Cycle,
+    /// The minimum over the older bounds it passed over: only floors.
+    stale: Cycle,
+}
+
+impl PassMin {
+    /// Whether a pass skips `c`, whose bound lies after `now`; its bound
+    /// then enters the minimum of its kind.
+    // rop-lint: hot
+    #[inline(always)]
+    fn passed_over(&mut self, c: &Cand) -> bool {
+        if c.bound <= self.now {
+            return false;
+        }
+        if c.epoch == self.epoch {
+            self.earliest = self.earliest.min(c.bound);
+        } else {
+            self.stale = self.stale.min(c.bound);
+        }
+        true
+    }
+}
+
 /// Reusable per-tick scratch buffers. Taking these out of the
 /// controller, filling them and putting them back keeps the
 /// steady-state hot path allocation-free (capacities are retained
@@ -704,6 +737,11 @@ pub struct MemController {
     /// Arrival cycle of the newest request id (ids must follow arrival
     /// order; see [`alloc_id`]).
     last_arrival: Cycle,
+    /// The hint the last full tick returned.
+    hint: Cycle,
+    /// An enqueue reached the controller's state since the last full
+    /// tick.
+    touched: bool,
 }
 
 /// Allocates the next request id for a request arriving at `now`. Ids
@@ -825,6 +863,8 @@ impl MemController {
             track_blocked: false,
             blocked_ids: Vec::new(),
             last_arrival: 0,
+            hint: 0,
+            touched: false,
             stats: MemCtrlStats::default(),
             trace: TraceBuffer::new(),
             scratch: TickScratch::with_bounds(
@@ -1041,6 +1081,12 @@ impl MemController {
     /// Panics if `now` is earlier than a previously enqueued request's
     /// cycle: request ids must follow arrival order.
     pub fn enqueue_read(&mut self, line_addr: u64, core: usize, now: Cycle) -> Option<u64> {
+        let sram = self.rop.as_ref().is_some_and(|r| r.buffer.is_powered());
+        if !sram && self.reads_queued >= self.cfg.read_queue_capacity {
+            self.stats.read_queue_full += 1;
+            return None;
+        }
+        self.touched = true;
         let addr = self.mapping.decode(line_addr);
         let slot = self.slot_map.of(&addr);
         let refreshing = self.request_frozen(slot, &addr, now);
@@ -1127,6 +1173,7 @@ impl MemController {
             self.stats.write_queue_full += 1;
             return false;
         }
+        self.touched = true;
         let addr = self.mapping.decode(line_addr);
         let id = self.alloc_id(now);
         self.note_arrival(addr.rank, addr.bank, addr, false, now);
@@ -1202,9 +1249,29 @@ impl MemController {
 
     /// Advances the controller at `now`. Returns the next cycle at which
     /// another call can possibly make progress.
+    ///
+    /// A tick before the last full tick's hint, with no enqueue since
+    /// that tick, cannot act: it returns that hint without doing the
+    /// work (DESIGN.md §8). [`Self::tick_reference`] always does it.
     // rop-lint: hot
     pub fn tick(&mut self, now: Cycle) -> Cycle {
+        if !self.touched && now < self.hint {
+            #[cfg(debug_assertions)]
+            self.check_idle(now);
+            return self.hint;
+        }
+        self.tick_reference(now)
+    }
+
+    /// [`Self::tick`] without the idle shortcut: every call runs the
+    /// full tick. The per-cycle reference loops call this, so their
+    /// oracle does not rest on the shortcut.
+    // rop-lint: hot
+    pub fn tick_reference(&mut self, now: Cycle) -> Cycle {
+        self.touched = false;
+        self.stats.ticks += 1;
         let hint = self.tick_inner(now);
+        self.hint = hint;
         self.stats.refresh_slot_visits += self.refresh.take_visits();
         #[cfg(debug_assertions)]
         self.check_active(now);
@@ -1989,7 +2056,8 @@ impl MemController {
     /// (bank, read/write) group needs the same column command timing,
     /// so each group's oldest hit stands for all of them. A candidate
     /// whose bound lies after `now` cannot issue, so it is passed over
-    /// without asking the device.
+    /// without asking the device. A row hit's bound is first raised to
+    /// the channel's column floor, which no column command can beat.
     // rop-lint: hot
     fn schedule_indexed(&mut self, now: Cycle) -> Result<(), Cycle> {
         self.refresh_index(now);
@@ -1997,56 +2065,75 @@ impl MemController {
         let Some(oldest) = self.index.heads[sw].first() else {
             return Err(Cycle::MAX);
         };
-        let mut earliest = Cycle::MAX;
+        let oldest = oldest.pick;
+        let mut m = PassMin {
+            now,
+            epoch: self.index.epoch,
+            earliest: Cycle::MAX,
+            stale: Cycle::MAX,
+        };
 
         // Pass 0: starvation guard — serve the oldest over-age request.
-        if self.queued(oldest.pick).req.age(now) > self.cfg.age_cap {
-            match self.try_listed(ListKind::Heads, sw, 0, now) {
-                Ok(()) => return Ok(()),
-                Err(e) => earliest = earliest.min(e),
+        if self.queued(oldest).req.age(now) > self.cfg.age_cap {
+            if m.passed_over(&self.index.heads[sw][0]) {
+                self.stats.bound_skips += 1;
+            } else {
+                match self.try_listed(ListKind::Heads, sw, 0, now) {
+                    Ok(()) => return Ok(()),
+                    Err(e) => m.earliest = m.earliest.min(e),
+                }
             }
         }
 
         // Pass 1: ready row-hit column commands, oldest group first.
+        let floor = [
+            self.device.column_floor(false),
+            self.device.column_floor(true),
+        ];
         for i in 0..self.index.hits[sw].len() {
+            let c = &mut self.index.hits[sw][i];
+            let write = usize::from(c.pick.kind == QueueKind::Write);
+            c.bound = c.bound.max(floor[write]);
+            if m.passed_over(c) {
+                self.stats.bound_skips += 1;
+                continue;
+            }
             match self.try_listed(ListKind::Hits, sw, i, now) {
                 Ok(()) => return Ok(()),
-                Err(e) => earliest = earliest.min(e),
+                Err(e) => m.earliest = m.earliest.min(e),
             }
         }
 
         // Pass 2: each bank's oldest request drives PRE/ACT. A head that
         // is a row hit is its group's oldest hit, already tried above.
         for i in 0..self.index.heads[sw].len() {
-            if self.index.heads[sw][i].pick.hit {
+            let c = &self.index.heads[sw][i];
+            if c.pick.hit {
+                continue;
+            }
+            if m.passed_over(c) {
+                self.stats.bound_skips += 1;
                 continue;
             }
             match self.try_listed(ListKind::Heads, sw, i, now) {
                 Ok(()) => return Ok(()),
-                Err(e) => earliest = earliest.min(e),
+                Err(e) => m.earliest = m.earliest.min(e),
             }
         }
 
-        Err(self.exact_hint(sw, now, earliest))
+        // An older bound at or above the minimum cannot lower it.
+        if m.stale < m.earliest {
+            return Err(self.exact_hint(sw, now, m.earliest));
+        }
+        Err(m.earliest)
     }
 
-    /// Tries the candidate at `i` in list `kind`: passed over while its
-    /// bound lies after `now`, else asked, and issued when ready. A
-    /// failed ask leaves its answer as the new bound.
+    /// Asks about the candidate at `i` in list `kind` and issues it when
+    /// ready. A failed ask leaves its answer as the new bound.
     // rop-lint: hot
     fn try_listed(&mut self, kind: ListKind, sw: usize, i: usize, now: Cycle) -> Result<(), Cycle> {
-        let c = self.index.list(kind, sw)[i];
-        if c.bound > now {
-            self.stats.bound_skips += 1;
-            // A bound asked before the last command is only a floor;
-            // `exact_hint` settles the ones that matter.
-            return Err(if c.epoch == self.index.epoch {
-                c.bound
-            } else {
-                Cycle::MAX
-            });
-        }
-        let result = self.issue_for(c.pick, now);
+        let pick = self.index.list(kind, sw)[i].pick;
+        let result = self.issue_for(pick, now);
         if let Err(e) = result {
             self.set_bound(kind, sw, i, e);
         }
@@ -2242,6 +2329,28 @@ impl MemController {
                     }
                 }
             }
+        }
+    }
+
+    /// The debug self-check run on a tick the idle shortcut skips. No
+    /// bank is marked (every enqueue that marks one sets `touched`), the
+    /// index and its bounds hold at `now`, and no active slot's gate has
+    /// moved since the last full tick: its hint covers every gate change.
+    #[cfg(debug_assertions)]
+    fn check_idle(&self, now: Cycle) {
+        assert!(
+            self.index.stale.is_empty(),
+            "banks {:?} marked since the last full tick, skipped at cycle {now}",
+            self.index.stale
+        );
+        self.check_index(now);
+        for &slot in &self.active {
+            assert_eq!(
+                self.slot_gate(slot, now),
+                self.gates[slot],
+                "slot {slot}'s gate moved before the hint {}, at cycle {now}",
+                self.hint
+            );
         }
     }
 
@@ -2458,7 +2567,7 @@ mod tests {
                 s.bound_skips,
                 s.index_moves
             ),
-            (20, 11, 22, 25, 6, 31)
+            (20, 11, 22, 23, 10, 31)
         );
     }
 

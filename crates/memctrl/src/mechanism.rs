@@ -344,6 +344,13 @@ pub struct Darp {
     by_due: Vec<usize>,
     /// Pull-in candidates of one poll, put back in slot order.
     cands: Vec<usize>,
+    /// The slots that may have seen a demand arrival in the last
+    /// `idle_window` cycles, in last-arrival order: every such slot,
+    /// and maybe some whose window ran out after the last poll, which
+    /// drops the rest from the front.
+    recent: Vec<usize>,
+    /// Per slot: listed in `recent`.
+    is_recent: Vec<bool>,
 }
 
 impl Darp {
@@ -360,7 +367,79 @@ impl Darp {
             pulled_in: 0,
             by_due: (0..slots).collect(),
             cands: Vec::with_capacity(slots),
+            // Every slot's last arrival reads as cycle 0.
+            recent: (0..slots).collect(),
+            is_recent: vec![true; slots],
         }
+    }
+
+    /// `next`, lowered to the earliest pull-in wake after `now` of an
+    /// Idle slot listed in `recent`, under either lookahead: its due
+    /// enters the lookahead *and* its bank has sat idle for the window.
+    /// No slot wakes before its window ends, and the windows end in
+    /// list order, so the walk stops at the first one ending at or
+    /// after the wake found so far.
+    fn activity_wake(
+        &self,
+        base: &RefreshManager,
+        now: Cycle,
+        mut next: Option<Cycle>,
+    ) -> Option<Cycle> {
+        let mut seen = 0;
+        for &slot in &self.recent {
+            let idle_ok = self.last_activity[slot] + self.idle_window;
+            if next.is_some_and(|n| idle_ok >= n) {
+                break;
+            }
+            seen += 1;
+            let due = base.next_due(slot);
+            if base.state(slot) != RefreshState::Idle || due == Cycle::MAX {
+                continue;
+            }
+            for look in [self.lookahead, self.drain_lookahead] {
+                let t = due.saturating_sub(look).max(idle_ok);
+                if t < due && t > now {
+                    next = Some(next.map_or(t, |n| n.min(t)));
+                }
+            }
+        }
+        base.note_visits(seen);
+        next
+    }
+
+    /// `next`, lowered to the earliest pull-in wake after `now` of an
+    /// Idle slot not listed in `recent`, under lookahead `look`. Such a
+    /// slot's bank has sat idle since `now - idle_window` at the latest,
+    /// so it wakes at `due - look` once that lies after `now`: the first
+    /// such slot in due order past `now + look` wakes first, and the
+    /// walk stops where `due - look` reaches `next`.
+    fn due_wake(
+        &self,
+        base: &RefreshManager,
+        now: Cycle,
+        look: Cycle,
+        next: Option<Cycle>,
+    ) -> Option<Cycle> {
+        if look == 0 {
+            return next;
+        }
+        let past = now.saturating_add(look);
+        let from = self.by_due.partition_point(|&s| base.next_due(s) <= past);
+        let mut seen = 0;
+        let mut wake = next;
+        for &slot in &self.by_due[from..] {
+            let due = base.next_due(slot);
+            if due == Cycle::MAX || next.is_some_and(|n| due - look >= n) {
+                break;
+            }
+            seen += 1;
+            if base.state(slot) == RefreshState::Idle && !self.is_recent[slot] {
+                wake = Some(due - look);
+                break;
+            }
+        }
+        base.note_visits(seen);
+        wake
     }
 }
 
@@ -379,12 +458,23 @@ impl RefreshMechanism for Darp {
         } else {
             self.lookahead
         };
-        // Only slots due within the lookahead can pull in: walk the due
-        // order up to the first one past it.
+        // The slots whose idle window ran out leave the recent list.
+        let ended = self
+            .recent
+            .iter()
+            .take_while(|&&slot| self.last_activity[slot] + self.idle_window <= now)
+            .count();
+        for slot in self.recent.drain(..ended) {
+            self.is_recent[slot] = false;
+        }
+        // Only Idle slots due after `now` and within the lookahead can
+        // pull in: walk the due order from the first one past `now` up
+        // to the first one past the lookahead.
         let mut cands = std::mem::take(&mut self.cands);
         cands.clear();
         let mut seen = 0;
-        for &slot in &self.by_due {
+        let from = self.by_due.partition_point(|&s| base.next_due(s) <= now);
+        for &slot in &self.by_due[from..] {
             seen += 1;
             let due = base.next_due(slot);
             if due == Cycle::MAX || due.saturating_sub(now) > look {
@@ -443,40 +533,31 @@ impl RefreshMechanism for Darp {
     // rop-lint: hot
     fn on_bank_activity(&mut self, slot: usize, now: Cycle) {
         self.last_activity[slot] = now;
+        // To the back of the list, which stays in last-arrival order.
+        if self.is_recent[slot] {
+            let at = self
+                .recent
+                .iter()
+                .position(|&s| s == slot)
+                .expect("a recent slot is listed");
+            self.recent.remove(at);
+        }
+        self.is_recent[slot] = true;
+        self.recent.push(slot);
     }
 
     fn next_event(&self, base: &RefreshManager, now: Cycle) -> Option<Cycle> {
-        let mut next = base.next_event(now);
-        // Each wake below is at least `due - widest`, so once that
-        // reaches the best hint so far, no later slot in due order can
-        // lower it.
-        let widest = self.lookahead.max(self.drain_lookahead);
-        let mut seen = 0;
-        for &slot in &self.by_due {
-            let due = base.next_due(slot);
-            if due == Cycle::MAX || next.is_some_and(|n| due.saturating_sub(widest) >= n) {
-                break;
-            }
-            seen += 1;
-            if base.state(slot) != RefreshState::Idle {
-                continue;
-            }
-            // A pull-in becomes possible once the due enters the
-            // lookahead window *and* the bank has sat idle long enough.
-            // Hints must never be late (the event engine would
-            // fast-forward past a cycle where the reference loop acts),
-            // so consider both lookaheads — waking at the wider
-            // write-drain one is at worst a no-op tick.
-            let idle_ok = self.last_activity[slot] + self.idle_window;
-            for look in [self.lookahead, self.drain_lookahead] {
-                let t = due.saturating_sub(look).max(idle_ok);
-                if t < due && t > now {
-                    next = Some(next.map_or(t, |n| n.min(t)));
-                }
-            }
-        }
-        base.note_visits(seen);
-        next
+        // A pull-in becomes possible once the due enters the lookahead
+        // window *and* the bank has sat idle long enough. Hints must
+        // never be late (the event engine would fast-forward past a
+        // cycle where the reference loop acts), so consider both
+        // lookaheads — waking at the wider write-drain one is at worst
+        // a no-op tick. A slot idle for the whole window wakes on its
+        // due alone; only the recently active ones need their own walk.
+        let next = base.next_event(now);
+        let next = self.due_wake(base, now, self.drain_lookahead, next);
+        let next = self.due_wake(base, now, self.lookahead, next);
+        self.activity_wake(base, now, next)
     }
 
     fn refreshes_pulled_in(&self) -> u64 {

@@ -165,8 +165,13 @@ impl<F: Frontend> Engine<F> {
 
             self.fe.act(&mut self.ctrl, now);
 
-            // Tick the controller and collect fresh completions.
-            let hint = self.ctrl.tick(now);
+            // Tick the controller and collect fresh completions. The
+            // reference mode runs every tick in full.
+            let hint = if event_driven {
+                self.ctrl.tick(now)
+            } else {
+                self.ctrl.tick_reference(now)
+            };
             if let Some(auditor) = &mut self.auditor {
                 self.ctrl.drain_trace(auditor);
             }

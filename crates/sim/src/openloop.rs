@@ -132,6 +132,8 @@ pub struct ArrivalFrontend {
     gens: Vec<ArrivalGen>,
     /// Peeked next arrival per tenant (generators are infinite).
     heads: Vec<Arrival>,
+    /// The earliest of `heads`.
+    next_at: Cycle,
     /// Base line address of each tenant's footprint.
     tenant_base: Vec<u64>,
     /// FIFO of requests that have arrived but not yet been accepted.
@@ -151,6 +153,11 @@ impl ArrivalFrontend {
     /// Moves every arrival scheduled at or before `now` from the
     /// generators into the backlog, in `(arrival, tenant)` order.
     fn merge_arrivals(&mut self, now: Cycle) {
+        // Nothing is due. The backlog has only shrunk since the last
+        // merge, so its peak stands.
+        if now < self.next_at {
+            return;
+        }
         loop {
             let mut best: Option<usize> = None;
             for (t, h) in self.heads.iter().enumerate() {
@@ -173,6 +180,7 @@ impl ArrivalFrontend {
             });
             self.heads[t] = self.gens[t].next_arrival();
         }
+        self.next_at = earliest(&self.heads);
         self.backlog_peak = self.backlog_peak.max(self.backlog.len() as u64);
     }
 
@@ -197,6 +205,11 @@ impl ArrivalFrontend {
             self.backlog.pop_front();
         }
     }
+}
+
+/// The earliest scheduled arrival among `heads`.
+fn earliest(heads: &[Arrival]) -> Cycle {
+    heads.iter().map(|h| h.at).min().unwrap_or(Cycle::MAX)
 }
 
 impl Frontend for ArrivalFrontend {
@@ -238,7 +251,7 @@ impl Frontend for ArrivalFrontend {
         if !self.backlog.is_empty() {
             return now + 1;
         }
-        self.heads.iter().map(|h| h.at).min().unwrap_or(Cycle::MAX)
+        self.next_at
     }
 
     /// Arrivals are scheduled in absolute cycles, so a skipped span has
@@ -286,7 +299,7 @@ impl OpenLoopSystem {
                 )
             })
             .collect();
-        let heads = gens.iter_mut().map(|g| g.next_arrival()).collect();
+        let heads: Vec<Arrival> = gens.iter_mut().map(|g| g.next_arrival()).collect();
         let tenant_base = (0..spec.tenants)
             .map(|t| t as u64 * lines_per_rank)
             .collect();
@@ -294,6 +307,7 @@ impl OpenLoopSystem {
         let fe = ArrivalFrontend {
             spec,
             gens,
+            next_at: earliest(&heads),
             heads,
             tenant_base,
             backlog: VecDeque::new(),
