@@ -15,7 +15,8 @@
 //! Two further groups reuse the canonical perf-gate shapes
 //! (`rop_bench::perf::shapes`): `refresh-heavy` (8x refresh pressure,
 //! constant drain/freeze churn) and `burst-gap` (request bursts split
-//! by ~30k-cycle idle gaps, the timing wheel's cascade-heavy case).
+//! by ~30k-cycle idle gaps: completion churn alternating with deep
+//! fast-forwards).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rop_bench::perf::shapes;

@@ -5,16 +5,16 @@
 //! Four canonical shapes span the engine's regimes:
 //!
 //! * **memory-light** — compute-bound, long stall-free stretches: the
-//!   engine spends its time fast-forwarding, so wheel-advance cost
-//!   dominates.
+//!   engine spends its time fast-forwarding, so the fixed cost of each
+//!   event-loop jump dominates.
 //! * **memory-heavy** — a streaming benchmark saturating the read queue:
 //!   completion-queue churn and scheduler passes dominate.
 //! * **refresh-heavy** — tREFI shrunk 8× by `ctrl_override`: the run is
 //!   wall-to-wall refresh drains, exercising refresh-gate legality scans
 //!   and post-refresh catch-up bursts.
 //! * **burst-gap** — dense request bursts separated by long idle gaps:
-//!   alternates completion churn with deep fast-forwards, the worst case
-//!   for a calendar queue's cascade path.
+//!   alternates completion churn with deep fast-forwards, so one run
+//!   pays both the per-request and the per-jump costs.
 //!
 //! Throughput is reported as *events/sec* (engine loop iterations per
 //! wall-clock second) — cycles/sec inflates with fast-forward span

@@ -1,10 +1,11 @@
 //! Steady-state allocation audit for the simulation hot loop.
 //!
-//! The engine's per-cycle paths (timing wheel, controller tick, SoA
+//! The engine's per-cycle paths (completion queue, controller tick, SoA
 //! timing state) are designed to reuse scratch buffers instead of
-//! allocating: after a warm-up window every queue, wheel slot and
-//! scratch vector has reached its high-water capacity and the loop
-//! should touch the allocator exactly zero times per simulated window.
+//! allocating: after a warm-up window every queue and scratch vector
+//! has reached its high-water capacity (the completion queue is
+//! pre-sized far above its peak) and the loop should touch the
+//! allocator exactly zero times per simulated window.
 //!
 //! This is checked with a counting `#[global_allocator]` that counts
 //! per thread, so the test harness's own allocations (its "has been

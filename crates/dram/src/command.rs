@@ -84,11 +84,6 @@ impl Command {
             Command::RefreshBank { .. } => CommandKind::RefreshBank,
         }
     }
-
-    /// True for commands that move data on the bus (READ/WRITE).
-    pub fn is_column(&self) -> bool {
-        matches!(self, Command::Read { .. } | Command::Write { .. })
-    }
 }
 
 /// Result of issuing a command: when its effect completes.
@@ -116,12 +111,10 @@ mod tests {
         assert_eq!(c.rank(), 2);
         assert_eq!(c.bank(), Some(5));
         assert_eq!(c.kind(), CommandKind::Read);
-        assert!(c.is_column());
 
         let r = Command::Refresh { rank: 1 };
         assert_eq!(r.rank(), 1);
         assert_eq!(r.bank(), None);
-        assert!(!r.is_column());
         assert_eq!(r.kind(), CommandKind::Refresh);
     }
 }

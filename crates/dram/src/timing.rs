@@ -149,23 +149,10 @@ impl TimingParams {
         }
     }
 
-    /// Refresh duty cycle `tRFC / tREFI` — the fraction of time a rank is
-    /// frozen, which the paper calls out as the quantity that grows with
-    /// density.
-    pub fn refresh_duty_cycle(&self) -> f64 {
-        self.t_rfc() as f64 / self.t_refi() as f64
-    }
-
     /// Read command issue to last data beat received.
     #[inline]
     pub fn read_latency(&self) -> Cycle {
         self.cl + self.burst_cycles()
-    }
-
-    /// Write command issue to last data beat driven.
-    #[inline]
-    pub fn write_latency(&self) -> Cycle {
-        self.cwl + self.burst_cycles()
     }
 
     /// Validates internal consistency of the parameters.
@@ -242,8 +229,6 @@ mod tests {
         assert_eq!(t.t_refi(), 6240);
         // 350 ns at 1.25 ns/cycle.
         assert_eq!(t.t_rfc(), 280);
-        // duty cycle about 4.5%
-        assert!((t.refresh_duty_cycle() - 280.0 / 6240.0).abs() < 1e-12);
     }
 
     #[test]
@@ -262,7 +247,6 @@ mod tests {
         let t = TimingParams::ddr4_1600_8gb();
         assert_eq!(t.burst_cycles(), 4);
         assert_eq!(t.read_latency(), 15);
-        assert_eq!(t.write_latency(), 13);
     }
 
     #[test]

@@ -22,9 +22,11 @@
 //!   *not* flagged — only method-call results are;
 //! * `forbid-unsafe` — every crate root must carry
 //!   `#![forbid(unsafe_code)]`;
-//! * `hot-alloc` — heap allocation (`Box::new`, `Vec::new`, `vec![..]`,
-//!   `.collect(..)`) inside a function marked with a standalone
-//!   `// rop-lint: hot` comment. Hot-marked functions are the
+//! * `hot-alloc` — heap allocation (`Box::new`, `Vec::new` and `::new`
+//!   of the other std collections and `String`, `::with_capacity` on any
+//!   type, `vec![..]`, `format!`, `.collect(..)`, `.to_vec()`,
+//!   `.to_string()`, `.to_owned()`) inside a function marked with a
+//!   standalone `// rop-lint: hot` comment. Hot-marked functions are the
 //!   engine/controller per-cycle paths that must stay allocation-free
 //!   in steady state (scratch buffers are taken, refilled and put
 //!   back instead);
@@ -85,6 +87,23 @@ pub const SRC_RULES: &[&str] = &[
     "cycle-cast",
     "lease-clock",
 ];
+
+/// Types whose `::new` the `hot-alloc` rule flags.
+const HOT_ALLOC_NEW_TYPES: &[&str] = &[
+    "Box",
+    "Vec",
+    "VecDeque",
+    "BinaryHeap",
+    "String",
+    "BTreeMap",
+    "BTreeSet",
+    "HashMap",
+    "HashSet",
+];
+
+/// Methods that copy into a fresh heap allocation, flagged by
+/// `hot-alloc` as `.name(`.
+const HOT_ALLOC_METHODS: &[&str] = &["collect", "to_vec", "to_string", "to_owned"];
 
 /// One source-lint hit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -679,7 +698,7 @@ fn scan_file(path: &str, src: &str, crate_name: &str, is_crate_root: bool, out: 
         // Heap allocation inside a `// rop-lint: hot` function.
         if in_hot(i) {
             if t.kind == TokKind::Ident
-                && (t.text == "Box" || t.text == "Vec")
+                && HOT_ALLOC_NEW_TYPES.contains(&t.text.as_str())
                 && toks.get(i + 1).is_some_and(|n| n.is(TokKind::Punct, "::"))
                 && toks.get(i + 2).is_some_and(|n| n.is(TokKind::Ident, "new"))
             {
@@ -689,15 +708,31 @@ fn scan_file(path: &str, src: &str, crate_name: &str, is_crate_root: bool, out: 
                     format!("`{}::new` in a hot function", t.text),
                 );
             }
+            if t.is(TokKind::Punct, "::")
+                && toks
+                    .get(i + 1)
+                    .is_some_and(|n| n.is(TokKind::Ident, "with_capacity"))
+            {
+                ctx.emit(
+                    "hot-alloc",
+                    t.line,
+                    "`::with_capacity` in a hot function".into(),
+                );
+            }
             if t.is(TokKind::Ident, "vec")
                 && toks.get(i + 1).is_some_and(|n| n.is(TokKind::Punct, "!"))
             {
                 ctx.emit("hot-alloc", t.line, "`vec![..]` in a hot function".into());
             }
+            if t.is(TokKind::Ident, "format")
+                && toks.get(i + 1).is_some_and(|n| n.is(TokKind::Punct, "!"))
+            {
+                ctx.emit("hot-alloc", t.line, "`format!` in a hot function".into());
+            }
             if t.is(TokKind::Punct, ".")
-                && toks
-                    .get(i + 1)
-                    .is_some_and(|n| n.is(TokKind::Ident, "collect"))
+                && toks.get(i + 1).is_some_and(|n| {
+                    n.kind == TokKind::Ident && HOT_ALLOC_METHODS.contains(&n.text.as_str())
+                })
                 && toks
                     .get(i + 2)
                     .is_some_and(|n| n.is(TokKind::Punct, "(") || n.is(TokKind::Punct, "::"))
@@ -705,7 +740,7 @@ fn scan_file(path: &str, src: &str, crate_name: &str, is_crate_root: bool, out: 
                 ctx.emit(
                     "hot-alloc",
                     toks[i + 1].line,
-                    "`.collect()` in a hot function".into(),
+                    format!("`.{}()` in a hot function", toks[i + 1].text),
                 );
             }
         }

@@ -347,6 +347,56 @@ fn each_known_bad_snippet_violates_exactly_its_rule() {
     }
 }
 
+/// One hot function per allocating pattern the `hot-alloc` rule
+/// matches beyond the `Vec::new` entry above: (pattern, snippet).
+fn known_bad_hot_alloc_table() -> Vec<(&'static str, &'static str)> {
+    vec![
+        (
+            "with_capacity",
+            "fn f(n: usize) -> Vec<u64> { Vec::with_capacity(n) }",
+        ),
+        (
+            "VecDeque::new",
+            "fn f() -> VecDeque<u64> { VecDeque::new() }",
+        ),
+        (
+            "BinaryHeap::new",
+            "fn f() -> BinaryHeap<u64> { BinaryHeap::new() }",
+        ),
+        ("String::new", "fn f() -> String { String::new() }"),
+        (
+            "BTreeMap::new",
+            "fn f() -> BTreeMap<u64, u64> { BTreeMap::new() }",
+        ),
+        (
+            "BTreeSet::new",
+            "fn f() -> BTreeSet<u64> { BTreeSet::new() }",
+        ),
+        (
+            "HashMap::new",
+            "fn f() -> HashMap<u64, u64> { HashMap::new() }",
+        ),
+        ("HashSet::new", "fn f() -> HashSet<u64> { HashSet::new() }"),
+        ("format!", "fn f(n: u64) -> String { format!(\"{n}\") }"),
+        ("to_vec", "fn f(s: &[u64]) -> Vec<u64> { s.to_vec() }"),
+        ("to_string", "fn f(n: u64) -> String { n.to_string() }"),
+        ("to_owned", "fn f(s: &str) -> String { s.to_owned() }"),
+    ]
+}
+
+#[test]
+fn each_hot_alloc_pattern_is_flagged() {
+    for (pattern, body) in known_bad_hot_alloc_table() {
+        let src = format!("// rop-lint: hot\n{body}\n");
+        let findings = scan_source("snippet.rs", &src, "memctrl", false);
+        let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
+        assert_eq!(rules, vec!["hot-alloc"], "{pattern}: {findings:?}");
+        // The same body outside a hot function is clean.
+        let cold = scan_source("snippet.rs", body, "memctrl", false);
+        assert!(cold.is_empty(), "{pattern} flagged cold: {cold:?}");
+    }
+}
+
 /// Runs `verify-rop` on the paper's config under one driver mutant.
 fn rop_report(mutation: Option<RopMutation>) -> rop_lint::RopReport {
     check_rop(&rop_core::RopConfig::paper_default(), mutation)

@@ -1,9 +1,10 @@
 //! The one simulation loop, shared by every execution mode.
 //!
 //! [`Engine`] owns everything on the memory side of a run — the
-//! controller, the completion [`TimingWheel`], the clock, the event
-//! count, the auditor and the cancel token — and drives it with a single
-//! loop. What feeds the controller is a [`Frontend`]:
+//! controller, the sorted queue of in-flight completions
+//! ([`TimingWheel`]), the clock, the event count, the auditor and the
+//! cancel token — and drives it with a single loop. What feeds the
+//! controller is a [`Frontend`]:
 //!
 //! * [`crate::system::CoreFrontend`] — trace-driven cores behind a
 //!   shared LLC, the closed-loop machine ([`crate::System`]);
@@ -13,7 +14,7 @@
 //!
 //! Each loop iteration at cycle `now` delivers the completions due at
 //! `now`, lets the front-end act, ticks the controller, files fresh
-//! completions into the wheel and gives the front-end its post-tick
+//! completions into the queue and gives the front-end its post-tick
 //! turn. Event-driven mode then jumps to the earliest of the controller
 //! hint, the next completion and the front-end's own next event,
 //! replaying the skipped span through [`Frontend::skip`]; reference

@@ -352,14 +352,6 @@ impl RunMetrics {
         self.total_cycles as f64 / self.wall_seconds
     }
 
-    /// Simulated instructions per wall-clock second, over all cores.
-    pub fn instructions_per_sec(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            return 0.0;
-        }
-        self.instructions_total as f64 / self.wall_seconds
-    }
-
     /// Engine events (loop iterations) per wall-clock second — the
     /// honest throughput figure for an event-driven engine (0 when
     /// timing was not captured).

@@ -641,7 +641,6 @@ mod tests {
         let m = quick(SystemKind::Baseline, Benchmark::Gcc);
         assert!(m.wall_seconds > 0.0);
         assert!(m.cycles_per_sec() > 0.0);
-        assert!(m.instructions_per_sec() > 0.0);
         assert!(m.events_per_sec() > 0.0);
     }
 

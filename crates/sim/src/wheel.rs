@@ -1,107 +1,22 @@
-//! Hierarchical timing wheel for in-flight read completions.
+//! Sorted queue of in-flight read completions (DESIGN.md §14).
 //!
-//! The event engine used to keep pending completions in a
-//! `BinaryHeap<Reverse<(done_at, id)>>`; every push/pop paid a
-//! logarithmic sift through a pointer-free but cache-unfriendly array.
-//! Real completion horizons are tiny — data arrives `CL + BL/2 (+
-//! tRTRS)` cycles after the column command issues, so nearly every event
-//! lands within a few dozen cycles of `now` — which is the textbook case
-//! for a calendar queue: O(1) push into a slot indexed by the due cycle,
-//! O(1) pop via an occupancy bitmap.
-//!
-//! Geometry (see DESIGN.md §14):
-//!
-//! * **near wheel** — 256 slots at 1-cycle granularity (`done_at & 255`).
-//!   Holds every event due within 256 cycles; in steady state this is
-//!   the only level touched.
-//! * **far wheels** — two 64-slot levels at 256- and 16384-cycle
-//!   granularity (`(done_at >> 8) & 63`, `(done_at >> 14) & 63`),
-//!   covering horizons of 2^14 and 2^20 cycles for events scheduled
-//!   across long fast-forwards.
-//! * **overflow** — unsorted spill list beyond 2^20 cycles.
-//!
-//! Slot membership is a pure function of `done_at`, so events never
-//! migrate as the clock advances; only the *placement level* of a push
-//! depends on the current distance. The near wheel alone relies on the
-//! `delta < 256` horizon (its bitmap scan reconstructs absolute cycles
-//! from slot indices); far slots always carry their `done_at` and are
-//! min-scanned exactly, so leftovers from a different rotation may stay
-//! put. Same-slot events from a later near rotation are re-homed to a
-//! far level when the slot drains.
-//!
-//! Determinism: [`TimingWheel::pop_due`] delivers events in exactly the
-//! order the old heap produced — ascending `(done_at, id)` — by draining
-//! one due cycle at a time and sorting each same-cycle batch by id. The
-//! differential oracle and the wheel-vs-heap proptest below pin this.
-//!
-//! Allocation: near slots are linked lists threaded through one node
-//! arena with a free list, so the arena grows only when more events are
-//! in flight at once than ever before, wherever they land. (Per-slot
-//! `Vec`s would each grow to their own high-water mark, and a burst of
-//! same-cycle SRAM completions landing on a fresh slot would allocate
-//! long after warm-up.) Far slots are `Vec`s that are emptied but never
-//! dropped. After warm-up the steady-state push/pop cycle allocates
-//! nothing (the `hot-alloc` lint rule and
-//! `crates/bench/tests/alloc_free.rs` guard this).
+//! Few completions are ever in flight (at most 10 on the benchmark jobs),
+//! pushed almost in due order, so one `VecDeque` in `(done_at, id)` order —
+//! the old heap's pop order, pinned by `wheel_matches_heap_pop_order` —
+//! takes a push by a short back scan and pops from the front. Pre-sized,
+//! it allocates nothing in steady state (`crates/bench/tests/alloc_free.rs`).
+
+use std::collections::VecDeque;
 
 use rop_memctrl::Completion;
 
 use crate::Cycle;
 
-const NEAR_BITS: u32 = 8;
-/// Near-wheel size: 256 one-cycle slots.
-const NEAR_SLOTS: usize = 1 << NEAR_BITS;
-const NEAR_MASK: u64 = NEAR_SLOTS as u64 - 1;
-const FAR_BITS: u32 = 6;
-/// Far-wheel size: 64 slots per level.
-const FAR_SLOTS: usize = 1 << FAR_BITS;
-const FAR_MASK: u64 = FAR_SLOTS as u64 - 1;
-/// Level-1 far wheel: 256-cycle slots covering deltas below 2^14.
-const FAR1_SHIFT: u32 = NEAR_BITS;
-const FAR1_HORIZON: u64 = 1 << (NEAR_BITS + FAR_BITS);
-/// Level-2 far wheel: 16384-cycle slots covering deltas below 2^20.
-const FAR2_SHIFT: u32 = NEAR_BITS + FAR_BITS;
-const FAR2_HORIZON: u64 = 1 << (NEAR_BITS + 2 * FAR_BITS);
-
-/// End of a near-slot list.
-const NIL: u32 = u32::MAX;
-
-/// One near-wheel event, linked into its slot's list (or the free list).
-#[derive(Debug, Clone, Copy)]
-struct NearNode {
-    c: Completion,
-    next: u32,
-}
-
-/// Calendar queue over [`Completion`]s keyed by `done_at`, popping in
-/// ascending `(done_at, id)` order.
+/// Pending [`Completion`]s in ascending `(done_at, id)` order. The old
+/// calendar-queue name stays because ropbench's engine replicas import it.
 #[derive(Debug)]
 pub struct TimingWheel {
-    /// Lower bound on every pending event's `done_at` (except `past`
-    /// entries); advanced by [`TimingWheel::pop_due`].
-    clock: Cycle,
-    /// Head node of each near slot's list (`NIL` when empty).
-    near: Vec<u32>,
-    /// Node arena behind the near slots.
-    nodes: Vec<NearNode>,
-    /// Head of the arena's free list.
-    free: u32,
-    /// One bit per near slot, set while the slot is non-empty.
-    near_occ: [u64; NEAR_SLOTS / 64],
-    far1: Vec<Vec<Completion>>,
-    far1_occ: u64,
-    far2: Vec<Vec<Completion>>,
-    far2_occ: u64,
-    /// Events beyond the far-2 horizon (min-scanned; expected empty).
-    overflow: Vec<Completion>,
-    /// Events pushed with `done_at` already behind the clock (possible
-    /// under arbitrary test schedules, never in the engine).
-    past: Vec<Completion>,
-    /// Scratch for re-homing near-slot leftovers (reused, never dropped).
-    rehome: Vec<Completion>,
-    /// Exact earliest pending `done_at`, `Cycle::MAX` when empty.
-    earliest: Cycle,
-    len: usize,
+    queue: VecDeque<Completion>,
 }
 
 impl Default for TimingWheel {
@@ -111,224 +26,43 @@ impl Default for TimingWheel {
 }
 
 impl TimingWheel {
-    /// An empty wheel anchored at cycle 0.
+    /// An empty queue.
     pub fn new() -> Self {
         TimingWheel {
-            clock: 0,
-            near: vec![NIL; NEAR_SLOTS],
-            nodes: Vec::new(),
-            free: NIL,
-            near_occ: [0; NEAR_SLOTS / 64],
-            far1: (0..FAR_SLOTS).map(|_| Vec::new()).collect(),
-            far1_occ: 0,
-            far2: (0..FAR_SLOTS).map(|_| Vec::new()).collect(),
-            far2_occ: 0,
-            overflow: Vec::new(),
-            past: Vec::new(),
-            rehome: Vec::new(),
-            earliest: Cycle::MAX,
-            len: 0,
+            queue: VecDeque::with_capacity(256),
         }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.queue.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.queue.is_empty()
     }
 
-    /// Earliest pending `done_at`, if any — the engine's fast-forward
-    /// bound, equal to what `heap.peek()` returned.
+    /// Earliest pending `done_at`, if any: the engine's fast-forward bound.
     pub fn peek_earliest(&self) -> Option<Cycle> {
-        (self.len > 0).then_some(self.earliest)
+        self.queue.front().map(|c| c.done_at)
     }
 
-    /// Schedules one completion.
+    /// Inserts `c` after every pending event that sorts at or before it.
     // rop-lint: hot
     pub fn push(&mut self, c: Completion) {
-        self.earliest = self.earliest.min(c.done_at);
-        self.len += 1;
-        self.place(c);
+        let mut i = self.queue.len();
+        while i > 0 && (self.queue[i - 1].done_at, self.queue[i - 1].id) > (c.done_at, c.id) {
+            i -= 1;
+        }
+        self.queue.insert(i, c);
     }
 
-    /// Inserts without touching `len`/`earliest` (shared by push and
-    /// re-homing).
-    // rop-lint: hot
-    fn place(&mut self, c: Completion) {
-        if c.done_at < self.clock {
-            self.past.push(c);
-            return;
-        }
-        let delta = c.done_at - self.clock;
-        if delta < NEAR_SLOTS as u64 {
-            let s = (c.done_at & NEAR_MASK) as usize;
-            let node = NearNode {
-                c,
-                next: self.near[s],
-            };
-            self.near[s] = if self.free == NIL {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
-            } else {
-                let i = self.free;
-                self.free = self.nodes[i as usize].next;
-                self.nodes[i as usize] = node;
-                i
-            };
-            self.near_occ[s >> 6] |= 1u64 << (s & 63);
-        } else if delta < FAR1_HORIZON {
-            let j = ((c.done_at >> FAR1_SHIFT) & FAR_MASK) as usize;
-            self.far1[j].push(c);
-            self.far1_occ |= 1u64 << j;
-        } else if delta < FAR2_HORIZON {
-            let j = ((c.done_at >> FAR2_SHIFT) & FAR_MASK) as usize;
-            self.far2[j].push(c);
-            self.far2_occ |= 1u64 << j;
-        } else {
-            self.overflow.push(c);
-        }
-    }
-
-    /// Appends every event with `done_at <= now` to `out`, in ascending
-    /// `(done_at, id)` order — bit-compatible with draining the old
-    /// binary heap — and advances the wheel clock to `now`.
+    /// Moves every event with `done_at <= now` to the end of `out`, in order.
     // rop-lint: hot
     pub fn pop_due(&mut self, now: Cycle, out: &mut Vec<Completion>) {
-        while self.len > 0 && self.earliest <= now {
-            let e = self.earliest;
-            self.clock = self.clock.max(e);
-            let start = out.len();
-            self.extract_cycle(e, out);
-            debug_assert!(out.len() > start, "earliest cycle {e} had no events");
-            out[start..].sort_unstable_by_key(|c| c.id);
-            self.recompute_earliest();
-        }
-        self.clock = self.clock.max(now);
-    }
-
-    /// Moves every event with `done_at == e` into `out` (unsorted).
-    // rop-lint: hot
-    fn extract_cycle(&mut self, e: Cycle, out: &mut Vec<Completion>) {
-        let before = out.len();
-        extract_matching(&mut self.past, e, out);
-
-        let s = (e & NEAR_MASK) as usize;
-        if self.near_occ[s >> 6] & (1u64 << (s & 63)) != 0 {
-            // Same-slot events from a later rotation must leave the near
-            // wheel (its cycle reconstruction assumes delta < 256), so
-            // the slot always drains completely.
-            let mut i = std::mem::replace(&mut self.near[s], NIL);
-            while i != NIL {
-                let NearNode { c, next } = self.nodes[i as usize];
-                self.nodes[i as usize].next = self.free;
-                self.free = i;
-                if c.done_at == e {
-                    out.push(c);
-                } else {
-                    self.rehome.push(c);
-                }
-                i = next;
-            }
-            self.near_occ[s >> 6] &= !(1u64 << (s & 63));
-            let mut rehome = std::mem::take(&mut self.rehome);
-            for c in rehome.drain(..) {
-                self.place(c);
-            }
-            self.rehome = rehome;
-        }
-
-        let j = ((e >> FAR1_SHIFT) & FAR_MASK) as usize;
-        if self.far1_occ & (1u64 << j) != 0 {
-            extract_matching(&mut self.far1[j], e, out);
-            if self.far1[j].is_empty() {
-                self.far1_occ &= !(1u64 << j);
-            }
-        }
-
-        let j = ((e >> FAR2_SHIFT) & FAR_MASK) as usize;
-        if self.far2_occ & (1u64 << j) != 0 {
-            extract_matching(&mut self.far2[j], e, out);
-            if self.far2[j].is_empty() {
-                self.far2_occ &= !(1u64 << j);
-            }
-        }
-
-        extract_matching(&mut self.overflow, e, out);
-        self.len -= out.len() - before;
-    }
-
-    /// Recomputes the exact earliest pending `done_at` across all
-    /// levels. Near events reconstruct from the occupancy bitmap alone;
-    /// far levels min-scan their (few, usually zero) occupied slots.
-    // rop-lint: hot
-    fn recompute_earliest(&mut self) {
-        let mut best = Cycle::MAX;
-        for c in &self.past {
-            best = best.min(c.done_at);
-        }
-        if let Some(s) = self.near_scan() {
-            let start = (self.clock & NEAR_MASK) as usize;
-            let offset = (s + NEAR_SLOTS - start) & (NEAR_SLOTS - 1);
-            best = best.min(self.clock + offset as u64);
-        }
-        let mut occ = self.far1_occ;
-        while occ != 0 {
-            let j = occ.trailing_zeros() as usize;
-            occ &= occ - 1;
-            for c in &self.far1[j] {
-                best = best.min(c.done_at);
-            }
-        }
-        let mut occ = self.far2_occ;
-        while occ != 0 {
-            let j = occ.trailing_zeros() as usize;
-            occ &= occ - 1;
-            for c in &self.far2[j] {
-                best = best.min(c.done_at);
-            }
-        }
-        for c in &self.overflow {
-            best = best.min(c.done_at);
-        }
-        self.earliest = best;
-    }
-
-    /// First occupied near slot at or circularly after the clock's slot.
-    // rop-lint: hot
-    fn near_scan(&self) -> Option<usize> {
-        let start = (self.clock & NEAR_MASK) as usize;
-        let (sw, sb) = (start >> 6, start & 63);
-        let head = self.near_occ[sw] & (!0u64 << sb);
-        if head != 0 {
-            return Some((sw << 6) + head.trailing_zeros() as usize);
-        }
-        for i in 1..self.near_occ.len() {
-            let w = (sw + i) & (self.near_occ.len() - 1);
-            if self.near_occ[w] != 0 {
-                return Some((w << 6) + self.near_occ[w].trailing_zeros() as usize);
-            }
-        }
-        let tail = self.near_occ[sw] & !(!0u64 << sb);
-        if tail != 0 {
-            return Some((sw << 6) + tail.trailing_zeros() as usize);
-        }
-        None
-    }
-}
-
-/// Swap-removes every event with `done_at == e` from `v` into `out`.
-// rop-lint: hot
-fn extract_matching(v: &mut Vec<Completion>, e: Cycle, out: &mut Vec<Completion>) {
-    let mut i = 0;
-    while i < v.len() {
-        if v[i].done_at == e {
-            out.push(v.swap_remove(i));
-        } else {
-            i += 1;
+        while self.queue.front().is_some_and(|c| c.done_at <= now) {
+            out.extend(self.queue.pop_front());
         }
     }
 }
@@ -403,15 +137,15 @@ mod tests {
     }
 
     #[test]
-    fn far_levels_and_overflow_round_trip() {
+    fn far_apart_events_pop_in_order() {
         let mut w = TimingWheel::new();
-        // One event per level: near, far1, far2, overflow.
+        // Horizons from a few cycles to millions, with a same-cycle pair.
         let events = [
-            (10u64, 0u64),
-            (300, 1),
+            (2_000_000u64, 4u64),
+            (10, 0),
             (20_000, 2),
             (2_000_000, 3),
-            (2_000_000, 4),
+            (300, 1),
         ];
         for &(t, id) in &events {
             w.push(c(t, id));
@@ -434,11 +168,11 @@ mod tests {
     }
 
     #[test]
-    fn near_slot_collision_across_rotations() {
+    fn same_residue_events_pop_in_order() {
         let mut w = TimingWheel::new();
         w.push(c(100, 0));
-        // Advance so a later push lands in the same near slot (356 ≡ 100
-        // mod 256) while 100 is still pending.
+        // 356 ≡ 100 (mod 256): pushed after a partial drain, while 100 is
+        // still pending.
         w.pop_due(90, &mut Vec::new());
         assert_eq!(w.peek_earliest(), Some(100));
         w.push(c(356, 1));
@@ -446,13 +180,44 @@ mod tests {
         w.pop_due(100, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].done_at, 100);
-        // The rotation-mate was re-homed, not lost or delivered early.
+        // The later event stays pending: not lost, not delivered early.
         assert_eq!(w.len(), 1);
         assert_eq!(w.peek_earliest(), Some(356));
         out.clear();
         w.pop_due(356, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].id, 1);
+    }
+
+    #[test]
+    fn out_of_order_pushes_scan_back_to_their_place() {
+        let dram = |done_at, id| Completion {
+            id,
+            core: 0,
+            done_at,
+            from_sram: false,
+        };
+        let mut w = TimingWheel::new();
+        // Two DRAM reads due later, then an SRAM hit due earlier, then
+        // three same-cycle completions pushed in descending id order.
+        w.push(dram(40, 1));
+        w.push(dram(44, 2));
+        w.push(Completion {
+            id: 3,
+            core: 1,
+            done_at: 12,
+            from_sram: true,
+        });
+        for id in [9, 8, 7] {
+            w.push(dram(40, id));
+        }
+        assert_eq!(w.peek_earliest(), Some(12));
+        let mut out = Vec::new();
+        w.pop_due(44, &mut out);
+        let got: Vec<_> = out.iter().map(|c| (c.done_at, c.id)).collect();
+        assert_eq!(got, [(12, 3), (40, 1), (40, 7), (40, 8), (40, 9), (44, 2)]);
+        assert!(out[0].from_sram);
+        assert!(w.is_empty());
     }
 
     #[test]
@@ -481,8 +246,8 @@ mod tests {
         }
 
         fn step() -> impl Strategy<Value = Step> {
-            // Deltas span all wheel levels, biased toward the near
-            // wheel like real completion traffic (repeated branches
+            // Deltas span a few cycles to millions, biased toward short
+            // horizons like real completion traffic (repeated branches
             // stand in for weights — the vendored proptest's Union is
             // uniform); id_salt creates same-cycle ties.
             let delta = prop_oneof![
@@ -511,8 +276,8 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// For arbitrary interleaved schedules — same-cycle ties,
-            /// all wheel levels, long jumps — the wheel pops exactly
-            /// the sequence the old binary heap popped.
+            /// far horizons, long jumps — the queue pops exactly the
+            /// sequence a binary heap pops.
             #[test]
             fn wheel_matches_heap_pop_order(steps in proptest::collection::vec(step(), 1..200)) {
                 let mut wheel = TimingWheel::new();

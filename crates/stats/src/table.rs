@@ -92,17 +92,6 @@ impl TableBuilder {
     }
 }
 
-/// Formats a float with 3 decimal places — the house style for
-/// normalised metrics in experiment output.
-pub fn fmt3(x: f64) -> String {
-    format!("{x:.3}")
-}
-
-/// Formats a float as a percentage with one decimal place.
-pub fn fmt_pct(x: f64) -> String {
-    format!("{x:.1}%")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,11 +121,5 @@ mod tests {
         t.row(["1", "2", "3"]);
         let s = t.render();
         assert!(s.contains('3'));
-    }
-
-    #[test]
-    fn fmt_helpers() {
-        assert_eq!(fmt3(1.23456), "1.235");
-        assert_eq!(fmt_pct(12.345), "12.3%");
     }
 }
