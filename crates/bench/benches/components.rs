@@ -119,7 +119,11 @@ fn bench_rop_components(c: &mut Criterion) {
             t.update((a % 8) as usize, a / 8);
         }
         let mut p = Prefetcher::new((1 << 15) * 128);
-        b.iter(|| black_box(p.generate(&t, 64)));
+        let mut out = Vec::with_capacity(64);
+        b.iter(|| {
+            p.generate_with_lead(&t, 64, 0, &mut out);
+            black_box(out.len())
+        });
     });
     g.bench_function("buffer_lookup", |b| {
         let mut buf = SramBuffer::new(64);

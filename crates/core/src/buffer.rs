@@ -11,7 +11,6 @@
 //! energy rather than contents.
 
 use rop_events::{TraceBuffer, TraceEvent};
-use rop_stats::RatioCounter;
 
 use crate::Cycle;
 
@@ -23,8 +22,6 @@ pub struct SramBuffer {
     capacity: usize,
     /// Resident line keys in insertion order.
     lines: Vec<u64>,
-    /// Lifetime hit statistics over lookups.
-    lookups: RatioCounter,
     /// Number of line insertions (SRAM writes) performed.
     writes: u64,
     /// Number of successful reads served (SRAM reads).
@@ -50,7 +47,6 @@ impl SramBuffer {
         SramBuffer {
             capacity,
             lines: Vec::with_capacity(capacity),
-            lookups: RatioCounter::new(),
             writes: 0,
             reads_served: 0,
             powered: false,
@@ -130,11 +126,9 @@ impl SramBuffer {
     /// outcome in the hit-rate statistics. Returns `true` on hit.
     pub fn lookup(&mut self, key: u64) -> bool {
         if !self.powered {
-            self.lookups.miss();
             return false;
         }
         let hit = self.lines.contains(&key);
-        self.lookups.record(hit);
         if hit {
             self.reads_served += 1;
             let cycle = self.trace_cycle;
@@ -168,11 +162,6 @@ impl SramBuffer {
         self.trace.emit(|| TraceEvent::SramClear { cycle });
     }
 
-    /// Lifetime lookup statistics (hits = reads served from SRAM).
-    pub fn lookup_stats(&self) -> RatioCounter {
-        self.lookups
-    }
-
     /// Total SRAM write operations (for the energy model).
     pub fn write_count(&self) -> u64 {
         self.writes
@@ -194,7 +183,6 @@ mod tests {
         b.insert(1);
         assert!(b.is_empty());
         assert!(!b.lookup(1));
-        assert_eq!(b.lookup_stats().total(), 1);
     }
 
     #[test]
@@ -206,8 +194,6 @@ mod tests {
         assert!(b.lookup(10));
         assert!(b.lookup(20));
         assert!(!b.lookup(30));
-        assert_eq!(b.lookup_stats().hits(), 2);
-        assert_eq!(b.lookup_stats().total(), 3);
         assert_eq!(b.read_count(), 2);
         assert_eq!(b.write_count(), 2);
     }

@@ -193,11 +193,6 @@ impl PredictionTable {
         self.entries[bank].update(addr);
     }
 
-    /// Sum of all bank weights (denominator of Equation 3).
-    pub fn total_weight(&self) -> u64 {
-        self.entries.iter().map(PredictionEntry::weight).sum()
-    }
-
     /// Iterates over entries.
     pub fn iter(&self) -> impl Iterator<Item = &PredictionEntry> {
         self.entries.iter()
@@ -308,14 +303,14 @@ mod tests {
     fn table_weights_and_updates() {
         let mut t = PredictionTable::new(8);
         assert_eq!(t.banks(), 8);
-        assert_eq!(t.total_weight(), 0);
+        assert!(t.iter().all(|e| e.weight() == 0));
         for addr in [0u64, 1, 2, 3] {
             t.update(3, addr);
         }
         assert_eq!(t.entry(3).weight() as i64, t.entry(3).f1 as i64);
-        assert!(t.total_weight() > 0);
+        assert!(t.entry(3).weight() > 0);
         t.reset();
-        assert_eq!(t.total_weight(), 0);
+        assert!(t.iter().all(|e| e.weight() == 0));
         assert_eq!(t.entry(3).last_addr, None);
     }
 

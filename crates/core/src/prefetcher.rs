@@ -61,21 +61,6 @@ impl Prefetcher {
         }
     }
 
-    /// Generates at most `capacity` candidates from `table` with no lead
-    /// (see [`Self::generate_with_lead`]).
-    ///
-    /// Bank shares follow Equation 3 with a small additive prior (+2 per
-    /// touched bank): one observational window contributes only a handful
-    /// of repeats per bank, and raw tiny frequencies — which the paper's
-    /// replace-and-reset rule zeroes on every pattern flip — would starve
-    /// random banks of coverage. The prior keeps shares near-uniform for
-    /// uniform traffic while still letting strong bank locality dominate.
-    pub fn generate(&mut self, table: &PredictionTable, capacity: usize) -> Vec<PrefetchCandidate> {
-        let mut out = Vec::with_capacity(capacity);
-        self.generate_with_lead(table, capacity, 0, &mut out);
-        out
-    }
-
     /// Generates candidates starting `lead` pattern steps *ahead* of each
     /// bank's `LastAddr`.
     ///
@@ -85,7 +70,14 @@ impl Prefetcher {
     /// the extrapolation by the expected advance keeps the buffer aligned
     /// with the stream position at the moment the rank actually freezes.
     ///
-    /// The candidates replace the contents of `out`.
+    /// The candidates, at most `capacity`, replace the contents of `out`.
+    ///
+    /// Bank shares follow Equation 3 with a small additive prior (+2 per
+    /// touched bank): one observational window contributes only a handful
+    /// of repeats per bank, and raw tiny frequencies — which the paper's
+    /// replace-and-reset rule zeroes on every pattern flip — would starve
+    /// random banks of coverage. The prior keeps shares near-uniform for
+    /// uniform traffic while still letting strong bank locality dominate.
     pub fn generate_with_lead(
         &mut self,
         table: &PredictionTable,
@@ -383,7 +375,8 @@ mod tests {
     fn stream_pattern_prefetches_next_strided_lines() {
         let t = table_with_stream(2, 1000, 4, 10);
         let mut p = Prefetcher::new(LINES_PER_BANK);
-        let c = p.generate(&t, 8);
+        let mut c = Vec::new();
+        p.generate_with_lead(&t, 8, 0, &mut c);
         assert!(!c.is_empty());
         // Last address was 1000 + 9*4 = 1036; candidates continue +4.
         assert!(c.contains(&PrefetchCandidate {
@@ -402,10 +395,13 @@ mod tests {
     fn capacity_is_respected() {
         let t = table_with_stream(0, 0, 1, 100);
         let mut p = Prefetcher::new(LINES_PER_BANK);
+        let mut out = Vec::new();
         for cap in [1usize, 16, 64, 128] {
-            assert!(p.generate(&t, cap).len() <= cap);
+            p.generate_with_lead(&t, cap, 0, &mut out);
+            assert!(out.len() <= cap);
         }
-        assert!(p.generate(&t, 0).is_empty());
+        p.generate_with_lead(&t, 0, 0, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -419,7 +415,8 @@ mod tests {
             t.update(1, 1000 + k);
         }
         let mut p = Prefetcher::new(LINES_PER_BANK);
-        let c = p.generate(&t, 32);
+        let mut c = Vec::new();
+        p.generate_with_lead(&t, 32, 0, &mut c);
         let bank0 = c.iter().filter(|x| x.bank == 0).count();
         let bank1 = c.iter().filter(|x| x.bank == 1).count();
         assert!(bank0 > bank1, "bank0={bank0} bank1={bank1}");
@@ -430,7 +427,9 @@ mod tests {
     fn empty_table_yields_nothing() {
         let t = PredictionTable::new(8);
         let mut p = Prefetcher::new(LINES_PER_BANK);
-        assert!(p.generate(&t, 64).is_empty());
+        let mut out = Vec::new();
+        p.generate_with_lead(&t, 64, 0, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -439,7 +438,8 @@ mod tests {
         // One access: last_addr set but zero weight.
         t.update(3, 500);
         let mut p = Prefetcher::new(LINES_PER_BANK);
-        let c = p.generate(&t, 8);
+        let mut c = Vec::new();
+        p.generate_with_lead(&t, 8, 0, &mut c);
         assert!(!c.is_empty());
         assert!(c.contains(&PrefetchCandidate {
             bank: 3,
@@ -453,7 +453,8 @@ mod tests {
         let top = LINES_PER_BANK - 3;
         let t = table_with_stream(0, top - 40, 4, 11);
         let mut p = Prefetcher::new(LINES_PER_BANK);
-        let c = p.generate(&t, 64);
+        let mut c = Vec::new();
+        p.generate_with_lead(&t, 64, 0, &mut c);
         assert!(c.iter().all(|x| x.line_offset < LINES_PER_BANK));
     }
 
@@ -465,7 +466,8 @@ mod tests {
             t.update(0, 77);
         }
         let mut p = Prefetcher::new(LINES_PER_BANK);
-        let c = p.generate(&t, 16);
+        let mut c = Vec::new();
+        p.generate_with_lead(&t, 16, 0, &mut c);
         // Nothing useful can be predicted from a zero delta.
         assert!(c.iter().all(|x| x.line_offset != 77));
     }
@@ -481,7 +483,8 @@ mod tests {
             t.update(0, addr);
         }
         let mut p = Prefetcher::new(LINES_PER_BANK);
-        let c = p.generate(&t, 32);
+        let mut c = Vec::new();
+        p.generate_with_lead(&t, 32, 0, &mut c);
         let mut seen = c.clone();
         seen.sort_by_key(|x| (x.bank, x.line_offset));
         seen.dedup();

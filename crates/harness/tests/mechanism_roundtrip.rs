@@ -24,15 +24,7 @@ fn tiny_spec() -> RunSpec {
 /// The mechanism a job will actually build: the controller override if
 /// the cell carries one, the kind-derived controller otherwise.
 fn resolved_mechanism(job: &SweepJob) -> MechanismKind {
-    job.config
-        .ctrl_override
-        .clone()
-        .unwrap_or_else(|| {
-            job.config
-                .kind
-                .memctrl_config(job.config.ranks, job.config.seed)
-        })
-        .mechanism
+    job.config.ctrl_config().mechanism
 }
 
 #[test]

@@ -300,16 +300,6 @@ pub fn lint_grid<'a>(configs: impl IntoIterator<Item = (String, &'a MemCtrlConfi
     report
 }
 
-/// Resolves the memory-controller configuration a sweep job will run
-/// under (the ablation override wins, matching `System::new`).
-pub fn resolve_ctrl(job: &SweepJob) -> MemCtrlConfig {
-    job.config.ctrl_override.clone().unwrap_or_else(|| {
-        job.config
-            .kind
-            .memctrl_config(job.config.ranks, job.config.seed)
-    })
-}
-
 /// Vets every job of a sweep before anything is dispatched: the full
 /// rule catalog over each job's resolved controller config and
 /// open-loop spec, plus system-level shape checks
@@ -320,7 +310,7 @@ pub fn lint_jobs(jobs: &[SweepJob]) -> GridReport {
         violations: Vec::new(),
     };
     for job in jobs {
-        let ctrl = resolve_ctrl(job);
+        let ctrl = job.config.ctrl_config();
         report.push(
             &job.label,
             &Facts::new(&ctrl, job.config.open_loop.as_ref()),

@@ -108,7 +108,7 @@ pub fn parse_mechanism(label: &str) -> Option<MechanismKind> {
 pub fn mechanisms_in_jobs(jobs: &[rop_sim_system::runner::SweepJob]) -> Vec<MechanismKind> {
     let present: Vec<&str> = jobs
         .iter()
-        .map(|j| crate::config::resolve_ctrl(j).mechanism.label())
+        .map(|j| j.config.ctrl_config().mechanism.label())
         .collect();
     zoo()
         .into_iter()

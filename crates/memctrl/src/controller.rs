@@ -15,17 +15,16 @@
 //! 4. FR-FCFS command scheduling over the request queues, with the
 //!    draining rank's demand requests in a priority tier, ROP prefetches
 //!    below regular traffic, and an age cap as a starvation guard. The
-//!    queues are kept per bank, and each bank's oldest candidates sit
-//!    in a key-sorted index kept across ticks: a tick re-enters only the
-//!    banks that changed, and passes over a candidate whose cached
-//!    not-before bound lies in the future without asking the device.
+//!    queues and the decision live in the `scheduler` module; the
+//!    controller sets each refresh slot's admission gate, asks it for
+//!    a selection and issues the command.
 //!
 //! `tick` returns a *hint*: the next cycle at which calling `tick` again
 //! can possibly make progress, enabling the driver to fast-forward idle
 //! stretches without losing cycle accuracy.
 
 use rop_core::{PhaseTransition, RopConfig, RopEngine, RopPhase, SramBuffer};
-use rop_dram::{Command, DramDevice, EnergyBreakdown, Geometry, IssueOutcome};
+use rop_dram::{Command, DramDevice, EnergyBreakdown, IssueOutcome};
 use rop_events::{EventSink, TraceBuffer, TraceEvent};
 use rop_stats::RatioCounter;
 
@@ -34,7 +33,7 @@ use crate::analysis::RefreshAnalysis;
 use crate::config::MemCtrlConfig;
 use crate::mechanism::{Mechanism, RefreshMechanism, RefreshScope, RoundShape};
 use crate::refresh::{RefreshManager, RefreshState};
-use crate::request::MemRequest;
+use crate::scheduler::{QueueKind, Queued, Scheduler, Selection, SlotGate, SlotMap};
 use crate::Cycle;
 
 /// A finished read delivered back to a core.
@@ -114,25 +113,6 @@ pub struct MemCtrlStats {
     pub ticks: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Queued {
-    req: MemRequest,
-    /// True once an ACT has been issued on behalf of this request (used
-    /// for the row-buffer-hit statistic).
-    acted: bool,
-    /// Member of its slot's drain set: queued when the slot's current
-    /// (or last) drain started. Only read while the slot drains; every
-    /// drain start rewrites the flag for each of the slot's requests.
-    in_set: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueueKind {
-    Read,
-    Write,
-    Prefetch,
-}
-
 /// ROP state attached to the controller (engines are per rank, the SRAM
 /// buffer is shared across the channel — ranks take turns).
 #[derive(Debug)]
@@ -155,500 +135,15 @@ struct RopState {
     latency: Cycle,
 }
 
-/// How requests map onto refresh slots: one slot per rank, or one per
-/// (rank, bank) pair when the mechanism refreshes per bank. Fixed at
-/// construction from [`crate::MechanismKind::scope`].
-#[derive(Debug, Clone, Copy)]
-struct SlotMap {
-    /// Per-bank scope: one slot per (rank, bank), else one per rank.
-    per_bank: bool,
-    /// Slots per rank: 1, or the bank count under per-bank scope.
-    per_rank: usize,
-    /// Banks per rank.
-    banks: usize,
-}
-
-impl SlotMap {
-    fn new(scope: RefreshScope, banks_per_rank: usize) -> Self {
-        let per_bank = scope == RefreshScope::PerBank;
-        SlotMap {
-            per_bank,
-            per_rank: if per_bank { banks_per_rank } else { 1 },
-            banks: banks_per_rank,
-        }
-    }
-
-    /// The global bank key of a request: `rank * banks + bank`.
-    #[inline]
-    fn bank_key(self, addr: &DecodedAddr) -> usize {
-        addr.rank * self.banks + addr.bank
-    }
-
-    /// The refresh slot a global bank key belongs to. Under per-bank
-    /// scope the slot index is the bank key itself.
-    // rop-lint: hot
-    #[inline]
-    fn of_bank(self, key: usize) -> usize {
-        if self.per_bank {
-            key
-        } else {
-            key / self.banks
-        }
-    }
-
-    /// The global bank keys a slot covers.
-    #[inline]
-    fn banks_of(self, slot: usize) -> std::ops::Range<usize> {
-        if self.per_bank {
-            slot..slot + 1
-        } else {
-            slot * self.banks..(slot + 1) * self.banks
-        }
-    }
-
-    /// The refresh slot a request belongs to.
-    // rop-lint: hot
-    #[inline]
-    fn of(self, addr: &DecodedAddr) -> usize {
-        if self.per_bank {
-            addr.rank * self.per_rank + addr.bank
-        } else {
-            addr.rank
-        }
-    }
-
-    // The per-rank case skips the division: these run per queued
-    // request per tick.
-    #[inline]
-    fn rank(self, slot: usize) -> usize {
-        if self.per_bank {
-            slot / self.per_rank
-        } else {
-            slot
-        }
-    }
-
-    /// The single bank a per-bank slot refreshes (`None`: the whole rank).
-    #[inline]
-    fn bank(self, slot: usize) -> Option<usize> {
-        self.per_bank.then(|| slot % self.per_rank)
-    }
-
-    /// The slots covering `rank`.
-    fn of_rank(self, rank: usize) -> std::ops::Range<usize> {
-        rank * self.per_rank..(rank + 1) * self.per_rank
-    }
-}
-
-/// A scheduling candidate: one queued request and its place in the
-/// FR-FCFS order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Pick {
-    /// `tier << 62 | id`, the FR-FCFS order. Tier 0 is draining-slot
-    /// demand, 1 regular traffic, 2 ROP prefetches. Ids are allocated
-    /// in nondecreasing arrival order, so within a tier the id order is
-    /// the (arrival, id) order.
-    key: u64,
-    /// Queue holding the request.
-    kind: QueueKind,
-    /// Global bank key of the request.
-    bank: u32,
-    /// Index within the bank's queue of `kind`.
-    idx: u32,
-    /// The request's row is open in its bank.
-    hit: bool,
-}
-
-impl Pick {
-    fn new(tier: u64, kind: QueueKind, bank: usize, idx: usize, q: &Queued, hit: bool) -> Self {
-        debug_assert!(q.req.id < 1 << 62, "request id overflows the pick key");
-        Pick {
-            key: tier << 62 | q.req.id,
-            kind,
-            bank: bank as u32,
-            idx: idx as u32,
-            hit,
-        }
-    }
-}
-
-/// The earlier of two optional picks in FR-FCFS order.
-#[inline]
-fn earlier(a: Option<Pick>, b: Option<Pick>) -> Option<Pick> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(if y.key < x.key { y } else { x }),
-        (x, None) => x,
-        (None, y) => y,
-    }
-}
-
-/// What a bank lists in the candidate index while the controller does
-/// or does not serve writes (index `serve_writes as usize`): its head,
-/// the oldest admissible request, and the oldest row hit of its read
-/// and write groups. Writes outside a drain set compete only while the
-/// controller serves writes, which can flip on any tick without the
-/// bank changing, so the picks of both states are kept.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct BankPicks {
-    /// The head, per serve-writes state.
-    head: [Option<Pick>; 2],
-    /// The oldest read or prefetch row hit, listed in both states.
-    read_hit: Option<Pick>,
-    /// The oldest write row hit, per serve-writes state: drain-set
-    /// writes only, or all writes.
-    write_hit: [Option<Pick>; 2],
-}
-
-/// A slot's admission state, as of the last scheduler call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct SlotGate {
-    /// The slot drains: its drain-set requests rank in tier 0.
-    draining: bool,
-    /// Requests outside the drain set may not issue (scope frozen, or
-    /// quiescing for its refresh).
-    blocked: bool,
-    /// Drain-set requests and prefetches may not issue (scope frozen).
-    blocked_set: bool,
-    /// SARP: the subarray the slot's freeze or drain locks. Requests to
-    /// other subarrays are exempt from both gates.
-    sa_scope: Option<usize>,
-}
-
-/// One bank's share of the transaction queues and its FR-FCFS picks.
-/// Each queue is in id order, which is arrival order.
-#[derive(Debug, Default)]
-struct BankQueues {
-    reads: Vec<Queued>,
-    writes: Vec<Queued>,
-    prefetches: Vec<Queued>,
-    /// The picks the candidate index lists for this bank.
-    picks: BankPicks,
-}
-
-impl BankQueues {
-    fn with_capacity(reads: usize, writes: usize, prefetches: usize) -> Self {
-        BankQueues {
-            reads: Vec::with_capacity(reads),
-            writes: Vec::with_capacity(writes),
-            prefetches: Vec::with_capacity(prefetches),
-            ..BankQueues::default()
-        }
-    }
-
-    // rop-lint: hot
-    #[inline]
-    fn queue(&self, kind: QueueKind) -> &Vec<Queued> {
-        match kind {
-            QueueKind::Read => &self.reads,
-            QueueKind::Write => &self.writes,
-            QueueKind::Prefetch => &self.prefetches,
-        }
-    }
-
-    // rop-lint: hot
-    #[inline]
-    fn queue_mut(&mut self, kind: QueueKind) -> &mut Vec<Queued> {
-        match kind {
-            QueueKind::Read => &mut self.reads,
-            QueueKind::Write => &mut self.writes,
-            QueueKind::Prefetch => &mut self.prefetches,
-        }
-    }
-
-    /// Requests queued at this bank, over all three queues.
-    #[inline]
-    fn len(&self) -> usize {
-        self.prefetches.len() + self.reads.len() + self.writes.len()
-    }
-
-    /// The bank's picks: one pass over its requests under the slot's
-    /// `gate`, with `open_row` open.
-    // rop-lint: hot
-    fn scan(
-        &self,
-        bank: usize,
-        gate: SlotGate,
-        open_row: Option<usize>,
-        geom: &Geometry,
-    ) -> BankPicks {
-        // A gate is waived for requests outside the slot's frozen
-        // subarray (SARP); `None` scope waives nothing.
-        let exempt = |row: usize| {
-            gate.sa_scope
-                .is_some_and(|sa| geom.subarray_of_row(row) != sa)
-        };
-        // Per class, the oldest pick and the oldest row hit: reads and
-        // prefetches, drain-set writes (tier 0), other writes (tier 1).
-        let offer = |[best, hit]: &mut [Option<Pick>; 2], p: Pick| {
-            *best = earlier(*best, Some(p));
-            if p.hit {
-                *hit = earlier(*hit, Some(p));
-            }
-        };
-        let (mut read, mut drain_write, mut write) = ([None; 2], [None; 2], [None; 2]);
-        for (i, q) in self.prefetches.iter().enumerate() {
-            let row = q.req.addr.row;
-            if !gate.blocked_set || exempt(row) {
-                let pick = Pick::new(2, QueueKind::Prefetch, bank, i, q, open_row == Some(row));
-                offer(&mut read, pick);
-            }
-        }
-        for (i, q) in self.reads.iter().enumerate() {
-            let row = q.req.addr.row;
-            let in_set = gate.draining && q.in_set;
-            let gated = if in_set {
-                gate.blocked_set
-            } else {
-                gate.blocked
-            };
-            if !gated || exempt(row) {
-                let tier = if in_set { 0 } else { 1 };
-                let pick = Pick::new(tier, QueueKind::Read, bank, i, q, open_row == Some(row));
-                offer(&mut read, pick);
-            }
-        }
-        for (i, q) in self.writes.iter().enumerate() {
-            let row = q.req.addr.row;
-            let in_set = gate.draining && q.in_set;
-            let gated = if in_set {
-                gate.blocked_set
-            } else {
-                gate.blocked
-            };
-            if !gated || exempt(row) {
-                let hit = open_row == Some(row);
-                if in_set {
-                    let pick = Pick::new(0, QueueKind::Write, bank, i, q, hit);
-                    offer(&mut drain_write, pick);
-                } else {
-                    let pick = Pick::new(1, QueueKind::Write, bank, i, q, hit);
-                    offer(&mut write, pick);
-                }
-            }
-        }
-        let drain_head = earlier(read[0], drain_write[0]);
-        BankPicks {
-            head: [drain_head, earlier(drain_head, write[0])],
-            read_hit: read[1],
-            write_hit: [drain_write[1], earlier(drain_write[1], write[1])],
-        }
-    }
-}
-
-/// A listed candidate: a pick and its not-before bound.
-#[derive(Debug, Clone, Copy)]
-struct Cand {
-    pick: Pick,
-    /// The device's last earliest-issue answer for the pick's next
-    /// command (0 until asked). Never above the true answer: see
-    /// [`CandIndex`].
-    bound: Cycle,
-    /// [`CandIndex::epoch`] when `bound` was asked. Until the next
-    /// command issues, an asked bound is exact.
-    epoch: u64,
-}
-
-/// One candidate list of the index (see [`CandIndex::list`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ListKind {
-    /// Each bank's head: its oldest admissible request.
-    Heads,
-    /// Each (bank, read/write) group's oldest row hit.
-    Hits,
-}
-
-/// The FR-FCFS candidate index, kept across scheduler calls.
-///
-/// For each serve-writes state it holds two lists sorted by key: the
-/// bank heads and the group-oldest row hits of every bank, so at most
-/// one entry per bank in a head list and two in a hit list. Only banks
-/// marked stale are re-entered, slot by slot (see [`Self::reenter`]):
-/// a pick that stays keeps its entry, a changed one slides to its new
-/// key, and only a slot that appears or disappears inserts or removes.
-/// A bank is marked when its queues change, its slot's gate moves, or
-/// the controller issues ACT or PRE there (its open row changes, which
-/// also sets [`Self::row_moved`]).
-///
-/// A bound is an earliest-issue answer for the candidate's next
-/// command. The device's timing registers only rise, so a bound never
-/// exceeds the true answer for the same command, and a candidate whose
-/// bound lies after `now` cannot issue. A re-entered pick for the same
-/// request keeps its bound unless its bank's row moved: only a row move
-/// changes which command a request needs next. Until the next command
-/// ([`Self::epoch`] unchanged) the true answer is `max(now, bound)`.
-#[derive(Debug, Default)]
-struct CandIndex {
-    /// Heads, indexed by `serve_writes as usize`.
-    heads: [Vec<Cand>; 2],
-    /// Row hits, indexed by `serve_writes as usize`.
-    hits: [Vec<Cand>; 2],
-    /// Banks to re-enter at the next call, each listed once.
-    stale: Vec<u32>,
-    /// Per bank: listed in `stale`.
-    is_stale: Vec<bool>,
-    /// Per bank: ACT or PRE issued there since its last re-entry.
-    row_moved: Vec<bool>,
-    /// Commands the controller has issued.
-    epoch: u64,
-}
-
-impl CandIndex {
-    /// An empty index for `banks` banks, pre-sized to its hard bounds.
-    fn with_banks(banks: usize) -> Self {
-        let list = |per_bank: usize| Vec::with_capacity(per_bank * banks);
-        CandIndex {
-            heads: [list(1), list(1)],
-            hits: [list(2), list(2)],
-            stale: Vec::with_capacity(banks),
-            is_stale: vec![false; banks],
-            row_moved: vec![false; banks],
-            epoch: 0,
-        }
-    }
-
-    /// Marks `bank`'s picks stale.
-    // rop-lint: hot
-    #[inline]
-    fn mark(&mut self, bank: usize) {
-        if !self.is_stale[bank] {
-            self.is_stale[bank] = true;
-            self.stale.push(bank as u32);
-        }
-    }
-
-    // rop-lint: hot
-    #[inline]
-    fn list(&self, kind: ListKind, sw: usize) -> &Vec<Cand> {
-        match kind {
-            ListKind::Heads => &self.heads[sw],
-            ListKind::Hits => &self.hits[sw],
-        }
-    }
-
-    // rop-lint: hot
-    #[inline]
-    fn list_mut(&mut self, kind: ListKind, sw: usize) -> &mut Vec<Cand> {
-        match kind {
-            ListKind::Heads => &mut self.heads[sw],
-            ListKind::Hits => &mut self.hits[sw],
-        }
-    }
-
-    /// Re-enters stale `bank`, whose listed picks change from `old` to
-    /// `new`, and clears its marks. Returns the entries inserted,
-    /// removed or slid.
-    // rop-lint: hot
-    fn reenter(&mut self, bank: usize, old: &BankPicks, new: &BankPicks) -> u64 {
-        self.is_stale[bank] = false;
-        let moved = std::mem::take(&mut self.row_moved[bank]);
-        let mut moves = 0;
-        for sw in 0..2 {
-            moves += reenter_one(&mut self.heads[sw], old.head[sw], new.head[sw], moved);
-            moves += reenter_one(&mut self.hits[sw], old.read_hit, new.read_hit, moved);
-            moves += reenter_one(
-                &mut self.hits[sw],
-                old.write_hit[sw],
-                new.write_hit[sw],
-                moved,
-            );
-        }
-        moves
-    }
-}
-
-/// Moves one listed slot of a bank from pick `old` to pick `new` in
-/// the key-sorted `list`; `moved`: the bank's row moved since the slot
-/// was entered. A pick for the same request (same key) keeps its entry,
-/// and its bound unless `moved`; a new key slides the entry there, with
-/// an unasked bound. Returns the entries inserted, removed or slid.
-// rop-lint: hot
-#[inline]
-fn reenter_one(list: &mut Vec<Cand>, old: Option<Pick>, new: Option<Pick>, moved: bool) -> u64 {
-    if old == new && !moved {
-        return 0;
-    }
-    let fresh = |pick| Cand {
-        pick,
-        bound: 0,
-        epoch: 0,
-    };
-    let at = |list: &[Cand], key: u64| list.binary_search_by_key(&key, |c| c.pick.key);
-    // Keys are unique, and the list holds every pick the bank listed.
-    let listed = |list: &[Cand], key| at(list, key).expect("candidate index out of step");
-    match (old, new) {
-        (Some(o), Some(n)) if o.key == n.key => {
-            // The hit flag follows the open row.
-            debug_assert!(moved || o.hit == n.hit, "{o:?} -> {n:?} with no row move");
-            let i = listed(list, o.key);
-            list[i] = if moved {
-                fresh(n)
-            } else {
-                Cand { pick: n, ..list[i] }
-            };
-            0
-        }
-        (Some(o), Some(n)) => {
-            // Shift the entries between the old and the new place by
-            // one, toward the old place.
-            let i = listed(list, o.key);
-            let j = if n.key > o.key {
-                let j = i + at(&list[i + 1..], n.key).unwrap_err();
-                list.copy_within(i + 1..=j, i);
-                j
-            } else {
-                let j = at(&list[..i], n.key).unwrap_err();
-                list.copy_within(j..i, j + 1);
-                j
-            };
-            list[j] = fresh(n);
-            1
-        }
-        (Some(o), None) => {
-            list.remove(listed(list, o.key));
-            1
-        }
-        (None, Some(n)) => {
-            list.insert(at(list, n.key).unwrap_err(), fresh(n));
-            1
-        }
-        (None, None) => 0,
-    }
-}
-
-/// The running minima of one scheduler call's passes.
-struct PassMin {
-    now: Cycle,
-    /// [`CandIndex::epoch`] during the passes.
-    epoch: u64,
-    /// The minimum over the answers the call got and the bounds of the
-    /// current epoch it passed over.
-    earliest: Cycle,
-    /// The minimum over the older bounds it passed over: only floors.
-    stale: Cycle,
-}
-
-impl PassMin {
-    /// Whether a pass skips `c`, whose bound lies after `now`; its bound
-    /// then enters the minimum of its kind.
-    // rop-lint: hot
-    #[inline(always)]
-    fn passed_over(&mut self, c: &Cand) -> bool {
-        if c.bound <= self.now {
-            return false;
-        }
-        if c.epoch == self.epoch {
-            self.earliest = self.earliest.min(c.bound);
-        } else {
-            self.stale = self.stale.min(c.bound);
-        }
-        true
-    }
-}
-
 /// Reusable per-tick scratch buffers. Taking these out of the
 /// controller, filling them and putting them back keeps the
 /// steady-state hot path allocation-free (capacities are retained
-/// across ticks).
+/// across ticks). They are pre-sized to the controller's hard occupancy
+/// bounds, so the per-cycle paths never grow them: per-slot lists are
+/// capped by the refresh-slot count, and request lists by the total
+/// queue capacity. (ROP prefetch fills have no configured cap; the
+/// allowance covers the paper's deepest buffer, and anything beyond it
+/// merely grows once.)
 #[derive(Debug, Default)]
 struct TickScratch {
     /// Refresh slots reported by the manager this tick.
@@ -658,22 +153,6 @@ struct TickScratch {
     /// (id, bank key) of reads served or blocked by a refresh event,
     /// sorted into id order before they are processed.
     found: Vec<(u64, usize)>,
-}
-
-impl TickScratch {
-    /// Scratch pre-sized to the controller's hard occupancy bounds, so
-    /// the per-cycle paths never grow these vectors: per-slot lists are
-    /// capped by the refresh-slot count, and request lists by the total
-    /// queue capacity. (ROP prefetch fills have no configured cap; the
-    /// caller's allowance covers the paper's deepest buffer, and
-    /// anything beyond it merely grows once.)
-    fn with_bounds(queue_cap: usize, slots: usize) -> Self {
-        TickScratch {
-            slots: Vec::with_capacity(slots),
-            filled: Vec::with_capacity(queue_cap),
-            found: Vec::with_capacity(queue_cap),
-        }
-    }
 }
 
 /// The memory controller for one channel.
@@ -694,18 +173,9 @@ pub struct MemController {
     refresh_started_at: Vec<Cycle>,
     /// Per-slot subarray scope of the in-flight refresh (SARP only).
     refresh_scope_sa: Vec<Option<usize>>,
-    /// The transaction queues, split by bank (global bank key
-    /// `rank * banks_per_rank + bank`), each bank with its FR-FCFS
-    /// picks.
-    banks: Vec<BankQueues>,
-    /// The bank picks in FR-FCFS order, with their not-before bounds.
-    index: CandIndex,
-    /// Queued reads and writes, over all banks.
-    reads_queued: usize,
-    writes_queued: usize,
-    /// Per-slot admission state the bank picks were computed under.
-    /// An Idle slot's gate is always `SlotGate::default()`.
-    gates: Vec<SlotGate>,
+    /// The transaction queues and the FR-FCFS decision over them. An
+    /// Idle slot's gate there is always `SlotGate::default()`.
+    sched: Scheduler,
     /// The non-Idle refresh slots in slot order: each slot the due poll
     /// reports joins, each slot the completion poll reports leaves. The
     /// per-tick slot loops walk this instead of every slot.
@@ -759,16 +229,6 @@ fn alloc_id(next_id: &mut u64, last_arrival: &mut Cycle, now: Cycle) -> u64 {
     id
 }
 
-/// Appends a fresh request to a queue kept in id order.
-fn push_in_order(queue: &mut Vec<Queued>, req: MemRequest) {
-    debug_assert!(queue.last().is_none_or(|l| l.req.id < req.id));
-    queue.push(Queued {
-        req,
-        acted: false,
-        in_set: false,
-    });
-}
-
 impl MemController {
     /// Builds a controller (and its DRAM device) from `cfg`.
     ///
@@ -798,7 +258,7 @@ impl MemController {
             cfg.dram.refresh_enabled,
         );
         let rop = cfg.rop.as_ref().map(|rc| {
-            let mut engines: Vec<RopEngine> = (0..ranks)
+            let engines: Vec<RopEngine> = (0..ranks)
                 .map(|r| {
                     let mut c: RopConfig = rc.clone();
                     // Give each rank's throttle an independent stream.
@@ -808,11 +268,6 @@ impl MemController {
                     RopEngine::new(c)
                 })
                 .collect();
-            for (r, e) in engines.iter_mut().enumerate() {
-                // Per rank: the earliest due among the rank's slots.
-                let due = slot_map.of_rank(r).map(|s| refresh.next_due(s)).min();
-                e.set_next_refresh_due(due.expect("at least one slot"));
-            }
             RopState {
                 buffer: SramBuffer::new(rc.buffer_capacity),
                 engines,
@@ -825,25 +280,11 @@ impl MemController {
             }
         });
         let mech = Mechanism::from_config(&cfg);
-        MemController {
+        let queue_cap = cfg.read_queue_capacity + cfg.write_queue_capacity + 128;
+        let mut c = MemController {
             analysis: (0..slots).map(|_| RefreshAnalysis::new(t_rfc)).collect(),
             drain_left: vec![0; slots],
-            // Pre-sized to the hard bounds (one bank can hold a whole
-            // queue, and a prefetch burst is at most one buffer's worth)
-            // so no steady-state push grows a bank's queue.
-            banks: (0..ranks * banks)
-                .map(|_| {
-                    BankQueues::with_capacity(
-                        cfg.read_queue_capacity,
-                        cfg.write_queue_capacity,
-                        cfg.rop.as_ref().map_or(0, |r| r.buffer_capacity),
-                    )
-                })
-                .collect(),
-            index: CandIndex::with_banks(ranks * banks),
-            reads_queued: 0,
-            writes_queued: 0,
-            gates: vec![SlotGate::default(); slots],
+            sched: Scheduler::new(&cfg, slot_map),
             active: Vec::with_capacity(slots),
             device,
             mapping,
@@ -867,12 +308,17 @@ impl MemController {
             touched: false,
             stats: MemCtrlStats::default(),
             trace: TraceBuffer::new(),
-            scratch: TickScratch::with_bounds(
-                cfg.read_queue_capacity + cfg.write_queue_capacity + 128,
-                slots,
-            ),
+            scratch: TickScratch {
+                slots: Vec::with_capacity(slots),
+                filled: Vec::with_capacity(queue_cap),
+                found: Vec::with_capacity(queue_cap),
+            },
             cfg,
+        };
+        for rank in 0..ranks {
+            c.update_engine_due(rank);
         }
+        c
     }
 
     /// Turns the event trace on or off across every layer the controller
@@ -1045,12 +491,12 @@ impl MemController {
 
     /// Number of read-queue entries currently pending.
     pub fn read_queue_len(&self) -> usize {
-        self.reads_queued
+        self.sched.len(QueueKind::Read)
     }
 
     /// Number of write-queue entries currently pending.
     pub fn write_queue_len(&self) -> usize {
-        self.writes_queued
+        self.sched.len(QueueKind::Write)
     }
 
     /// Full energy breakdown: DRAM (device model) + ROP SRAM accesses.
@@ -1082,7 +528,7 @@ impl MemController {
     /// cycle: request ids must follow arrival order.
     pub fn enqueue_read(&mut self, line_addr: u64, core: usize, now: Cycle) -> Option<u64> {
         let sram = self.rop.as_ref().is_some_and(|r| r.buffer.is_powered());
-        if !sram && self.reads_queued >= self.cfg.read_queue_capacity {
+        if !sram && self.sched.len(QueueKind::Read) >= self.cfg.read_queue_capacity {
             self.stats.read_queue_full += 1;
             return None;
         }
@@ -1100,65 +546,32 @@ impl MemController {
         // anticipated, so prefetching stays bandwidth-neutral. The
         // hit-rate statistics that drive the Training fallback only count
         // lookups during frozen cycles (the paper's Figure 9 metric).
-        if let Some(rop) = &mut self.rop {
-            if rop.buffer.is_powered() {
-                if refreshing {
-                    rop.refresh_lookups[slot] += 1;
-                    self.stats.sram_lookups += 1;
-                }
-                let hit = if refreshing {
-                    rop.buffer.lookup(line_addr)
-                } else {
-                    rop.buffer.serve_quiet(line_addr)
-                };
-                if hit {
-                    if refreshing {
-                        rop.refresh_hits[slot] += 1;
-                        self.stats.sram_hits += 1;
-                    }
-                    let latency = rop.latency;
-                    // Served from SRAM: no DRAM involvement at all.
-                    let id = self.alloc_id(now);
-                    let done_at = now + latency;
-                    self.completions.push(Completion {
-                        id,
-                        core,
-                        done_at,
-                        from_sram: true,
-                    });
-                    self.stats.reads_completed += 1;
-                    self.stats.reads_from_sram += 1;
-                    self.stats.sum_read_latency += latency;
-                    self.note_arrival(addr.rank, addr.bank, addr, true, now);
-                    return Some(id);
-                }
-            }
+        let hit = sram
+            && if refreshing {
+                self.refresh_lookup(slot, line_addr)
+            } else {
+                let rop = self.rop.as_mut().expect("buffer powered");
+                rop.buffer.serve_quiet(line_addr)
+            };
+        if hit {
+            // Served from SRAM: no DRAM involvement at all.
+            let id = self.alloc_id(now);
+            self.serve_from_sram(id, core, now, now);
+            self.note_arrival(addr, true, now);
+            return Some(id);
         }
 
-        if self.reads_queued >= self.cfg.read_queue_capacity {
+        if self.sched.len(QueueKind::Read) >= self.cfg.read_queue_capacity {
             self.stats.read_queue_full += 1;
             return None;
         }
         let id = self.alloc_id(now);
         if refreshing {
-            self.stats.reads_blocked_by_refresh += 1;
-            if self.track_blocked {
-                self.blocked_ids.push(id);
-            }
+            self.note_blocked(id);
         }
-        self.note_arrival(addr.rank, addr.bank, addr, true, now);
-        self.push_request(
-            QueueKind::Read,
-            MemRequest {
-                id,
-                line_addr,
-                addr,
-                is_write: false,
-                arrival: now,
-                core,
-                is_prefetch: false,
-            },
-        );
+        self.note_arrival(addr, true, now);
+        self.sched
+            .enqueue(QueueKind::Read, id, line_addr, addr, core, now);
         Some(id)
     }
 
@@ -1169,26 +582,16 @@ impl MemController {
     /// Panics if `now` is earlier than a previously enqueued request's
     /// cycle, as [`Self::enqueue_read`] does.
     pub fn enqueue_write(&mut self, line_addr: u64, core: usize, now: Cycle) -> bool {
-        if self.writes_queued >= self.cfg.write_queue_capacity {
+        if self.sched.len(QueueKind::Write) >= self.cfg.write_queue_capacity {
             self.stats.write_queue_full += 1;
             return false;
         }
         self.touched = true;
         let addr = self.mapping.decode(line_addr);
         let id = self.alloc_id(now);
-        self.note_arrival(addr.rank, addr.bank, addr, false, now);
-        self.push_request(
-            QueueKind::Write,
-            MemRequest {
-                id,
-                line_addr,
-                addr,
-                is_write: true,
-                arrival: now,
-                core,
-                is_prefetch: false,
-            },
-        );
+        self.note_arrival(addr, false, now);
+        self.sched
+            .enqueue(QueueKind::Write, id, line_addr, addr, core, now);
         self.stats.writes_accepted += 1;
         true
     }
@@ -1198,31 +601,11 @@ impl MemController {
         alloc_id(&mut self.next_id, &mut self.last_arrival, now)
     }
 
-    /// Appends a request to its bank's `kind` queue. Ids are allocated
-    /// in nondecreasing arrival order, which keeps every queue in
-    /// (arrival, id) order: the FR-FCFS picks rely on it.
-    fn push_request(&mut self, kind: QueueKind, req: MemRequest) {
-        let bank = self.slot_map.bank_key(&req.addr);
-        push_in_order(self.banks[bank].queue_mut(kind), req);
-        self.index.mark(bank);
-        match kind {
-            QueueKind::Read => self.reads_queued += 1,
-            QueueKind::Write => self.writes_queued += 1,
-            QueueKind::Prefetch => {}
-        }
-    }
-
     /// Takes request `idx` out of bank `bank`'s `kind` queue, keeping
-    /// the occupancy counts and the drain-set size in step.
+    /// the drain-set size in step.
     // rop-lint: hot
     fn remove_request(&mut self, kind: QueueKind, bank: usize, idx: usize) -> Queued {
-        let q = self.banks[bank].queue_mut(kind).remove(idx);
-        self.index.mark(bank);
-        match kind {
-            QueueKind::Read => self.reads_queued -= 1,
-            QueueKind::Write => self.writes_queued -= 1,
-            QueueKind::Prefetch => {}
-        }
+        let q = self.sched.remove(kind, bank, idx);
         if q.in_set {
             self.drain_left[self.slot_map.of_bank(bank)] -= 1;
         }
@@ -1230,20 +613,13 @@ impl MemController {
     }
 
     /// Records an accepted demand arrival with the analysis and ROP hooks.
-    fn note_arrival(
-        &mut self,
-        rank: usize,
-        bank: usize,
-        addr: crate::address::DecodedAddr,
-        is_read: bool,
-        now: Cycle,
-    ) {
+    fn note_arrival(&mut self, addr: DecodedAddr, is_read: bool, now: Cycle) {
         let slot = self.slot_map.of(&addr);
         self.analysis[slot].note_arrival(now, is_read);
         self.mech.on_bank_activity(slot, now);
         if let Some(rop) = &mut self.rop {
             let line_in_bank = addr.line_in_bank(self.cfg.dram.geometry.lines_per_row);
-            rop.engines[rank].note_access(bank, line_in_bank, is_read, now);
+            rop.engines[addr.rank].note_access(addr.bank, line_in_bank, is_read, now);
         }
     }
 
@@ -1291,9 +667,10 @@ impl MemController {
         self.handle_refresh_dues(now);
 
         // 3. Write-drain hysteresis.
-        if self.writes_queued >= self.cfg.write_drain_high {
+        let writes = self.sched.len(QueueKind::Write);
+        if writes >= self.cfg.write_drain_high {
             self.write_drain = true;
-        } else if self.writes_queued <= self.cfg.write_drain_low {
+        } else if writes <= self.cfg.write_drain_low {
             self.write_drain = false;
         }
 
@@ -1369,12 +746,12 @@ impl MemController {
         // the rank froze. Reads already swept (and skipped as in-flight)
         // get matched against the arriving lines, exactly as an MSHR
         // would match a fill against its waiting queue — oldest first.
-        let latency = rop.latency;
         let mut found = std::mem::take(&mut self.scratch.found);
         found.clear();
-        for (bank, bq) in self.banks.iter().enumerate() {
-            for q in &bq.reads {
-                let slot = self.slot_map.of_bank(bank);
+        let geom = self.cfg.dram.geometry;
+        for bank in 0..geom.ranks * geom.banks_per_rank {
+            let slot = self.slot_map.of_bank(bank);
+            for q in self.sched.queue(bank, QueueKind::Read) {
                 if self.request_frozen(slot, &q.req.addr, now) && filled.contains(&q.req.line_addr)
                 {
                     found.push((q.req.id, bank));
@@ -1383,24 +760,11 @@ impl MemController {
         }
         found.sort_unstable();
         for &(id, bank) in &found {
-            let req = self.remove_read(bank, id).req;
-            let slot = self.slot_map.of_bank(bank);
-            let rop = self.rop.as_mut().expect("rop enabled");
-            rop.refresh_lookups[slot] += 1;
-            rop.refresh_hits[slot] += 1;
-            let served = rop.buffer.lookup(req.line_addr);
+            let idx = self.read_index(bank, id);
+            let req = self.remove_request(QueueKind::Read, bank, idx).req;
+            let served = self.refresh_lookup(self.slot_map.of_bank(bank), req.line_addr);
             debug_assert!(served, "line was just inserted");
-            self.stats.sram_lookups += 1;
-            self.stats.sram_hits += 1;
-            self.completions.push(Completion {
-                id: req.id,
-                core: req.core,
-                done_at: now.saturating_add(latency),
-                from_sram: true,
-            });
-            self.stats.reads_completed += 1;
-            self.stats.reads_from_sram += 1;
-            self.stats.sum_read_latency += now.saturating_add(latency) - req.arrival;
+            self.serve_from_sram(req.id, req.core, req.arrival, now);
         }
         self.scratch.found = found;
         self.scratch.filled = filled;
@@ -1418,41 +782,31 @@ impl MemController {
                 .binary_search(&slot)
                 .expect("a thawed slot was active");
             self.active.remove(at);
-            if self.gates[slot] != SlotGate::default() {
-                self.gates[slot] = SlotGate::default();
-                for bank in self.slot_map.banks_of(slot) {
-                    self.index.mark(bank);
-                }
-            }
+            self.sched.set_gate(slot, SlotGate::default());
             let rank = self.slot_map.rank(slot);
             let scope_bank = self.slot_map.bank(slot);
             // A skipped RAIDR round never started (sentinel stays at
             // `Cycle::MAX`): no RefreshEnd, nothing was blocked.
-            let started = self.refresh_started_at[slot];
-            let scope_sa = self.refresh_scope_sa[slot];
-            self.refresh_started_at[slot] = Cycle::MAX;
-            self.refresh_scope_sa[slot] = None;
+            let started = std::mem::replace(&mut self.refresh_started_at[slot], Cycle::MAX);
+            let scope_sa = self.refresh_scope_sa[slot].take();
             if started != Cycle::MAX {
                 self.trace.emit(|| TraceEvent::RefreshEnd {
                     cycle: now,
                     rank,
                     bank: scope_bank,
                 });
-            }
-            // Blocked-cycle accounting: reads still queued for the
-            // thawed scope were stalled from max(refresh start,
-            // arrival) until now. Purely observational — identical
-            // scheduling either way.
-            if started != Cycle::MAX {
+                // Blocked-cycle accounting: reads still queued for the
+                // thawed scope were stalled from max(refresh start,
+                // arrival) until now. Purely observational — identical
+                // scheduling either way.
+                let geom = self.cfg.dram.geometry;
                 let mut blocked = 0u64;
                 let mut ids = std::mem::take(&mut self.blocked_ids);
                 let first = ids.len();
                 for bank in self.slot_map.banks_of(slot) {
-                    for q in &self.banks[bank].reads {
-                        if let Some(sa) = scope_sa {
-                            if self.cfg.dram.geometry.subarray_of_row(q.req.addr.row) != sa {
-                                continue;
-                            }
+                    for q in self.sched.queue(bank, QueueKind::Read) {
+                        if scope_sa.is_some_and(|sa| geom.subarray_of_row(q.req.addr.row) != sa) {
+                            continue;
                         }
                         blocked += now - started.max(q.req.arrival);
                         if self.track_blocked {
@@ -1471,19 +825,14 @@ impl MemController {
                 let hits = rop.refresh_hits[slot];
                 let lookups = rop.refresh_lookups[slot];
                 let transition = rop.engines[rank].refresh_completed(now, hits, lookups);
-                match transition {
-                    PhaseTransition::StartObserving | PhaseTransition::StartTraining => {
-                        // Buffer power follows the union of engine phases:
-                        // on if any rank is out of Training.
-                        let any_active =
-                            rop.engines.iter().any(|e| e.phase() != RopPhase::Training);
-                        if any_active {
-                            rop.buffer.power_on();
-                        } else {
-                            rop.buffer.power_off();
-                        }
+                if transition != PhaseTransition::None {
+                    // Buffer power follows the union of engine phases: on
+                    // if any rank is out of Training.
+                    if rop.engines.iter().any(|e| e.phase() != RopPhase::Training) {
+                        rop.buffer.power_on();
+                    } else {
+                        rop.buffer.power_off();
                     }
-                    PhaseTransition::None => {}
                 }
                 // Lazy buffer handoff: the lines stay resident (serving
                 // demand hits, which is what keeps prefetching
@@ -1504,11 +853,12 @@ impl MemController {
         // `busy` for the mechanism: does the slot's scope have pending
         // demand?
         let slot_map = self.slot_map;
-        let banks = &self.banks;
+        let sched = &self.sched;
         let busy = |slot: usize| {
-            slot_map
-                .banks_of(slot)
-                .any(|b| !banks[b].reads.is_empty() || !banks[b].writes.is_empty())
+            slot_map.banks_of(slot).any(|b| {
+                !sched.queue(b, QueueKind::Read).is_empty()
+                    || !sched.queue(b, QueueKind::Write).is_empty()
+            })
         };
         let mut due = std::mem::take(&mut self.scratch.slots);
         due.clear();
@@ -1542,22 +892,7 @@ impl MemController {
             // only the refreshing subarray needs to drain — the rest of
             // the bank keeps flowing through the refresh). Every
             // request of the slot has its membership flag rewritten.
-            let sa_filter = match shape {
-                RoundShape::Subarray { subarray } => Some(subarray),
-                _ => None,
-            };
-            let geom = self.cfg.dram.geometry;
-            let mut members = 0;
-            for bank in slot_map.banks_of(slot) {
-                let bq = &mut self.banks[bank];
-                self.index.mark(bank);
-                for q in bq.reads.iter_mut().chain(bq.writes.iter_mut()) {
-                    q.in_set =
-                        sa_filter.is_none_or(|sa| geom.subarray_of_row(q.req.addr.row) == sa);
-                    members += usize::from(q.in_set);
-                }
-            }
-            self.drain_left[slot] = members;
+            self.drain_left[slot] = self.sched.start_drain(slot, shape.subarray());
 
             if let Some(rop) = &mut self.rop {
                 // The buffer is claimable when free, already owned by this
@@ -1607,12 +942,7 @@ impl MemController {
         let rank = self.slot_map.rank(slot);
         let bank = self.slot_map.bank(slot);
         let grace = self.cfg.prefetch_grace;
-        let capacity = self
-            .cfg
-            .rop
-            .as_ref()
-            .map(|r| r.buffer_capacity)
-            .unwrap_or(0);
+        let capacity = self.cfg.rop.as_ref().map_or(0, |r| r.buffer_capacity);
         let Some(rop) = &mut self.rop else { return };
         rop.prefetch_pending[slot] = false;
         // Lead by the full grace window: the fill of a busy channel takes
@@ -1637,49 +967,29 @@ impl MemController {
                 .encode_bank_line(rank, cand.bank, cand.line_offset);
             let addr = self.mapping.decode(line_addr);
             let id = alloc_id(&mut self.next_id, &mut self.last_arrival, now);
-            let bank = self.slot_map.bank_key(&addr);
-            push_in_order(
-                &mut self.banks[bank].prefetches,
-                MemRequest {
-                    id,
-                    line_addr,
-                    addr,
-                    is_write: false,
-                    arrival: now,
-                    core: usize::MAX,
-                    is_prefetch: true,
-                },
-            );
-            self.index.mark(bank);
+            self.sched
+                .enqueue(QueueKind::Prefetch, id, line_addr, addr, usize::MAX, now);
             self.stats.prefetches_issued += 1;
         }
     }
 
-    /// True when `slot`'s snapshot of demand requests has been issued (or
-    /// the postpone deadline forces the refresh).
-    fn demand_drained(&self, slot: usize, now: Cycle) -> bool {
-        self.refresh.drain_deadline_passed(slot, now) || self.drain_left[slot] == 0
-    }
-
-    /// True when `slot`'s drain obligations are met: the demand drain set
-    /// has issued, and its prefetch requests have either issued or used
-    /// up their opportunistic grace window.
+    /// True when `slot`'s drain obligations are met (or the postpone
+    /// deadline forces the refresh): the demand drain set has issued,
+    /// and its prefetch requests have either issued or used up their
+    /// opportunistic grace window.
     fn drain_complete(&self, slot: usize, now: Cycle) -> bool {
-        if self.refresh.drain_deadline_passed(slot, now) {
-            return true;
-        }
-        if !self.demand_drained(slot, now) {
-            return false;
-        }
-        let prefetch_done = (!self
-            .slot_map
-            .banks_of(slot)
-            .any(|b| !self.banks[b].prefetches.is_empty())
-            && !self.rop.as_ref().is_some_and(|r| r.prefetch_pending[slot]))
-            || self
-                .refresh
-                .draining_longer_than(slot, now, self.cfg.prefetch_grace);
-        prefetch_done
+        let prefetch_done = || {
+            (!self
+                .slot_map
+                .banks_of(slot)
+                .any(|b| !self.sched.queue(b, QueueKind::Prefetch).is_empty())
+                && !self.rop.as_ref().is_some_and(|r| r.prefetch_pending[slot]))
+                || self
+                    .refresh
+                    .draining_longer_than(slot, now, self.cfg.prefetch_grace)
+        };
+        self.refresh.drain_deadline_passed(slot, now)
+            || (self.drain_left[slot] == 0 && prefetch_done())
     }
 
     /// Refresh preparation: for a Draining rank whose drain is complete,
@@ -1699,7 +1009,7 @@ impl MemController {
             let rank = self.slot_map.rank(slot);
             // The demand drain just finished: now is the moment to
             // extrapolate the stream into prefetch candidates.
-            if self.demand_drained(slot, now)
+            if self.drain_left[slot] == 0
                 && self.rop.as_ref().is_some_and(|r| r.prefetch_pending[slot])
                 && !self.refresh.drain_deadline_passed(slot, now)
             {
@@ -1711,21 +1021,15 @@ impl MemController {
             any = true;
             // What this round puts on the bus is the mechanism's call.
             let shape = self.mech.round_shape(&self.refresh, slot);
-            let sa_target = match shape {
-                RoundShape::Subarray { subarray } => Some(subarray),
-                _ => None,
-            };
+            let sa_target = shape.subarray();
             // Close any open bank in the refresh scope (a single bank in
             // per-bank mode, the whole rank otherwise). Under SARP only
             // a row open in the *target* subarray needs closing; rows in
             // sibling subarrays stay open through the refresh.
-            let banks = self.cfg.dram.geometry.banks_per_rank;
-            let (scope_lo, scope_hi) = match self.slot_map.bank(slot) {
-                Some(b) => (b, b + 1),
-                None => (0, banks),
-            };
+            let scope_bank = self.slot_map.bank(slot);
             let mut all_idle = true;
-            for bank in scope_lo..scope_hi {
+            for key in self.slot_map.banks_of(slot) {
+                let bank = key % self.cfg.dram.geometry.banks_per_rank;
                 if let Some(row) = self.device.open_row(rank, bank) {
                     if sa_target.is_some_and(|sa| self.device.subarray_of_row(row) != sa) {
                         continue;
@@ -1742,110 +1046,87 @@ impl MemController {
                     }
                 }
             }
-            if all_idle {
-                let issued = match shape {
-                    RoundShape::Standard => {
-                        let cmd = match self.slot_map.bank(slot) {
-                            Some(bank) => Command::RefreshBank { rank, bank },
-                            None => Command::Refresh { rank },
-                        };
-                        match self.device.earliest_issue(&cmd, now) {
-                            Ok(e) if e <= now => Some(self.issue_command(&cmd, now)),
-                            Ok(e) => {
-                                earliest = earliest.min(e);
-                                None
-                            }
-                            Err(_) => None,
-                        }
-                    }
-                    RoundShape::Subarray { subarray } => {
-                        let bank = self.slot_map.bank(slot).expect("SARP refresh is per-bank");
-                        match self
-                            .device
-                            .earliest_subarray_refresh(rank, bank, subarray, now)
-                        {
-                            Ok(e) if e <= now => {
-                                self.index.epoch += 1;
-                                Some(
-                                    self.device
-                                        .try_issue_subarray_refresh(rank, bank, subarray, now)
-                                        .expect("legal at its earliest-issue cycle"),
-                                )
-                            }
-                            Ok(e) => {
-                                earliest = earliest.min(e);
-                                None
-                            }
-                            Err(_) => None,
-                        }
-                    }
-                    RoundShape::Scaled {
-                        duration,
+            if !all_idle {
+                continue;
+            }
+            // The refresh command of the slot's scope. A SARP round
+            // refreshes one subarray of its bank; a RAIDR round locks its
+            // rank for a scaled duration.
+            let cmd = match scope_bank {
+                Some(bank) => Command::RefreshBank { rank, bank },
+                None => Command::Refresh { rank },
+            };
+            let sarp_bank = || scope_bank.expect("SARP refresh is per-bank");
+            let ready = match shape {
+                RoundShape::Subarray { subarray } => {
+                    self.device
+                        .earliest_subarray_refresh(rank, sarp_bank(), subarray, now)
+                }
+                // Skips resolve at due time, never reach Draining.
+                RoundShape::Skip { .. } => {
+                    unreachable!("skipped round entered drain") // rop-lint: allow(no-panic)
+                }
+                _ => self.device.earliest_issue(&cmd, now),
+            };
+            match ready {
+                Ok(e) if e <= now => {}
+                Ok(e) => {
+                    earliest = earliest.min(e);
+                    continue;
+                }
+                Err(_) => continue,
+            }
+            self.sched.note_issued(&cmd);
+            let outcome = match shape {
+                RoundShape::Subarray { subarray } => self
+                    .device
+                    .try_issue_subarray_refresh(rank, sarp_bank(), subarray, now)
+                    .expect("legal at its earliest-issue cycle"),
+                RoundShape::Scaled {
+                    duration,
+                    round,
+                    covers_128,
+                    covers_256,
+                } => {
+                    let o = self
+                        .device
+                        .try_issue_refresh_scaled(rank, now, duration)
+                        .expect("legal at its earliest-issue cycle");
+                    self.trace.emit(|| TraceEvent::RetentionRound {
+                        cycle: now,
+                        rank,
                         round,
                         covers_128,
                         covers_256,
-                    } => match self.device.earliest_issue(&Command::Refresh { rank }, now) {
-                        Ok(e) if e <= now => {
-                            self.index.epoch += 1;
-                            let o = self
-                                .device
-                                .try_issue_refresh_scaled(rank, now, duration)
-                                .expect("legal at its earliest-issue cycle");
-                            self.trace.emit(|| TraceEvent::RetentionRound {
-                                cycle: now,
-                                rank,
-                                round,
-                                covers_128,
-                                covers_256,
-                            });
-                            Some(o)
-                        }
-                        Ok(e) => {
-                            earliest = earliest.min(e);
-                            None
-                        }
-                        Err(_) => None,
-                    },
-                    // Skips resolve at due time, never reach Draining.
-                    RoundShape::Skip { .. } => {
-                        unreachable!("skipped round entered drain") // rop-lint: allow(no-panic)
-                    }
-                };
-                if let Some(outcome) = issued {
-                    self.mech
-                        .on_refresh_issued(&mut self.refresh, slot, now, outcome.completes_at);
-                    self.refresh_started_at[slot] = now;
-                    self.refresh_scope_sa[slot] = sa_target;
-                    self.analysis[slot].refresh_started(now);
-                    let scope_bank = self.slot_map.bank(slot);
-                    self.trace
-                        .emit(|| TraceEvent::DrainEnd { cycle: now, rank });
-                    self.trace.emit(|| TraceEvent::RefreshStart {
-                        cycle: now,
-                        rank,
-                        bank: scope_bank,
-                        subarray: sa_target,
                     });
-                    if let Some(rop) = &mut self.rop {
-                        rop.refresh_hits[slot] = 0;
-                        rop.refresh_lookups[slot] = 0;
-                        rop.prefetch_pending[slot] = false;
-                        rop.engines[rank].refresh_started_scoped(now, scope_bank);
-                        // Prefetches for this slot that have not issued
-                        // can no longer help; drop them.
-                        for bank in self.slot_map.banks_of(slot) {
-                            let bq = &mut self.banks[bank];
-                            if !bq.prefetches.is_empty() {
-                                self.stats.prefetches_dropped += bq.prefetches.len() as u64;
-                                bq.prefetches.clear();
-                                self.index.mark(bank);
-                            }
-                        }
-                    }
-                    self.sweep_blocked_reads(slot, now);
-                    return Some(Ok(()));
+                    o
                 }
+                _ => self.device.issue(&cmd, now),
+            };
+            self.mech
+                .on_refresh_issued(&mut self.refresh, slot, now, outcome.completes_at);
+            self.refresh_started_at[slot] = now;
+            self.refresh_scope_sa[slot] = sa_target;
+            self.analysis[slot].refresh_started(now);
+            self.trace
+                .emit(|| TraceEvent::DrainEnd { cycle: now, rank });
+            self.trace.emit(|| TraceEvent::RefreshStart {
+                cycle: now,
+                rank,
+                bank: scope_bank,
+                subarray: sa_target,
+            });
+            if let Some(rop) = &mut self.rop {
+                rop.refresh_hits[slot] = 0;
+                rop.refresh_lookups[slot] = 0;
+                rop.prefetch_pending[slot] = false;
+                rop.engines[rank].refresh_started_scoped(now, scope_bank);
+                // Prefetches for this slot that have not issued can no
+                // longer help; drop them.
+                self.stats.prefetches_dropped += self.sched.drop_prefetches(slot) as u64;
             }
+            self.sweep_blocked_reads(slot, now);
+            return Some(Ok(()));
         }
         if any {
             Some(Err(earliest))
@@ -1869,8 +1150,8 @@ impl MemController {
         blocked.clear();
         for bank in self.slot_map.banks_of(slot) {
             blocked.extend(
-                self.banks[bank]
-                    .reads
+                self.sched
+                    .queue(bank, QueueKind::Read)
                     .iter()
                     .filter(|q| {
                         scope_sa.is_none_or(|sa| geom.subarray_of_row(q.req.addr.row) == sa)
@@ -1885,75 +1166,79 @@ impl MemController {
             return;
         }
         self.analysis[slot].note_blocked_at_refresh_start(blocked.len() as u64);
-        let Some(rop) = &mut self.rop else {
-            self.stats.reads_blocked_by_refresh += blocked.len() as u64;
-            if self.track_blocked {
-                self.blocked_ids.extend(blocked.iter().map(|&(id, _)| id));
-            }
-            self.scratch.found = blocked;
-            return;
-        };
-        rop.engines[rank].note_blocked_queued(blocked.len() as u64);
-        if !rop.buffer.is_powered() {
-            // Training phase: the buffer is off, nothing can be served.
-            self.stats.reads_blocked_by_refresh += blocked.len() as u64;
-            if self.track_blocked {
-                self.blocked_ids.extend(blocked.iter().map(|&(id, _)| id));
-            }
-            self.scratch.found = blocked;
-            return;
-        }
-        let latency = rop.latency;
+        // In the Training phase the buffer is off: nothing can be served.
+        let powered = self.rop.as_mut().is_some_and(|rop| {
+            rop.engines[rank].note_blocked_queued(blocked.len() as u64);
+            rop.buffer.is_powered()
+        });
         for &(id, bank) in &blocked {
-            let idx = self.read_index(bank, id);
-            let req = self.banks[bank].reads[idx].req;
-            // The line may still be in flight from a just-issued prefetch;
-            // defer judgement — `apply_fills` re-matches it on arrival.
-            if self
-                .pending_fills
-                .iter()
-                .any(|&(key, _)| key == req.line_addr)
-            {
-                continue;
-            }
-            let rop = self.rop.as_mut().expect("rop enabled");
-            rop.refresh_lookups[slot] += 1;
-            self.stats.sram_lookups += 1;
-            if rop.buffer.lookup(req.line_addr) {
-                rop.refresh_hits[slot] += 1;
-                self.stats.sram_hits += 1;
-                self.remove_request(QueueKind::Read, bank, idx);
-                self.completions.push(Completion {
-                    id: req.id,
-                    core: req.core,
-                    done_at: now.saturating_add(latency),
-                    from_sram: true,
-                });
-                self.stats.reads_completed += 1;
-                self.stats.reads_from_sram += 1;
-                self.stats.sum_read_latency += now.saturating_add(latency) - req.arrival;
-            } else {
-                self.stats.reads_blocked_by_refresh += 1;
-                if self.track_blocked {
-                    self.blocked_ids.push(id);
+            if powered {
+                let idx = self.read_index(bank, id);
+                let req = self.sched.queue(bank, QueueKind::Read)[idx].req;
+                // The line may still be in flight from a just-issued
+                // prefetch; defer judgement — `apply_fills` re-matches
+                // it on arrival.
+                if self
+                    .pending_fills
+                    .iter()
+                    .any(|&(key, _)| key == req.line_addr)
+                {
+                    continue;
+                }
+                if self.refresh_lookup(slot, req.line_addr) {
+                    self.remove_request(QueueKind::Read, bank, idx);
+                    self.serve_from_sram(req.id, req.core, req.arrival, now);
+                    continue;
                 }
             }
+            self.note_blocked(id);
         }
         self.scratch.found = blocked;
     }
 
-    /// Position of the queued read `id` in bank `bank`'s read queue.
-    fn read_index(&self, bank: usize, id: u64) -> usize {
-        self.banks[bank]
-            .reads
-            .binary_search_by_key(&id, |q| q.req.id)
-            .expect("read is queued")
+    /// Looks `line` up in the SRAM buffer for a read that `slot`'s
+    /// refresh blocks, counting the lookup and its outcome in the
+    /// refresh's hit-rate statistics and the run's.
+    fn refresh_lookup(&mut self, slot: usize, line: u64) -> bool {
+        let rop = self.rop.as_mut().expect("rop enabled");
+        let hit = rop.buffer.lookup(line);
+        rop.refresh_lookups[slot] += 1;
+        rop.refresh_hits[slot] += u64::from(hit);
+        self.stats.sram_lookups += 1;
+        self.stats.sram_hits += u64::from(hit);
+        hit
     }
 
-    /// Removes the queued read `id` from bank `bank`.
-    fn remove_read(&mut self, bank: usize, id: u64) -> Queued {
-        let idx = self.read_index(bank, id);
-        self.remove_request(QueueKind::Read, bank, idx)
+    /// Completes read `id` of `core`, which arrived at `arrival`, from
+    /// the SRAM buffer at `now`.
+    fn serve_from_sram(&mut self, id: u64, core: usize, arrival: Cycle, now: Cycle) {
+        let latency = self.rop.as_ref().expect("rop enabled").latency;
+        let done_at = now.saturating_add(latency);
+        self.completions.push(Completion {
+            id,
+            core,
+            done_at,
+            from_sram: true,
+        });
+        self.stats.reads_completed += 1;
+        self.stats.reads_from_sram += 1;
+        self.stats.sum_read_latency += done_at - arrival;
+    }
+
+    /// Counts read `id` as blocked by a refresh.
+    fn note_blocked(&mut self, id: u64) {
+        self.stats.reads_blocked_by_refresh += 1;
+        if self.track_blocked {
+            self.blocked_ids.push(id);
+        }
+    }
+
+    /// Position of the queued read `id` in bank `bank`'s read queue.
+    fn read_index(&self, bank: usize, id: u64) -> usize {
+        self.sched
+            .queue(bank, QueueKind::Read)
+            .binary_search_by_key(&id, |q| q.req.id)
+            .expect("read is queued")
     }
 
     /// `slot`'s admission state at `now`.
@@ -1989,9 +1274,7 @@ impl MemController {
             return self.device.frozen_subarray(rank, bank, now);
         }
         if matches!(self.refresh.state(slot), RefreshState::Draining { .. }) {
-            if let RoundShape::Subarray { subarray } = self.mech.round_shape(&self.refresh, slot) {
-                return Some(subarray);
-            }
+            return self.mech.round_shape(&self.refresh, slot).subarray();
         }
         None
     }
@@ -2001,231 +1284,41 @@ impl MemController {
     // rop-lint: hot
     fn schedule(&mut self, now: Cycle) -> Result<(), Cycle> {
         self.stats.schedule_calls += 1;
-        let result = self.schedule_indexed(now);
-        if result.is_ok() {
-            self.stats.schedule_issued += 1;
-        }
-        #[cfg(debug_assertions)]
-        self.check_index(now);
-        result
-    }
-
-    /// Brings the candidate index up to date: recomputes each active
-    /// slot's gate, marking the slot's banks when it moved, then
-    /// re-enters every marked bank. An Idle slot's gate is the default,
-    /// set once when it thaws.
-    // rop-lint: hot
-    fn refresh_index(&mut self, now: Cycle) {
+        // Each active slot's gate; an Idle slot's is the default, set
+        // once when it thaws.
         self.refresh.note_visits(self.active.len());
         for i in 0..self.active.len() {
             let slot = self.active[i];
             let gate = self.slot_gate(slot, now);
-            if gate != self.gates[slot] {
-                self.gates[slot] = gate;
-                for bank in self.slot_map.banks_of(slot) {
-                    self.index.mark(bank);
-                }
+            self.sched.set_gate(slot, gate);
+        }
+        let serve_writes = self.write_drain || self.sched.len(QueueKind::Read) == 0;
+        let result = match self
+            .sched
+            .select(&self.device, serve_writes, now, &mut self.stats)
+        {
+            Ok(sel) => {
+                self.issue_selected(sel, now);
+                self.stats.schedule_issued += 1;
+                Ok(())
             }
-        }
-        let geom = self.cfg.dram.geometry;
-        let mut stale = std::mem::take(&mut self.index.stale);
-        for &b in &stale {
-            let bank = b as usize;
-            let bq = &mut self.banks[bank];
-            let open = self
-                .device
-                .open_row(bank / geom.banks_per_rank, bank % geom.banks_per_rank);
-            let picks = bq.scan(bank, self.gates[self.slot_map.of_bank(bank)], open, &geom);
-            self.stats.index_moves += self.index.reenter(bank, &bq.picks, &picks);
-            bq.picks = picks;
-            self.stats.schedule_entries_scanned += bq.len() as u64;
-        }
-        stale.clear();
-        self.index.stale = stale;
-    }
-
-    /// One scheduling decision over the candidate index.
-    ///
-    /// Tier 0: draining-slot demand (must issue before its REF); tier 1:
-    /// regular traffic; tier 2: ROP prefetches — strictly
-    /// opportunistic, they only get bus slots no demand request can use
-    /// this cycle (§IV-D's "minimise interference with demand
-    /// requests"). Within a tier, oldest first.
-    ///
-    /// A failed issue attempt mutates nothing, and every row hit of one
-    /// (bank, read/write) group needs the same column command timing,
-    /// so each group's oldest hit stands for all of them. A candidate
-    /// whose bound lies after `now` cannot issue, so it is passed over
-    /// without asking the device. A row hit's bound is first raised to
-    /// the channel's column floor, which no column command can beat.
-    // rop-lint: hot
-    fn schedule_indexed(&mut self, now: Cycle) -> Result<(), Cycle> {
-        self.refresh_index(now);
-        let sw = usize::from(self.write_drain || self.reads_queued == 0);
-        let Some(oldest) = self.index.heads[sw].first() else {
-            return Err(Cycle::MAX);
+            Err(e) => Err(e),
         };
-        let oldest = oldest.pick;
-        let mut m = PassMin {
-            now,
-            epoch: self.index.epoch,
-            earliest: Cycle::MAX,
-            stale: Cycle::MAX,
-        };
-
-        // Pass 0: starvation guard — serve the oldest over-age request.
-        if self.queued(oldest).req.age(now) > self.cfg.age_cap {
-            if m.passed_over(&self.index.heads[sw][0]) {
-                self.stats.bound_skips += 1;
-            } else {
-                match self.try_listed(ListKind::Heads, sw, 0, now) {
-                    Ok(()) => return Ok(()),
-                    Err(e) => m.earliest = m.earliest.min(e),
-                }
-            }
-        }
-
-        // Pass 1: ready row-hit column commands, oldest group first.
-        let floor = [
-            self.device.column_floor(false),
-            self.device.column_floor(true),
-        ];
-        for i in 0..self.index.hits[sw].len() {
-            let c = &mut self.index.hits[sw][i];
-            let write = usize::from(c.pick.kind == QueueKind::Write);
-            c.bound = c.bound.max(floor[write]);
-            if m.passed_over(c) {
-                self.stats.bound_skips += 1;
-                continue;
-            }
-            match self.try_listed(ListKind::Hits, sw, i, now) {
-                Ok(()) => return Ok(()),
-                Err(e) => m.earliest = m.earliest.min(e),
-            }
-        }
-
-        // Pass 2: each bank's oldest request drives PRE/ACT. A head that
-        // is a row hit is its group's oldest hit, already tried above.
-        for i in 0..self.index.heads[sw].len() {
-            let c = &self.index.heads[sw][i];
-            if c.pick.hit {
-                continue;
-            }
-            if m.passed_over(c) {
-                self.stats.bound_skips += 1;
-                continue;
-            }
-            match self.try_listed(ListKind::Heads, sw, i, now) {
-                Ok(()) => return Ok(()),
-                Err(e) => m.earliest = m.earliest.min(e),
-            }
-        }
-
-        // An older bound at or above the minimum cannot lower it.
-        if m.stale < m.earliest {
-            return Err(self.exact_hint(sw, now, m.earliest));
-        }
-        Err(m.earliest)
-    }
-
-    /// Asks about the candidate at `i` in list `kind` and issues it when
-    /// ready. A failed ask leaves its answer as the new bound.
-    // rop-lint: hot
-    fn try_listed(&mut self, kind: ListKind, sw: usize, i: usize, now: Cycle) -> Result<(), Cycle> {
-        let pick = self.index.list(kind, sw)[i].pick;
-        let result = self.issue_for(pick, now);
-        if let Err(e) = result {
-            self.set_bound(kind, sw, i, e);
-        }
+        #[cfg(debug_assertions)]
+        self.sched.check_index(&self.device, now);
         result
     }
 
-    /// The exact tick hint of a call that issued nothing. `earliest` is
-    /// the minimum over the answers this call got and the bounds of the
-    /// current epoch. Every other candidate holds a bound after `now`
-    /// that may have risen since: it is asked again only while its
-    /// bound is below the running minimum (its true answer is at least
-    /// its bound, so the rest cannot lower the minimum).
+    /// Issues the command the scheduler selected at `now`. A column
+    /// command retires its request and delivers its effect (a
+    /// completion, a fill, or nothing for a write); an ACT marks it as
+    /// having paid for its row.
     // rop-lint: hot
-    fn exact_hint(&mut self, sw: usize, now: Cycle, mut earliest: Cycle) -> Cycle {
-        for kind in [ListKind::Hits, ListKind::Heads] {
-            for i in 0..self.index.list(kind, sw).len() {
-                let c = self.index.list(kind, sw)[i];
-                let tried_as_hit = kind == ListKind::Heads && c.pick.hit;
-                if tried_as_hit || c.epoch == self.index.epoch || c.bound >= earliest {
-                    continue;
-                }
-                let (_, e) = self.ask(c.pick, now);
-                self.set_bound(kind, sw, i, e);
-                earliest = earliest.min(e);
-            }
-        }
-        earliest
-    }
-
-    /// Stores `bound`, asked in the current epoch, for the candidate at
-    /// `i` in list `kind`.
-    // rop-lint: hot
-    #[inline]
-    fn set_bound(&mut self, kind: ListKind, sw: usize, i: usize, bound: Cycle) {
-        let epoch = self.index.epoch;
-        let c = &mut self.index.list_mut(kind, sw)[i];
-        c.bound = bound;
-        c.epoch = epoch;
-    }
-
-    // rop-lint: hot
-    fn queued(&self, p: Pick) -> &Queued {
-        &self.banks[p.bank as usize].queue(p.kind)[p.idx as usize]
-    }
-
-    /// The command `req` needs next: its column command when its row is
-    /// open, PRE on a row conflict, ACT on a closed bank.
-    // rop-lint: hot
-    fn next_command(&self, req: &MemRequest) -> Command {
-        let (rank, bank, row, column) = (req.addr.rank, req.addr.bank, req.addr.row, req.addr.col);
-        match self.device.open_row(rank, bank) {
-            Some(open) if open == row && req.is_write => Command::Write { rank, bank, column },
-            Some(open) if open == row => Command::Read { rank, bank, column },
-            Some(_) => Command::Precharge { rank, bank },
-            None => Command::Activate { rank, bank, row },
-        }
-    }
-
-    /// Asks the device when pick `p`'s next command can issue
-    /// (`Cycle::MAX`: not in the current state). Counts one issue
-    /// attempt.
-    // rop-lint: hot
-    fn ask(&mut self, p: Pick, now: Cycle) -> (Command, Cycle) {
-        self.stats.issue_attempts += 1;
-        let cmd = self.next_command(&self.queued(p).req);
-        let e = match self.device.earliest_issue(&cmd, now) {
-            Ok(e) => e,
-            Err(err) => {
-                // A column command finds its row open, and PRE its bank.
-                debug_assert!(
-                    matches!(cmd, Command::Activate { .. }),
-                    "{cmd:?} refused: {err:?}"
-                );
-                Cycle::MAX
-            }
-        };
-        (cmd, e)
-    }
-
-    /// Issues the next command required by request `p`. `Ok(())`
-    /// when a command was issued (column commands also retire the
-    /// request); `Err(earliest)` when timing forbids issuing now.
-    // rop-lint: hot
-    fn issue_for(&mut self, p: Pick, now: Cycle) -> Result<(), Cycle> {
-        let (cmd, e) = self.ask(p, now);
-        if e > now {
-            return Err(e);
-        }
-        let Queued { req, acted, .. } = *self.queued(p);
-        let outcome = self.issue_command(&cmd, now);
-        match cmd {
+    fn issue_selected(&mut self, sel: Selection, now: Cycle) {
+        let outcome = self.issue_command(&sel.cmd, now);
+        match sel.cmd {
             Command::Read { rank, bank, .. } | Command::Write { rank, bank, .. } => {
+                let Queued { req, acted, .. } = self.remove_request(sel.kind, sel.bank, sel.idx);
                 if !req.is_prefetch {
                     self.stats.row_buffer.record(!acted);
                     if !req.is_write {
@@ -2238,98 +1331,33 @@ impl MemController {
                         }
                     }
                 }
-                self.retire(p, outcome.data_at.expect("column command"));
-            }
-            Command::Activate { .. } => {
-                self.banks[p.bank as usize].queue_mut(p.kind)[p.idx as usize].acted = true;
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Issues `cmd` at `now` (the caller has checked it is legal). Every
-    /// command starts a new index epoch; ACT and PRE change their bank's
-    /// open row, so they also mark the bank stale with its row moved.
-    // rop-lint: hot
-    fn issue_command(&mut self, cmd: &Command, now: Cycle) -> IssueOutcome {
-        self.index.epoch += 1;
-        if let Command::Activate { rank, bank, .. } | Command::Precharge { rank, bank } = *cmd {
-            let key = rank * self.cfg.dram.geometry.banks_per_rank + bank;
-            self.index.mark(key);
-            self.index.row_moved[key] = true;
-        }
-        self.device.issue(cmd, now)
-    }
-
-    /// The debug self-check run after every scheduler call.
-    ///
-    /// Every bank not marked stale holds the picks a from-scratch scan
-    /// gives under its slot's gate and its open row. Each list of the
-    /// index holds exactly the listed picks of every bank, in strict key
-    /// order (each entry is a pick of its bank, and the counts agree).
-    /// Every bound of such a bank is at most the device's answer for
-    /// its candidate's next command, and equal to it while the bound's
-    /// epoch is current.
-    #[cfg(debug_assertions)]
-    fn check_index(&self, now: Cycle) {
-        let geom = self.cfg.dram.geometry;
-        for (bank, bq) in self.banks.iter().enumerate() {
-            if self.index.is_stale[bank] {
-                continue;
-            }
-            let open = self
-                .device
-                .open_row(bank / geom.banks_per_rank, bank % geom.banks_per_rank);
-            let gate = self.gates[self.slot_map.of_bank(bank)];
-            assert_eq!(
-                bq.picks,
-                bq.scan(bank, gate, open, &geom),
-                "bank {bank} holds stale picks at cycle {now}"
-            );
-        }
-        // What a bank lists in list `kind` of serve-writes state `sw`.
-        let listed = |bq: &BankQueues, kind: ListKind, sw: usize| {
-            let p = &bq.picks;
-            match kind {
-                ListKind::Heads => [p.head[sw], None],
-                ListKind::Hits => [p.read_hit, p.write_hit[sw]],
-            }
-        };
-        for sw in 0..2 {
-            for kind in [ListKind::Heads, ListKind::Hits] {
-                let list = self.index.list(kind, sw);
-                let want: usize = self
-                    .banks
-                    .iter()
-                    .map(|bq| listed(bq, kind, sw).iter().flatten().count())
-                    .sum();
-                assert_eq!(list.len(), want, "{kind:?}[{sw}] at cycle {now}");
-                assert!(
-                    list.windows(2).all(|w| w[0].pick.key < w[1].pick.key),
-                    "{kind:?}[{sw}] out of key order at cycle {now}"
-                );
-                for c in list {
-                    let bank = c.pick.bank as usize;
-                    assert!(
-                        listed(&self.banks[bank], kind, sw).contains(&Some(c.pick)),
-                        "{kind:?}[{sw}] lists {c:?}, not a pick of bank {bank}"
-                    );
-                    if self.index.is_stale[bank] {
-                        continue;
+                let data_at = outcome.data_at.expect("column command");
+                match sel.kind {
+                    QueueKind::Read => {
+                        self.completions.push(Completion {
+                            id: req.id,
+                            core: req.core,
+                            done_at: data_at,
+                            from_sram: false,
+                        });
+                        self.stats.reads_completed += 1;
+                        self.stats.sum_read_latency += data_at - req.arrival;
                     }
-                    let cmd = self.next_command(&self.queued(c.pick).req);
-                    let e = self.device.earliest_issue(&cmd, now).unwrap_or(Cycle::MAX);
-                    assert!(
-                        c.bound <= e,
-                        "{c:?}: bound above the device's answer {e} for {cmd:?} at cycle {now}"
-                    );
-                    if c.epoch == self.index.epoch && c.bound > now {
-                        assert_eq!(c.bound, e, "{c:?}: current-epoch bound inexact for {cmd:?}");
-                    }
+                    QueueKind::Write => {}
+                    QueueKind::Prefetch => self.pending_fills.push((req.line_addr, data_at)),
                 }
             }
+            Command::Activate { .. } => self.sched.set_acted(&sel),
+            _ => {}
         }
+    }
+
+    /// Issues `cmd` at `now` (the caller has checked it is legal) and
+    /// records it with the scheduler.
+    // rop-lint: hot
+    fn issue_command(&mut self, cmd: &Command, now: Cycle) -> IssueOutcome {
+        self.sched.note_issued(cmd);
+        self.device.issue(cmd, now)
     }
 
     /// The debug self-check run on a tick the idle shortcut skips. No
@@ -2338,16 +1366,11 @@ impl MemController {
     /// moved since the last full tick: its hint covers every gate change.
     #[cfg(debug_assertions)]
     fn check_idle(&self, now: Cycle) {
-        assert!(
-            self.index.stale.is_empty(),
-            "banks {:?} marked since the last full tick, skipped at cycle {now}",
-            self.index.stale
-        );
-        self.check_index(now);
+        self.sched.check_idle(&self.device, now);
         for &slot in &self.active {
             assert_eq!(
                 self.slot_gate(slot, now),
-                self.gates[slot],
+                self.sched.gate(slot),
                 "slot {slot}'s gate moved before the hint {}, at cycle {now}",
                 self.hint
             );
@@ -2369,7 +1392,7 @@ impl MemController {
         );
         for slot in (0..self.refresh_slots()).filter(|s| self.active.binary_search(s).is_err()) {
             assert_eq!(
-                self.gates[slot],
+                self.sched.gate(slot),
                 SlotGate::default(),
                 "slot {slot} at {now}"
             );
@@ -2378,33 +1401,6 @@ impl MemController {
                 SlotGate::default(),
                 "Idle slot {slot} gated at cycle {now}"
             );
-        }
-    }
-
-    /// Removes a request whose column command issued, delivering its
-    /// effect (completion, fill, or write retirement).
-    // rop-lint: hot
-    fn retire(&mut self, p: Pick, data_at: Cycle) {
-        let req = self
-            .remove_request(p.kind, p.bank as usize, p.idx as usize)
-            .req;
-        match p.kind {
-            QueueKind::Read => {
-                self.completions.push(Completion {
-                    id: req.id,
-                    core: req.core,
-                    done_at: data_at,
-                    from_sram: false,
-                });
-                self.stats.reads_completed += 1;
-                self.stats.sum_read_latency += data_at - req.arrival;
-            }
-            QueueKind::Write => {
-                // Fire-and-forget; nothing to deliver.
-            }
-            QueueKind::Prefetch => {
-                self.pending_fills.push((req.line_addr, data_at));
-            }
         }
     }
 }
@@ -2473,9 +1469,9 @@ mod tests {
 
     /// Ids of every queued request (reads, writes and prefetches).
     fn queued_ids(c: &MemController) -> std::collections::BTreeSet<u64> {
-        c.banks
-            .iter()
-            .flat_map(|b| b.reads.iter().chain(&b.writes).chain(&b.prefetches))
+        let kinds = [QueueKind::Read, QueueKind::Write, QueueKind::Prefetch];
+        (0..c.cfg.dram.geometry.banks_per_rank)
+            .flat_map(|bank| kinds.iter().flat_map(move |&k| c.sched.queue(bank, k)))
             .map(|q| q.req.id)
             .collect()
     }
@@ -2614,13 +1610,8 @@ mod tests {
 
         let t1 = write + 1;
         assert!(t1 > c.cfg.age_cap, "X must be over age");
-        // The first head: its request id, row-hit flag and bound.
-        let head = |c: &MemController| {
-            let h = c.index.heads[0][0];
-            (c.queued(h.pick).req.id, h.pick.hit, h.bound)
-        };
         let hint = c.tick(t1);
-        let (id, hit, rd_bound) = head(&c);
+        let (id, hit, rd_bound) = c.sched.first_head();
         assert_eq!((id, hit), (x, true));
         assert_eq!(hint, rd_bound, "X's RD waits for the write turnaround");
 
@@ -2634,7 +1625,7 @@ mod tests {
         c.enqueue_read(line(&c, 2, 3), 0, now).unwrap();
         c.tick(now);
         assert_eq!(c.device.counts().activates, 3, "bank 2's ACT issued");
-        let (id, hit, bound) = head(&c);
+        let (id, hit, bound) = c.sched.first_head();
         assert_eq!((id, hit), (x, false));
         let act_at = c.device.earliest_issue(&x_act, now).unwrap();
         assert!(bound <= act_at, "X's bound {bound} > {act_at}");

@@ -32,6 +32,7 @@ pub mod controller;
 pub mod mechanism;
 pub mod refresh;
 pub mod request;
+mod scheduler;
 
 pub use address::{AddressMapping, DecodedAddr, MappingScheme};
 pub use analysis::{RefreshAnalysis, RefreshAnalysisReport};

@@ -74,6 +74,16 @@ pub enum RoundShape {
     },
 }
 
+impl RoundShape {
+    /// The subarray a SARP round locks (`None` for every other shape).
+    pub fn subarray(self) -> Option<usize> {
+        match self {
+            RoundShape::Subarray { subarray } => Some(subarray),
+            _ => None,
+        }
+    }
+}
+
 /// The hooks a refresh mechanism implements over the shared
 /// [`RefreshManager`]. All methods take the manager explicitly so the
 /// controller can keep mechanism and manager as separate fields (the

@@ -201,6 +201,14 @@ impl SystemConfig {
         }
     }
 
+    /// The controller configuration the run builds: `ctrl_override`
+    /// when set, else the one derived from `kind`.
+    pub fn ctrl_config(&self) -> MemCtrlConfig {
+        self.ctrl_override
+            .clone()
+            .unwrap_or_else(|| self.kind.memctrl_config(self.ranks, self.seed))
+    }
+
     /// Validates shape constraints.
     pub fn validate(&self) -> Result<(), String> {
         if self.benchmarks.is_empty() {

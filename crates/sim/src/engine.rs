@@ -76,15 +76,11 @@ pub struct Engine<F> {
     cancel: Option<Arc<CancelToken>>,
 }
 
-/// Validates `cfg` and builds its memory controller (the mechanism's
-/// default unless `cfg.ctrl_override` is set).
+/// Validates `cfg` and builds its memory controller
+/// ([`SystemConfig::ctrl_config`]).
 pub(crate) fn controller_for(cfg: &SystemConfig) -> MemController {
     cfg.validate().expect("invalid system configuration");
-    let ctrl_cfg = cfg
-        .ctrl_override
-        .clone()
-        .unwrap_or_else(|| cfg.kind.memctrl_config(cfg.ranks, cfg.seed));
-    MemController::new(ctrl_cfg)
+    MemController::new(cfg.ctrl_config())
 }
 
 impl<F: Frontend> Engine<F> {

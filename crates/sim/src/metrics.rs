@@ -28,16 +28,6 @@ pub struct CoreMetrics {
     pub stall_cycles: u64,
 }
 
-impl CoreMetrics {
-    /// Post-LLC read misses per kilo-instruction.
-    pub fn mpki(&self) -> f64 {
-        if self.instructions == 0 {
-            return 0.0;
-        }
-        self.read_misses as f64 * 1000.0 / self.instructions as f64
-    }
-}
-
 /// Number of fixed log2 buckets in a [`LatencyHistogram`]. Bucket 39
 /// tops out at 2³⁸ cycles ≈ 5.7 minutes of DDR4-1600 memory clock —
 /// far beyond any latency a bounded-duration run can produce.
@@ -722,12 +712,6 @@ mod tests {
             audit: None,
             open_loop: None,
         }
-    }
-
-    #[test]
-    fn mpki() {
-        let c = core(1.0);
-        assert!((c.mpki() - 5.0).abs() < 1e-12);
     }
 
     #[test]
