@@ -10,7 +10,7 @@ use rop_harness::{job_id, Record, Status, Store};
 use rop_memctrl::MechanismKind;
 use rop_sim_system::experiments::driver::plan_jobs;
 use rop_sim_system::runner::{LocalExecutor, RunSpec, SweepExecutor, SweepJob};
-use rop_sim_system::SystemKind;
+use rop_sim_system::{SystemConfig, SystemKind};
 use rop_trace::Benchmark;
 
 fn tiny_spec() -> RunSpec {
@@ -43,6 +43,28 @@ fn the_mechanisms_experiment_plans_the_full_zoo() {
             j.label
         );
     }
+}
+
+#[test]
+fn planned_placeholders_name_the_mechanism_the_job_builds() {
+    // Planners render unrun jobs from their placeholder metrics; a
+    // mechanism set through the controller override must label the
+    // placeholder, not the kind's default mechanism. The mechanisms
+    // planner's overrides keep each kind's own mechanism, so the last
+    // job is a baseline kind whose override runs DARP.
+    let mut jobs = plan_jobs("mechanisms", tiny_spec()).expect("plan");
+    let mut cfg = SystemConfig::single_core(Benchmark::Libquantum, SystemKind::Baseline, 7);
+    cfg.ctrl_override = Some(SystemKind::Darp.memctrl_config(cfg.ranks, cfg.seed));
+    jobs.push(SweepJob::custom("override", cfg, tiny_spec()));
+    for j in &jobs {
+        assert_eq!(
+            j.placeholder_metrics().mechanism,
+            resolved_mechanism(j).metrics_label(),
+            "placeholder for {} names the wrong mechanism",
+            j.label
+        );
+    }
+    assert_eq!(jobs.last().unwrap().placeholder_metrics().mechanism, "darp");
 }
 
 #[test]

@@ -10,6 +10,7 @@
 //! replayed and liveness decided after the search finishes.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -18,15 +19,40 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Order-sensitive hash of a state's canonical words. Collisions are
-/// possible in principle (64-bit) but the spaces explored here are
-/// tiny (≤ millions of states) against a 2⁶⁴ key space.
+/// Order-sensitive hash of a state's canonical words: one
+/// multiply-rotate per word, then a `splitmix64` finalizer, which
+/// mixes the result well enough to key [`VisitedSet`]'s map as it is.
+/// Collisions are possible in principle (64-bit) but the spaces
+/// explored here are tiny (≤ millions of states) against a 2⁶⁴ key
+/// space, and the pinned gate-report counts would show one.
 pub fn fingerprint(words: &[u64]) -> u64 {
     let mut h = 0x524f_505f_4d45_4348u64; // "ROP_MECH"
     for &w in words {
-        h = splitmix64(h ^ w);
+        h = (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
     }
-    h
+    splitmix64(h)
+}
+
+/// A [`Hasher`] that passes a `u64` key through unchanged: the
+/// visited set's keys are [`fingerprint`]s, already mixed, so hashing
+/// them again only costs time.
+#[derive(Debug, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
 }
 
 /// Hashed visited-state set keyed by [`fingerprint`]. Each distinct
@@ -36,7 +62,7 @@ pub fn fingerprint(words: &[u64]) -> u64 {
 /// liveness closure would see a tree and convict every leaf.
 #[derive(Debug, Default)]
 pub struct VisitedSet {
-    ids: HashMap<u64, usize>,
+    ids: HashMap<u64, usize, BuildHasherDefault<PassThrough>>,
 }
 
 impl VisitedSet {

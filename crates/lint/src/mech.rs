@@ -44,6 +44,7 @@
 //! Auditor-confirmed counterexamples; they are the checker's own
 //! regression suite.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -57,17 +58,41 @@ use rop_sim_system::{Auditor, AuditorConfig};
 
 use crate::explore::{fingerprint, SearchGraph, VisitedSet};
 
-/// A mechanism the checker can clone at every search node. Blanket-
+/// A mechanism the checker can copy at every search step. Blanket-
 /// implemented for every `Clone` [`RefreshMechanism`], so the zoo (and
 /// any future member) is coverable without per-type glue.
 pub trait MechUnderTest: RefreshMechanism {
     /// Clones the mechanism behind the trait object.
     fn clone_box(&self) -> Box<dyn MechUnderTest>;
+
+    /// The concrete mechanism, for [`MechUnderTest::assign`]'s downcast.
+    fn as_any(&self) -> &dyn Any;
+
+    /// Overwrites `self` with a copy of `src` in place, keeping the
+    /// box (and whatever allocations the type's `clone_from` reuses).
+    ///
+    /// # Panics
+    ///
+    /// When `src` is a different mechanism type; one search only ever
+    /// copies between worlds built from the same configuration.
+    fn assign(&mut self, src: &dyn MechUnderTest);
 }
 
 impl<T: RefreshMechanism + Clone + 'static> MechUnderTest for T {
     fn clone_box(&self) -> Box<dyn MechUnderTest> {
         Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn assign(&mut self, src: &dyn MechUnderTest) {
+        match src.as_any().downcast_ref::<T>() {
+            Some(src) => self.clone_from(src),
+            // rop-lint: allow(no-panic)
+            None => panic!("assign between different mechanism types"),
+        }
     }
 }
 
@@ -767,6 +792,18 @@ impl Clone for World {
             bin_since: self.bin_since.clone(),
         }
     }
+
+    /// Copies `src` into `self`, reusing the mechanism's box and the
+    /// spec's vectors. The manager's derived `clone_from` still
+    /// allocates its own vectors.
+    fn clone_from(&mut self, src: &World) {
+        self.now = src.now;
+        self.mgr.clone_from(&src.mgr);
+        self.mech.assign(&*src.mech);
+        self.engine_free.clone_from(&src.engine_free);
+        self.sarp_since.clone_from(&src.sarp_since);
+        self.bin_since.clone_from(&src.bin_since);
+    }
 }
 
 impl World {
@@ -780,6 +817,23 @@ impl World {
             bin_since: vec![0; env.ranks * 3],
         }
     }
+}
+
+/// `step`'s scratch lists, reused across transitions.
+#[derive(Default)]
+struct StepBufs {
+    /// Slots whose refresh completed this step.
+    done: Vec<usize>,
+    /// Slots that started a drain (or a skip round) this step.
+    newly: Vec<usize>,
+}
+
+/// A world's canonical state words ([`canon_into`]'s output) and the
+/// per-rank sort buffer behind them, reused across transitions.
+#[derive(Default)]
+struct Canon {
+    tuples: Vec<[u64; 4]>,
+    words: Vec<u64>,
 }
 
 /// Collects the replay trace during counterexample re-execution.
@@ -828,6 +882,7 @@ fn step(
     env: &Env,
     w: &mut World,
     choice: usize,
+    bufs: &mut StepBufs,
     mut rec: Option<&mut Recorder>,
 ) -> (bool, Option<MechViolation>) {
     let now = w.now;
@@ -841,8 +896,8 @@ fn step(
 
     // Completions from earlier steps (every duration fits one quantum,
     // so anything in flight has finished by now).
-    let mut done = Vec::new();
-    w.mgr.poll_complete_into(now, &mut done);
+    bufs.done.clear();
+    w.mgr.poll_complete_into(now, &mut bufs.done);
 
     // The oracle's demand arrivals for this step.
     for s in 0..env.slots {
@@ -853,13 +908,13 @@ fn step(
 
     // Due-time bookkeeping: new drains, (DARP) pull-ins and (Elastic)
     // postponements into debt.
-    let mut newly = Vec::new();
+    bufs.newly.clear();
     w.mech
-        .poll_due(&mut w.mgr, now, &busy, write_drain, &mut newly);
+        .poll_due(&mut w.mgr, now, &busy, write_drain, &mut bufs.newly);
     if let Some(v) = record_postponed(env, w, now, rec.as_deref_mut()) {
         return (false, Some(v));
     }
-    for &s in &newly {
+    for &s in &bufs.newly {
         // RAIDR rounds with no retention bin due resolve at poll time,
         // exactly like the real controller: no drain, no bus command,
         // just a RetentionRound marker in the trace.
@@ -1190,43 +1245,45 @@ fn advance_bins(
     None
 }
 
-/// Canonical state words: every clock folded to a delta against `now`,
-/// slots within a rank sorted (bank-permutation symmetry — mechanisms
-/// treat sibling slots uniformly and the oracle enumerates all busy
-/// masks, so permuted states are bisimilar).
-fn canon_words(env: &Env, w: &World) -> Vec<u64> {
+/// Writes `w`'s canonical state words into `canon.words`: every clock
+/// folded to a delta against `now`, slots within a rank sorted
+/// (bank-permutation symmetry — mechanisms treat sibling slots
+/// uniformly and the oracle enumerates all busy masks, so permuted
+/// states are bisimilar).
+// rop-lint: hot
+fn canon_into(env: &Env, w: &World, canon: &mut Canon) {
     // Offset keeps signed deltas (a pulled-in drain's due lies in the
     // future) positive without wrapping ambiguity.
     const OFFSET: u64 = 1 << 40;
-    let mut words = Vec::with_capacity(env.slots * 4 + env.ranks * 2);
+    let Canon { tuples, words } = canon;
+    words.clear();
     for rank in 0..env.ranks {
         let lo = rank * env.slots_per_rank;
-        let mut tuples: Vec<[u64; 4]> = (lo..lo + env.slots_per_rank)
-            .map(|s| {
-                // Signed due/until delta against `now`, offset-encoded
-                // (a pulled-in drain's due lies in the future, a
-                // postponed one's in the past; both are bounded, so the
-                // encoding never collides across the offset).
-                let enc = |c: Cycle| OFFSET.wrapping_add(c).wrapping_sub(w.now);
-                let (tag, delta) = match w.mgr.state(s) {
-                    RefreshState::Idle => (0, enc(w.mgr.next_due(s))),
-                    RefreshState::Draining { due } => (1, enc(due)),
-                    RefreshState::Refreshing { until } => (2, until.saturating_sub(w.now)),
-                };
-                let sa_pack = if env.subarrays > 0 && env.per_bank {
-                    w.sarp_since[s * env.subarrays..(s + 1) * env.subarrays]
-                        .iter()
-                        .enumerate()
-                        .fold(0u64, |acc, (i, &c)| acc | (u64::from(c) << (8 * i)))
-                } else {
-                    0
-                };
-                [tag, delta, w.mech.mech_state(&w.mgr, w.now, s), sa_pack]
-            })
-            .collect();
+        tuples.clear();
+        tuples.extend((lo..lo + env.slots_per_rank).map(|s| {
+            // Signed due/until delta against `now`, offset-encoded
+            // (a pulled-in drain's due lies in the future, a
+            // postponed one's in the past; both are bounded, so the
+            // encoding never collides across the offset).
+            let enc = |c: Cycle| OFFSET.wrapping_add(c).wrapping_sub(w.now);
+            let (tag, delta) = match w.mgr.state(s) {
+                RefreshState::Idle => (0, enc(w.mgr.next_due(s))),
+                RefreshState::Draining { due } => (1, enc(due)),
+                RefreshState::Refreshing { until } => (2, until.saturating_sub(w.now)),
+            };
+            let sa_pack = if env.subarrays > 0 && env.per_bank {
+                w.sarp_since[s * env.subarrays..(s + 1) * env.subarrays]
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |acc, (i, &c)| acc | (u64::from(c) << (8 * i)))
+            } else {
+                0
+            };
+            [tag, delta, w.mech.mech_state(&w.mgr, w.now, s), sa_pack]
+        }));
         tuples.sort_unstable();
-        for t in tuples {
-            words.extend_from_slice(&t);
+        for t in tuples.iter() {
+            words.extend_from_slice(t);
         }
         words.push(w.engine_free[rank].saturating_sub(w.now));
         if env.raidr_stride.is_some() {
@@ -1238,7 +1295,28 @@ fn canon_words(env: &Env, w: &World) -> Vec<u64> {
             );
         }
     }
-    words
+}
+
+/// The search's successor: `w` stepped under `choice`, built in
+/// `succ` (a reused scratch world) with its canonical words left in
+/// `canon`. Returns `(progress, fingerprint)`, or the violation the
+/// step hit.
+// rop-lint: hot
+fn successor(
+    env: &Env,
+    w: &World,
+    choice: usize,
+    succ: &mut World,
+    bufs: &mut StepBufs,
+    canon: &mut Canon,
+) -> Result<(bool, u64), MechViolation> {
+    succ.clone_from(w);
+    let (progress, v) = step(env, succ, choice, bufs, None);
+    if let Some(v) = v {
+        return Err(v);
+    }
+    canon_into(env, succ, canon);
+    Ok((progress, fingerprint(&canon.words)))
 }
 
 /// Runs the bounded exhaustive search for one configuration.
@@ -1257,12 +1335,20 @@ pub fn check_mechanism(cfg: &MechCheckConfig) -> MechReport {
 }
 
 /// The search behind [`check_mechanism`], over an explicit environment.
+///
+/// Successors are built in one scratch world and only a state the
+/// visited set reports as new is cloned into the queue: one clone per
+/// state instead of one per transition.
 fn search(cfg: &MechCheckConfig, env: &Env) -> MechReport {
     let root = World::new(cfg, env);
+    let mut scratch = root.clone();
+    let mut bufs = StepBufs::default();
+    let mut canon = Canon::default();
 
     let mut visited = VisitedSet::new();
     let mut graph = SearchGraph::new();
-    let (fresh, id0) = visited.intern(fingerprint(&canon_words(env, &root)));
+    canon_into(env, &root, &mut canon);
+    let (fresh, id0) = visited.intern(fingerprint(&canon.words));
     debug_assert!(fresh && id0 == 0);
 
     let mut queue: VecDeque<(usize, usize, World)> = VecDeque::new();
@@ -1279,22 +1365,23 @@ fn search(cfg: &MechCheckConfig, env: &Env) -> MechReport {
         }
         depth_seen = depth_seen.max(depth + 1);
         for choice in 0..env.choices {
-            let mut succ = w.clone();
-            let (progress, v) = step(env, &mut succ, choice, None);
+            let next = successor(env, &w, choice, &mut scratch, &mut bufs, &mut canon);
             transitions += 1;
-            if let Some(mut v) = v {
-                let mut path = graph.path_to(node);
-                path.push(choice);
-                v.path = path;
-                violation = Some(v);
-                break 'search;
-            }
-            let fp = fingerprint(&canon_words(env, &succ));
+            let (progress, fp) = match next {
+                Ok(next) => next,
+                Err(mut v) => {
+                    let mut path = graph.path_to(node);
+                    path.push(choice);
+                    v.path = path;
+                    violation = Some(v);
+                    break 'search;
+                }
+            };
             let (new, id) = visited.intern(fp);
             if new {
                 let got = graph.add_node(node, choice);
                 debug_assert_eq!(got, id);
-                queue.push_back((id, depth + 1, succ));
+                queue.push_back((id, depth + 1, scratch.clone()));
             }
             graph.add_edge(node, id, u8::from(progress));
         }
@@ -1345,12 +1432,13 @@ fn search(cfg: &MechCheckConfig, env: &Env) -> MechReport {
 fn replay_counterexample(cfg: &MechCheckConfig, env: &Env, path: &[usize]) -> MechReplay {
     let mut w = World::new(cfg, env);
     let mut rec = Recorder::default();
+    let mut bufs = StepBufs::default();
     // A violating step aborts before advancing the clock; push time
     // forward anyway so the tail keeps making progress instead of
     // re-recording the same cycle over and over.
-    let run = |w: &mut World, choice: usize, rec: &mut Recorder| {
+    let mut run = |w: &mut World, choice: usize, rec: &mut Recorder| {
         let before = w.now;
-        let _ = step(env, w, choice, Some(rec));
+        let _ = step(env, w, choice, &mut bufs, Some(rec));
         if w.now == before {
             w.now = before + env.quantum;
         }
@@ -1403,6 +1491,13 @@ mod tests {
 
     fn labels(kinds: &[MechanismKind]) -> Vec<&'static str> {
         kinds.iter().map(|k| k.label()).collect()
+    }
+
+    /// `w`'s canonical words, in a buffer of their own.
+    fn canon_words(env: &Env, w: &World) -> Vec<u64> {
+        let mut canon = Canon::default();
+        canon_into(env, w, &mut canon);
+        canon.words
     }
 
     #[test]
@@ -1511,13 +1606,14 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         let mut queue = VecDeque::from([(0usize, 0u64, World::new(cfg, &env))]);
         let mut longest = 0;
+        let mut bufs = StepBufs::default();
         while let Some((depth, gap, w)) = queue.pop_front() {
             if depth == 200 {
                 continue;
             }
             for choice in 0..env.choices {
                 let mut succ = w.clone();
-                let (progress, v) = step(&env, &mut succ, choice, None);
+                let (progress, v) = step(&env, &mut succ, choice, &mut bufs, None);
                 if let Some(v) = v {
                     panic!("{v}");
                 }
@@ -1649,11 +1745,130 @@ mod tests {
         let mut b = World::new(&cfg, &env);
         // Drive both worlds one step with mirrored busy masks; the
         // resulting states differ only by the bank permutation.
-        let _ = step(&env, &mut a, 0b01, None);
-        let _ = step(&env, &mut b, 0b10, None);
+        let mut bufs = StepBufs::default();
+        let _ = step(&env, &mut a, 0b01, &mut bufs, None);
+        let _ = step(&env, &mut b, 0b10, &mut bufs, None);
         assert_eq!(
             fingerprint(&canon_words(&env, &a)),
             fingerprint(&canon_words(&env, &b))
         );
+    }
+
+    /// `(states, transitions, depth, complete, violation)` of every
+    /// gate check, the violation as `(invariant, path length)`.
+    type Pinned = (usize, usize, usize, bool, Option<(&'static str, usize)>);
+
+    fn pinned(report: &MechReport) -> Pinned {
+        (
+            report.states,
+            report.transitions,
+            report.depth,
+            report.complete,
+            report
+                .violation
+                .as_ref()
+                .map(|v| (v.invariant, v.path.len())),
+        )
+    }
+
+    #[test]
+    fn gate_reports_are_pinned() {
+        // The search's exact shape at the gate configurations: any
+        // change to successor construction, canonicalization or the
+        // visited set that merges, splits or reorders states (a
+        // fingerprint collision included) moves these counts.
+        let zoo_expect: [(&str, Pinned); 6] = [
+            ("allbank", (57, 228, 15, true, None)),
+            ("allbank-pb", (140, 2240, 13, true, None)),
+            ("darp", (162, 5184, 13, true, None)),
+            ("sarp", (5894, 94304, 40, true, None)),
+            ("raidr", (387, 1548, 47, true, None)),
+            (
+                "elastic",
+                (3174, 12229, 57, true, Some(("mech-postpone", 57))),
+            ),
+        ];
+        for (label, want) in zoo_expect {
+            let kind = parse_mechanism(label).expect("zoo member");
+            let report = check_mechanism(&MechCheckConfig::gate(kind));
+            assert_eq!(pinned(&report), want, "{label}");
+        }
+        let mutant_expect: [(Mutation, Pinned); 5] = [
+            (Mutation::ShortRef, (5, 17, 5, true, Some(("mech-trfc", 5)))),
+            (
+                Mutation::TruncatedPullIn,
+                (4, 81, 3, true, Some(("mech-trfc", 3))),
+            ),
+            (
+                Mutation::RotateOverflow,
+                (2232, 32113, 21, true, Some(("mech-retention", 21))),
+            ),
+            (
+                Mutation::WidenedSkip,
+                (87, 337, 17, true, Some(("mech-retention", 17))),
+            ),
+            (
+                Mutation::UncappedDebt,
+                (1676, 6437, 49, true, Some(("mech-postpone", 49))),
+            ),
+        ];
+        assert_eq!(mutant_expect.map(|(m, _)| m), Mutation::ALL);
+        for (m, want) in mutant_expect {
+            let report = check_mechanism(&MechCheckConfig::mutated(m));
+            assert_eq!(pinned(&report), want, "{}", m.label());
+        }
+    }
+
+    #[test]
+    fn clone_from_matches_clone() {
+        // The search builds every successor in a scratch world through
+        // `clone_from`; it must leave nothing of the scratch's previous
+        // state behind. The scratch is stepped under one random choice
+        // and the source under another, so it is always stale when it
+        // is next assigned.
+        let mut configs: Vec<MechCheckConfig> = zoo().map(MechCheckConfig::gate).to_vec();
+        configs.extend(Mutation::ALL.map(MechCheckConfig::mutated));
+        let mut rng = 0x636c_6f6e_655f_6672u64; // "clone_fr"
+        let mut draw = |n: usize| {
+            rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (rng >> 33) as usize % n
+        };
+        let mut bufs = StepBufs::default();
+        for cfg in &configs {
+            let env = Env::new(cfg);
+            let name = format!("{} {:?}", cfg.kind.label(), cfg.mutation);
+            let mut w = World::new(cfg, &env);
+            let mut scratch = World::new(cfg, &env);
+            for i in 0..300 {
+                let mut fresh = w.clone();
+                scratch.clone_from(&w);
+                assert_eq!(
+                    canon_words(&env, &scratch),
+                    canon_words(&env, &fresh),
+                    "{name}: step {i}, assigned"
+                );
+                let probe = draw(env.choices);
+                let a = step(&env, &mut scratch, probe, &mut bufs, None);
+                let b = step(&env, &mut fresh, probe, &mut bufs, None);
+                assert_eq!(
+                    (a.0, a.1.map(|v| v.message)),
+                    (b.0, b.1.map(|v| v.message)),
+                    "{name}: step {i}, stepped"
+                );
+                assert_eq!(
+                    canon_words(&env, &scratch),
+                    canon_words(&env, &fresh),
+                    "{name}: step {i}, stepped"
+                );
+                // Advance the source; a violating step (the mutants')
+                // leaves a half-stepped world, so start over.
+                if step(&env, &mut w, draw(env.choices), &mut bufs, None)
+                    .1
+                    .is_some()
+                {
+                    w = World::new(cfg, &env);
+                }
+            }
+        }
     }
 }

@@ -333,8 +333,7 @@ impl SweepJob {
             refreshes: 0,
             mechanism: self
                 .config
-                .kind
-                .memctrl_config(self.config.ranks, self.config.seed)
+                .ctrl_config()
                 .mechanism
                 .metrics_label()
                 .to_string(),
