@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! repro <experiment> [--instr N] [--seed S]
+//! repro <experiment> [--instr N] [--seed S] [--store PATH] [--audit] [--no-lint]
 //!
 //! experiments:
 //!   fig1 fig2 fig3 fig4 table1      §III analysis (baseline vs no-refresh)
@@ -19,37 +19,64 @@
 //!   llc                             fig12+fig13+fig14 (one sweep)
 //!   mechanisms                      figM1..M4 refresh-mechanism head-to-head
 //!   tail-latency                    figT1..T3 open-loop tail latency vs load
+//!   policies fgr per-bank           extension studies (Elastic, FGR, REFpb)
 //!   all                             everything above
 //! ```
 //!
 //! `--instr` (or env `ROP_INSTR`) sets the per-core instruction quota;
-//! the default (20 M) reproduces the full shapes in minutes. Experiments
-//! sharing simulations are grouped so `all` runs each sweep once.
+//! the default (20 M) reproduces the full shapes in minutes. Every
+//! experiment is a job set run through one executor, which runs each
+//! distinct job once per invocation: `all` simulates the runs its
+//! figures share (the 4 MiB point of Fig 10/11 and Fig 12–14, the
+//! analysis runs inside the single-core grid) only once.
 //!
-//! `--store PATH` routes the executor-backed experiments (single/multi/
-//! llc/ablations) through the persistent `rop-harness` store: finished
-//! jobs are appended to PATH as JSONL and an interrupted invocation
-//! resumes from it, skipping every job already on disk. The analysis
-//! and extension studies always run fresh in-process.
+//! The sweep names (`single multi llc mechanisms tail-latency`, the
+//! ablations, `all`) render through `experiments::driver`, the same
+//! mapping `rop-sweep` uses; a `figN` command prints one figure of its
+//! sweep. The §III analysis and the extension studies (`policies fgr
+//! per-bank`) are `repro`-only job sets outside the sweep grid.
 //!
-//! `--audit` attaches the trace-backed invariant auditor to every
-//! executor-backed job: runs that break a DRAM timing rule, the
-//! refresh-postpone bound, SRAM consistency, or profiler A/B
-//! replication abort with a labeled violation report (see DESIGN.md
-//! §Auditor).
+//! `--store PATH` routes every experiment's jobs through the persistent
+//! `rop-harness` store: finished jobs are appended to PATH as JSONL and
+//! an interrupted invocation resumes from it, skipping every job
+//! already on disk. Jobs of different experiments with the same
+//! configuration share one record.
+//!
+//! `--audit` attaches the trace-backed invariant auditor to every job:
+//! runs that break a DRAM timing rule, the refresh-postpone bound, SRAM
+//! consistency, or profiler A/B replication abort with a labeled
+//! violation report (see DESIGN.md §Auditor).
 
 use rop_harness::{PoolConfig, Store, StoreExecutor};
-use rop_lint::config::lint_jobs;
-use rop_sim_system::experiments::driver::plan_jobs;
-use rop_sim_system::experiments::sensitivity::LLC_SIZES_MIB;
 use rop_sim_system::experiments::{
-    ablate_drain_with, ablate_table_with, ablate_throttle_with, ablate_window_with, run_analysis,
-    run_fgr_sweep, run_llc_sweep_with, run_mechanisms_with, run_per_bank_study,
-    run_policy_comparison, run_singlecore_with, run_tail_latency_with, MECHANISM_BENCHMARKS,
+    render_experiment, run_analysis, run_fgr_sweep, run_per_bank_study, run_policy_comparison,
+    EXPERIMENTS,
 };
-use rop_sim_system::runner::{AuditingExecutor, LocalExecutor, RunSpec, SweepExecutor};
+use rop_sim_system::runner::{
+    AuditingExecutor, LocalExecutor, MemoExecutor, RunSpec, SweepExecutor,
+};
 use rop_stats::TableBuilder;
 use rop_trace::{ALL_BENCHMARKS, WORKLOAD_MIXES};
+
+/// Single-figure commands: (command, the group that renders it, its
+/// index in that group's figure list).
+const FIGURES: [(&str, &str, usize); 15] = [
+    ("fig1", "analysis", 0),
+    ("fig2", "analysis", 1),
+    ("fig3", "analysis", 2),
+    ("fig4", "analysis", 3),
+    ("table1", "analysis", 4),
+    ("fig7", "single", 0),
+    ("fig8", "single", 1),
+    ("fig9", "single", 2),
+    ("fig10", "multi", 0),
+    ("fig11", "multi", 1),
+    ("fig12", "llc", 0),
+    ("fig13", "llc", 1),
+    ("fig14", "llc", 2),
+    ("table2", "table2", 0),
+    ("table3", "table3", 0),
+];
 
 fn usage() -> ! {
     eprintln!(
@@ -95,66 +122,6 @@ fn parse_spec(args: &[String]) -> (RunSpec, Option<String>, bool, bool) {
         i += 1;
     }
     (spec, store, audit, no_lint)
-}
-
-/// The `rop-sweep` experiment name covering a repro command's
-/// executor-backed jobs, if any (analysis/extension studies always run
-/// fresh in-process and are vetted by their own `validate()` calls).
-fn lintable_experiment(cmd: &str) -> Option<&'static str> {
-    match cmd {
-        "fig7" | "fig8" | "fig9" | "single" => Some("single"),
-        "fig10" | "fig11" | "multi" => Some("multi"),
-        "fig12" | "fig13" | "fig14" | "llc" => Some("llc"),
-        "mechanisms" => Some("mechanisms"),
-        "tail-latency" => Some("tail-latency"),
-        "ablate-window" => Some("ablate-window"),
-        "ablate-throttle" => Some("ablate-throttle"),
-        "ablate-drain" => Some("ablate-drain"),
-        "ablate-table" => Some("ablate-table"),
-        "all" => Some("all"),
-        _ => None,
-    }
-}
-
-/// Fail-fast static config check: no job is dispatched from a provably
-/// illegal grid point. `--no-lint` bypasses.
-fn lint_gate(cmd: &str, spec: RunSpec) {
-    let Some(experiment) = lintable_experiment(cmd) else {
-        return;
-    };
-    let jobs = match plan_jobs(experiment, spec) {
-        Ok(jobs) => jobs,
-        Err(e) => {
-            eprintln!("# lint: cannot enumerate jobs: {e}");
-            std::process::exit(2);
-        }
-    };
-    let report = lint_jobs(&jobs);
-    if report.clean() {
-        eprintln!(
-            "# lint: {} job config(s) statically verified",
-            report.points
-        );
-    } else {
-        eprintln!("# lint: static config check rejected this run (use --no-lint to bypass):");
-        eprint!("{}", report.render());
-        std::process::exit(1);
-    }
-    // Model-check every refresh mechanism this run will build.
-    match rop_lint::mech::gate_jobs(&jobs) {
-        Ok(reports) => {
-            let labels: Vec<&str> = reports.iter().map(|r| r.kind.label()).collect();
-            eprintln!(
-                "# lint: refresh mechanism(s) {} model-checked",
-                labels.join(" ")
-            );
-        }
-        Err(failures) => {
-            eprintln!("# lint: mechanism model check rejected this run (use --no-lint to bypass):");
-            eprint!("{failures}");
-            std::process::exit(1);
-        }
-    }
 }
 
 fn render_table2() -> String {
@@ -210,6 +177,41 @@ fn render_table3() -> String {
     t.render()
 }
 
+/// The groups `repro all` prints, in order: the configuration tables,
+/// the analysis, every sweep (the driver's `all`), then the extension
+/// studies.
+const ALL_GROUPS: [&str; 7] = [
+    "table2", "table3", "analysis", "all", "policies", "fgr", "per-bank",
+];
+
+/// The figures of a command group, in print order, or `None` for an
+/// unknown group. Sweep names (`all` among them) render through the
+/// experiment driver.
+fn render_group(group: &str, spec: RunSpec, exec: &dyn SweepExecutor) -> Option<Vec<String>> {
+    let figures = match group {
+        "table2" => vec![render_table2()],
+        "table3" => vec![render_table3()],
+        "analysis" => {
+            let res = run_analysis(&ALL_BENCHMARKS, spec, exec);
+            vec![
+                res.render_fig1(),
+                res.render_fig2(),
+                res.render_fig3(),
+                res.render_fig4(),
+                res.render_table1(),
+            ]
+        }
+        "policies" => vec![run_policy_comparison(spec, exec).render()],
+        "fgr" => vec![run_fgr_sweep(spec, exec).render()],
+        "per-bank" => vec![run_per_bank_study(spec, exec).render()],
+        g if EXPERIMENTS.contains(&g) => {
+            render_experiment(g, spec, exec).expect("a listed experiment")
+        }
+        _ => return None,
+    };
+    Some(figures)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
@@ -221,8 +223,17 @@ fn main() {
         spec.seed,
         if audit { ", auditing on" } else { "" }
     );
-    if !no_lint {
-        lint_gate(cmd, spec);
+    let (group, pick) = match FIGURES.iter().find(|(fig, _, _)| fig == cmd) {
+        Some(&(_, group, i)) => (group, Some(i)),
+        None => (cmd.as_str(), None),
+    };
+    // Fail-fast static check of the sweep grid's jobs (the repro-only
+    // studies are vetted by `SweepJob::run`'s own `validate()`).
+    if !no_lint && EXPERIMENTS.contains(&group) {
+        if let Err(e) = rop_lint::pre_run_gate(group, spec) {
+            eprintln!("# lint: {e}");
+            std::process::exit(1);
+        }
     }
     let store_exec = store_path.map(|p| {
         eprintln!("# results store: {p} (resumable)");
@@ -239,130 +250,22 @@ fn main() {
         None => &LocalExecutor,
     };
     let auditing_exec = AuditingExecutor(base_exec);
-    let exec: &dyn SweepExecutor = if audit { &auditing_exec } else { base_exec };
+    let exec = MemoExecutor::new(if audit { &auditing_exec } else { base_exec });
     let t0 = std::time::Instant::now();
 
-    match cmd.as_str() {
-        "fig1" | "fig2" | "fig3" | "fig4" | "table1" | "analysis" => {
-            let res = run_analysis(spec);
-            match cmd.as_str() {
-                "fig1" => println!("{}", res.render_fig1()),
-                "fig2" => println!("{}", res.render_fig2()),
-                "fig3" => println!("{}", res.render_fig3()),
-                "fig4" => println!("{}", res.render_fig4()),
-                "table1" => println!("{}", res.render_table1()),
-                _ => {
-                    println!("{}", res.render_fig1());
-                    println!("{}", res.render_fig2());
-                    println!("{}", res.render_fig3());
-                    println!("{}", res.render_fig4());
-                    println!("{}", res.render_table1());
-                }
-            }
+    let groups = if group == "all" {
+        &ALL_GROUPS[..]
+    } else {
+        std::slice::from_ref(&group)
+    };
+    for g in groups {
+        let Some(figures) = render_group(g, spec, &exec) else {
+            usage()
+        };
+        match pick {
+            Some(i) => println!("{}", figures[i]),
+            None => figures.iter().for_each(|f| println!("{f}")),
         }
-        "fig7" | "fig8" | "fig9" | "single" => {
-            let res = run_singlecore_with(&ALL_BENCHMARKS, spec, exec);
-            match cmd.as_str() {
-                "fig7" => println!("{}", res.render_fig7()),
-                "fig8" => println!("{}", res.render_fig8()),
-                "fig9" => println!("{}", res.render_fig9()),
-                _ => {
-                    println!("{}", res.render_fig7());
-                    println!("{}", res.render_fig8());
-                    println!("{}", res.render_fig9());
-                }
-            }
-        }
-        "fig10" | "fig11" | "multi" => {
-            let mut sweep = run_llc_sweep_with(&[4], &WORKLOAD_MIXES, spec, exec);
-            let res = sweep.per_size.remove(0);
-            match cmd.as_str() {
-                "fig10" => println!("{}", res.render_fig10()),
-                "fig11" => println!("{}", res.render_fig11()),
-                _ => {
-                    println!("{}", res.render_fig10());
-                    println!("{}", res.render_fig11());
-                }
-            }
-        }
-        "fig12" | "fig13" | "fig14" | "llc" => {
-            let res = run_llc_sweep_with(&LLC_SIZES_MIB, &WORKLOAD_MIXES, spec, exec);
-            match cmd.as_str() {
-                "fig12" => println!("{}", res.render_fig12()),
-                "fig13" => println!("{}", res.render_fig13()),
-                "fig14" => println!("{}", res.render_fig14()),
-                _ => {
-                    println!("{}", res.render_fig12());
-                    println!("{}", res.render_fig13());
-                    println!("{}", res.render_fig14());
-                }
-            }
-        }
-        "mechanisms" => {
-            let res = run_mechanisms_with(&MECHANISM_BENCHMARKS, spec, exec);
-            println!("{}", res.render_ipc());
-            println!("{}", res.render_blocked());
-            println!("{}", res.render_energy());
-            println!("{}", res.render_refresh_counts());
-        }
-        "tail-latency" => {
-            let res = run_tail_latency_with(spec, exec);
-            println!("{}", res.render_tail());
-            println!("{}", res.render_refresh_tail());
-            println!("{}", res.render_saturation());
-        }
-        "table2" => println!("{}", render_table2()),
-        "table3" => println!("{}", render_table3()),
-        "policies" => println!("{}", run_policy_comparison(spec).render()),
-        "fgr" => println!("{}", run_fgr_sweep(spec).render()),
-        "per-bank" => println!("{}", run_per_bank_study(spec).render()),
-        "ablate-window" => println!("{}", ablate_window_with(spec, exec).render()),
-        "ablate-throttle" => println!("{}", ablate_throttle_with(spec, exec).render()),
-        "ablate-drain" => println!("{}", ablate_drain_with(spec, exec).render()),
-        "ablate-table" => println!("{}", ablate_table_with(spec, exec).render()),
-        "all" => {
-            println!("{}", render_table2());
-            println!("{}", render_table3());
-            let res = run_analysis(spec);
-            println!("{}", res.render_fig1());
-            println!("{}", res.render_fig2());
-            println!("{}", res.render_fig3());
-            println!("{}", res.render_fig4());
-            println!("{}", res.render_table1());
-            let res = run_singlecore_with(&ALL_BENCHMARKS, spec, exec);
-            println!("{}", res.render_fig7());
-            println!("{}", res.render_fig8());
-            println!("{}", res.render_fig9());
-            let res = run_llc_sweep_with(&LLC_SIZES_MIB, &WORKLOAD_MIXES, spec, exec);
-            // The 4 MiB point of the sweep *is* Figures 10/11.
-            let four = res
-                .per_size
-                .iter()
-                .find(|r| r.llc_mib == 4)
-                .expect("sweep covers 4 MiB");
-            println!("{}", four.render_fig10());
-            println!("{}", four.render_fig11());
-            println!("{}", res.render_fig12());
-            println!("{}", res.render_fig13());
-            println!("{}", res.render_fig14());
-            let res = run_mechanisms_with(&MECHANISM_BENCHMARKS, spec, exec);
-            println!("{}", res.render_ipc());
-            println!("{}", res.render_blocked());
-            println!("{}", res.render_energy());
-            println!("{}", res.render_refresh_counts());
-            let res = run_tail_latency_with(spec, exec);
-            println!("{}", res.render_tail());
-            println!("{}", res.render_refresh_tail());
-            println!("{}", res.render_saturation());
-            println!("{}", ablate_window_with(spec, exec).render());
-            println!("{}", ablate_throttle_with(spec, exec).render());
-            println!("{}", ablate_drain_with(spec, exec).render());
-            println!("{}", ablate_table_with(spec, exec).render());
-            println!("{}", run_policy_comparison(spec).render());
-            println!("{}", run_fgr_sweep(spec).render());
-            println!("{}", run_per_bank_study(spec).render());
-        }
-        _ => usage(),
     }
     if let Some(exec) = &store_exec {
         let stats = exec.stats();

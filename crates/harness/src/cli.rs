@@ -31,7 +31,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rop_lint::config::lint_jobs;
 use rop_sim_system::runner::{AuditingExecutor, RunSpec, SweepExecutor};
 
 use crate::executor::StoreExecutor;
@@ -190,43 +189,9 @@ fn parse_positive(flag: &str, s: &str) -> Result<u64, String> {
     }
 }
 
-/// Statically vets the experiment's full job set before anything is
-/// dispatched. Returns an error listing every violated rule per job
-/// label; `--no-lint` bypasses it.
-fn lint_gate(experiment: &str, spec: RunSpec) -> Result<(), String> {
-    let jobs = plan_jobs(experiment, spec)?;
-    let report = lint_jobs(&jobs);
-    if report.clean() {
-        eprintln!(
-            "# lint: {} job config(s) statically verified",
-            report.points
-        );
-    } else {
-        return Err(format!(
-            "static config lint rejected the sweep (rerun with --no-lint to bypass):\n{}",
-            report.render()
-        ));
-    }
-    // Model-check every refresh mechanism the sweep will build before a
-    // single controller is constructed out of it.
-    match rop_lint::mech::gate_jobs(&jobs) {
-        Ok(reports) => {
-            let labels: Vec<&str> = reports.iter().map(|r| r.kind.label()).collect();
-            eprintln!(
-                "# lint: refresh mechanism(s) {} model-checked",
-                labels.join(" ")
-            );
-            Ok(())
-        }
-        Err(failures) => Err(format!(
-            "mechanism model check rejected the sweep (rerun with --no-lint to bypass):\n{failures}"
-        )),
-    }
-}
-
 fn cmd_run(experiment: &str, opt: &Options) -> Result<i32, String> {
     if !opt.no_lint {
-        lint_gate(experiment, opt.spec)?;
+        rop_lint::pre_run_gate(experiment, opt.spec)?;
     }
     let mut pool = PoolConfig {
         max_attempts: opt.retries,

@@ -5,8 +5,9 @@
 //! 1. [`config`] — a declarative constraint checker over resolved
 //!    memory-controller configurations (DRAM timing + geometry + ROP
 //!    knobs), each rule a plain predicate evaluated once per concrete
-//!    job config. Wired as the fail-fast pre-run gate in `repro` and
-//!    `rop-sweep run` (`--no-lint` bypasses).
+//!    job config. Wired, with pass 4, into [`pre_run_gate`], the
+//!    fail-fast pre-run gate of `repro` and `rop-sweep run` (`--no-lint`
+//!    bypasses).
 //! 2. [`rop`] — a bounded exhaustive search over clones of the *real*
 //!    `rop_core::RopEngine` under an adversarial window/statistics/coin
 //!    oracle: every paper-mandated state has a witness, the §IV-C
@@ -30,11 +31,13 @@
 
 pub mod config;
 pub mod explore;
+pub mod gate;
 pub mod mech;
 pub mod rop;
 pub mod srclint;
 
 pub use config::{lint_config, lint_grid, lint_jobs, GridReport, Violation};
+pub use gate::pre_run_gate;
 pub use mech::{check_mechanism, MechCheckConfig, MechReport, MechUnderTest, Mutation};
 pub use rop::{check_rop, RopReport};
 pub use srclint::{compare, scan_workspace, Finding, SrcReport};

@@ -14,7 +14,7 @@ use rop_trace::Benchmark;
 
 use crate::config::{SystemConfig, SystemKind};
 use crate::metrics::RunMetrics;
-use crate::runner::{LocalExecutor, RunSpec, SweepExecutor, SweepJob};
+use crate::runner::{RunSpec, SweepExecutor, SweepJob};
 
 /// Benchmarks used in ablations: the three streaming-intensive ones plus
 /// one phase-structured one.
@@ -168,11 +168,6 @@ fn sweep(
 }
 
 /// Observational-window length ablation (1×/2×/4× tRFC).
-pub fn ablate_window(spec: RunSpec) -> AblationResult {
-    ablate_window_with(spec, &LocalExecutor)
-}
-
-/// [`ablate_window`] through an arbitrary executor.
 pub fn ablate_window_with(spec: RunSpec, exec: &dyn SweepExecutor) -> AblationResult {
     let mk = |mult: u64| -> Box<dyn Fn(&mut SystemConfig)> {
         Box::new(move |cfg| {
@@ -191,11 +186,6 @@ pub fn ablate_window_with(spec: RunSpec, exec: &dyn SweepExecutor) -> AblationRe
 }
 
 /// Throttle-mode ablation: adaptive λ/β vs. always vs. never.
-pub fn ablate_throttle(spec: RunSpec) -> AblationResult {
-    ablate_throttle_with(spec, &LocalExecutor)
-}
-
-/// [`ablate_throttle`] through an arbitrary executor.
 pub fn ablate_throttle_with(spec: RunSpec, exec: &dyn SweepExecutor) -> AblationResult {
     let mk = |mode: ThrottleMode| -> Box<dyn Fn(&mut SystemConfig)> {
         Box::new(move |cfg| {
@@ -217,11 +207,6 @@ pub fn ablate_throttle_with(spec: RunSpec, exec: &dyn SweepExecutor) -> Ablation
 }
 
 /// Drain-before-refresh ablation: normal budget vs. force-at-due.
-pub fn ablate_drain(spec: RunSpec) -> AblationResult {
-    ablate_drain_with(spec, &LocalExecutor)
-}
-
-/// [`ablate_drain`] through an arbitrary executor.
 pub fn ablate_drain_with(spec: RunSpec, exec: &dyn SweepExecutor) -> AblationResult {
     let with_drain: Box<dyn Fn(&mut SystemConfig)> = Box::new(|_| {});
     let no_drain: Box<dyn Fn(&mut SystemConfig)> = Box::new(|cfg| {
@@ -240,11 +225,6 @@ pub fn ablate_drain_with(spec: RunSpec, exec: &dyn SweepExecutor) -> AblationRes
 }
 
 /// Prediction-table ablation: multi-delta vs. 1-delta only.
-pub fn ablate_table(spec: RunSpec) -> AblationResult {
-    ablate_table_with(spec, &LocalExecutor)
-}
-
-/// [`ablate_table`] through an arbitrary executor.
 pub fn ablate_table_with(spec: RunSpec, exec: &dyn SweepExecutor) -> AblationResult {
     let multi: Box<dyn Fn(&mut SystemConfig)> = Box::new(|_| {});
     let single: Box<dyn Fn(&mut SystemConfig)> = Box::new(|cfg| {

@@ -10,10 +10,10 @@
 
 use rop_memctrl::RefreshAnalysisReport;
 use rop_stats::{percent_delta, TableBuilder};
-use rop_trace::{Benchmark, ALL_BENCHMARKS};
+use rop_trace::Benchmark;
 
 use crate::config::SystemKind;
-use crate::runner::{parallel_map, run_single, RunSpec};
+use crate::runner::{RunSpec, SweepExecutor, SweepJob};
 
 /// Per-benchmark analysis row.
 #[derive(Debug, Clone)]
@@ -53,22 +53,37 @@ pub struct AnalysisResult {
     pub rows: Vec<AnalysisRow>,
 }
 
-/// Runs baseline + no-refresh for all twelve benchmarks.
-pub fn run_analysis(spec: RunSpec) -> AnalysisResult {
-    let items: Vec<Benchmark> = ALL_BENCHMARKS.to_vec();
-    let rows = parallel_map(items, |&b| {
-        let base = run_single(b, SystemKind::Baseline, spec);
-        let ideal = run_single(b, SystemKind::NoRefresh, spec);
-        AnalysisRow {
-            name: b.name(),
-            intensive: b.is_intensive(),
-            base_ipc: base.ipc(),
-            ideal_ipc: ideal.ipc(),
-            base_energy_nj: base.energy.total_nj(),
-            ideal_energy_nj: ideal.energy.total_nj(),
-            reports: base.analysis[0],
-        }
-    });
+/// Runs baseline + no-refresh for every benchmark through `exec`. Both
+/// runs are the single-core grid's own jobs, so a store shares them.
+pub fn run_analysis(
+    benchmarks: &[Benchmark],
+    spec: RunSpec,
+    exec: &dyn SweepExecutor,
+) -> AnalysisResult {
+    let jobs = benchmarks
+        .iter()
+        .flat_map(|&b| {
+            [SystemKind::Baseline, SystemKind::NoRefresh]
+                .map(|kind| SweepJob::single("analysis", b, kind, spec))
+        })
+        .collect();
+    let metrics = exec.execute(jobs);
+    let rows = benchmarks
+        .iter()
+        .zip(metrics.chunks(2))
+        .map(|(&b, pair)| {
+            let (base, ideal) = (&pair[0], &pair[1]);
+            AnalysisRow {
+                name: b.name(),
+                intensive: b.is_intensive(),
+                base_ipc: base.ipc(),
+                ideal_ipc: ideal.ipc(),
+                base_energy_nj: base.energy.total_nj(),
+                ideal_energy_nj: ideal.energy.total_nj(),
+                reports: base.analysis[0],
+            }
+        })
+        .collect();
     AnalysisResult { rows }
 }
 
@@ -227,20 +242,11 @@ mod tests {
             seed: 3,
         };
         // Keep the test fast: two contrasting benchmarks only.
-        let rows = parallel_map(vec![Benchmark::Libquantum, Benchmark::Gobmk], |&b| {
-            let base = run_single(b, SystemKind::Baseline, spec);
-            let ideal = run_single(b, SystemKind::NoRefresh, spec);
-            AnalysisRow {
-                name: b.name(),
-                intensive: b.is_intensive(),
-                base_ipc: base.ipc(),
-                ideal_ipc: ideal.ipc(),
-                base_energy_nj: base.energy.total_nj(),
-                ideal_energy_nj: ideal.energy.total_nj(),
-                reports: base.analysis[0],
-            }
-        });
-        let res = AnalysisResult { rows };
+        let res = run_analysis(
+            &[Benchmark::Libquantum, Benchmark::Gobmk],
+            spec,
+            &crate::runner::LocalExecutor,
+        );
         // Refresh must cost energy on both.
         for r in &res.rows {
             assert!(

@@ -5,7 +5,9 @@
 //! the experiment modules. `rop-sweep run` feeds it a persistent
 //! store-backed executor, `rop-sweep status` and the static linter feed
 //! it the dry [`PlanExecutor`], and both see exactly the same jobs —
-//! there is no second enumeration to drift.
+//! there is no second enumeration to drift. `repro` renders these names
+//! through it too; its §III analysis and extension studies are job
+//! sets of their own outside this grid.
 
 use std::collections::HashSet;
 

@@ -8,15 +8,20 @@
 //! * **fine-grained refresh (FGR) sweep** — DDR4's 1x/2x/4x refresh
 //!   modes with and without ROP, the paper's §VII future-work direction:
 //!   "we intend to implement our idea in DRAM systems which perform
-//!   refreshes in finer granularities".
+//!   refreshes in finer granularities";
+//! * **per-bank refresh (REFpb)** — ROP on all-bank and per-bank
+//!   refresh, the other §VII direction.
+//!
+//! Each study is one grid of [`EXTENSION_BENCHMARKS`] × columns, run as
+//! one job set through the caller's executor and rendered as IPC
+//! normalised to the row's first column.
 
 use rop_stats::TableBuilder;
 use rop_trace::Benchmark;
 
 use crate::config::{SystemConfig, SystemKind};
 use crate::metrics::RunMetrics;
-use crate::runner::{parallel_map, RunSpec};
-use crate::system::System;
+use crate::runner::{RunSpec, SweepExecutor, SweepJob};
 
 /// Benchmarks used by the extension studies (the refresh-sensitive set).
 pub const EXTENSION_BENCHMARKS: [Benchmark; 4] = [
@@ -26,11 +31,87 @@ pub const EXTENSION_BENCHMARKS: [Benchmark; 4] = [
     Benchmark::CactusADM,
 ];
 
-/// Result of the refresh-policy comparison.
+/// Result of an extension study: one row per [`EXTENSION_BENCHMARKS`]
+/// entry, one metrics entry per column.
 #[derive(Debug, Clone)]
-pub struct PolicyComparison {
-    /// (benchmark, per-system metrics in `SYSTEMS` order).
+pub struct ExtensionStudy {
+    /// Table title.
+    pub title: &'static str,
+    /// Column headers after `benchmark`.
+    pub columns: Vec<String>,
+    /// (benchmark, per-column metrics in `columns` order).
     pub rows: Vec<(&'static str, Vec<RunMetrics>)>,
+}
+
+impl ExtensionStudy {
+    /// Renders IPC normalised to each row's first column.
+    pub fn render(&self) -> String {
+        let header: Vec<String> = std::iter::once("benchmark".to_string())
+            .chain(self.columns.iter().cloned())
+            .collect();
+        let mut t = TableBuilder::new(self.title).header(header);
+        for (name, ms) in &self.rows {
+            let base = ms[0].ipc();
+            let mut cells = vec![name.to_string()];
+            for m in ms {
+                cells.push(format!("{:.3}", m.ipc() / base));
+            }
+            t.row(cells);
+        }
+        t.render()
+    }
+}
+
+/// Runs one study grid through `exec`: per benchmark, one job per
+/// column, configured by `config(benchmark, column index)` and labelled
+/// `{slug}/{benchmark}/{column}`.
+fn run_study(
+    slug: &str,
+    title: &'static str,
+    columns: Vec<String>,
+    config: impl Fn(Benchmark, usize) -> SystemConfig,
+    spec: RunSpec,
+    exec: &dyn SweepExecutor,
+) -> ExtensionStudy {
+    let mut jobs = Vec::new();
+    for &b in &EXTENSION_BENCHMARKS {
+        for (i, column) in columns.iter().enumerate() {
+            jobs.push(SweepJob::custom(
+                format!("{slug}/{}/{column}", b.name()),
+                config(b, i),
+                spec,
+            ));
+        }
+    }
+    let metrics = exec.execute(jobs);
+    let rows = EXTENSION_BENCHMARKS
+        .iter()
+        .zip(metrics.chunks(columns.len()))
+        .map(|(b, ms)| (b.name(), ms.to_vec()))
+        .collect();
+    ExtensionStudy {
+        title,
+        columns,
+        rows,
+    }
+}
+
+/// A study whose columns are plain single-core systems.
+fn run_systems_study(
+    slug: &str,
+    title: &'static str,
+    systems: &[SystemKind],
+    spec: RunSpec,
+    exec: &dyn SweepExecutor,
+) -> ExtensionStudy {
+    run_study(
+        slug,
+        title,
+        systems.iter().map(|k| k.label()).collect(),
+        |b, i| SystemConfig::single_core(b, systems[i], spec.seed),
+        spec,
+        exec,
+    )
 }
 
 /// Systems compared by [`run_policy_comparison`].
@@ -42,132 +123,58 @@ pub const POLICY_SYSTEMS: [SystemKind; 4] = [
 ];
 
 /// Runs the policy comparison on the extension benchmarks.
-pub fn run_policy_comparison(spec: RunSpec) -> PolicyComparison {
-    let mut items = Vec::new();
-    for &b in &EXTENSION_BENCHMARKS {
-        for &k in &POLICY_SYSTEMS {
-            items.push((b, k));
-        }
-    }
-    let metrics = parallel_map(items, |&(b, k)| {
-        let mut sys = System::new(SystemConfig::single_core(b, k, spec.seed));
-        sys.run_until(spec.instructions, spec.max_cycles)
-    });
-    let rows = EXTENSION_BENCHMARKS
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            (
-                b.name(),
-                metrics[i * POLICY_SYSTEMS.len()..(i + 1) * POLICY_SYSTEMS.len()].to_vec(),
-            )
-        })
-        .collect();
-    PolicyComparison { rows }
-}
-
-impl PolicyComparison {
-    /// Renders IPC normalised to Baseline for each system.
-    pub fn render(&self) -> String {
-        let header: Vec<String> = std::iter::once("benchmark".to_string())
-            .chain(POLICY_SYSTEMS.iter().map(|k| k.label()))
-            .collect();
-        let mut t =
-            TableBuilder::new("Extension — refresh-policy comparison (IPC normalised to Baseline)")
-                .header(header);
-        for (name, ms) in &self.rows {
-            let base = ms[0].ipc();
-            let mut cells = vec![name.to_string()];
-            for m in ms {
-                cells.push(format!("{:.3}", m.ipc() / base));
-            }
-            t.row(cells);
-        }
-        t.render()
-    }
-}
-
-/// Result of the FGR sweep.
-#[derive(Debug, Clone)]
-pub struct FgrSweep {
-    /// (benchmark, per-cell metrics in `FGR_MODES × {off, on}` order).
-    pub rows: Vec<(&'static str, Vec<RunMetrics>)>,
+pub fn run_policy_comparison(spec: RunSpec, exec: &dyn SweepExecutor) -> ExtensionStudy {
+    run_systems_study(
+        "policies",
+        "Extension — refresh-policy comparison (IPC normalised to Baseline)",
+        &POLICY_SYSTEMS,
+        spec,
+        exec,
+    )
 }
 
 /// FGR modes swept (refresh-interval divisor).
 pub const FGR_MODES: [u32; 3] = [1, 2, 4];
 
-/// Runs 1x/2x/4x refresh granularity, each without and with ROP.
-pub fn run_fgr_sweep(spec: RunSpec) -> FgrSweep {
+/// One FGR cell: the refresh `mode` timing, on the baseline or on ROP
+/// with its windows shrunk to the mode's tRFC.
+fn fgr_config(b: Benchmark, mode: u32, rop: bool, seed: u64) -> SystemConfig {
     use rop_dram::TimingParams;
-    let mut items = Vec::new();
-    for &b in &EXTENSION_BENCHMARKS {
-        for &mode in &FGR_MODES {
-            for rop in [false, true] {
-                items.push((b, mode, rop));
-            }
-        }
+    let kind = if rop {
+        SystemKind::Rop { buffer: 64 }
+    } else {
+        SystemKind::Baseline
+    };
+    let mut cfg = SystemConfig::single_core(b, kind, seed);
+    let mut ctrl = cfg.kind.memctrl_config(cfg.ranks, cfg.seed);
+    ctrl.dram.timing = match mode {
+        1 => TimingParams::ddr4_1600_8gb(),
+        2 => TimingParams::ddr4_1600_8gb_fgr2x(),
+        _ => TimingParams::ddr4_1600_8gb_fgr4x(),
+    };
+    if let Some(rc) = ctrl.rop.as_mut() {
+        // Keep ROP's windows consistent with the shrunken tRFC.
+        rc.observational_window = ctrl.dram.timing.t_rfc();
+        rc.refresh_period = ctrl.dram.timing.t_rfc();
     }
-    let metrics = parallel_map(items, |&(b, mode, rop)| {
-        let kind = if rop {
-            SystemKind::Rop { buffer: 64 }
-        } else {
-            SystemKind::Baseline
-        };
-        let mut cfg = SystemConfig::single_core(b, kind, spec.seed);
-        let mut ctrl = cfg.kind.memctrl_config(cfg.ranks, cfg.seed);
-        ctrl.dram.timing = match mode {
-            1 => TimingParams::ddr4_1600_8gb(),
-            2 => TimingParams::ddr4_1600_8gb_fgr2x(),
-            _ => TimingParams::ddr4_1600_8gb_fgr4x(),
-        };
-        if let Some(rc) = ctrl.rop.as_mut() {
-            // Keep ROP's windows consistent with the shrunken tRFC.
-            rc.observational_window = ctrl.dram.timing.t_rfc();
-            rc.refresh_period = ctrl.dram.timing.t_rfc();
-        }
-        cfg.ctrl_override = Some(ctrl);
-        let mut sys = System::new(cfg);
-        sys.run_until(spec.instructions, spec.max_cycles)
-    });
-    let per = FGR_MODES.len() * 2;
-    let rows = EXTENSION_BENCHMARKS
+    cfg.ctrl_override = Some(ctrl);
+    cfg
+}
+
+/// Runs 1x/2x/4x refresh granularity, each without and with ROP.
+pub fn run_fgr_sweep(spec: RunSpec, exec: &dyn SweepExecutor) -> ExtensionStudy {
+    let columns = FGR_MODES
         .iter()
-        .enumerate()
-        .map(|(i, b)| (b.name(), metrics[i * per..(i + 1) * per].to_vec()))
+        .flat_map(|m| [format!("{m}x base"), format!("{m}x ROP")])
         .collect();
-    FgrSweep { rows }
-}
-
-impl FgrSweep {
-    /// Renders IPC normalised to the 1x baseline cell.
-    pub fn render(&self) -> String {
-        let mut header = vec!["benchmark".to_string()];
-        for &m in &FGR_MODES {
-            header.push(format!("{m}x base"));
-            header.push(format!("{m}x ROP"));
-        }
-        let mut t = TableBuilder::new(
-            "Extension — fine-grained refresh sweep (IPC normalised to 1x baseline)",
-        )
-        .header(header);
-        for (name, ms) in &self.rows {
-            let base = ms[0].ipc();
-            let mut cells = vec![name.to_string()];
-            for m in ms {
-                cells.push(format!("{:.3}", m.ipc() / base));
-            }
-            t.row(cells);
-        }
-        t.render()
-    }
-}
-
-/// Result of the per-bank-refresh (REFpb) study.
-#[derive(Debug, Clone)]
-pub struct PerBankStudy {
-    /// (benchmark, per-system metrics in [`PER_BANK_SYSTEMS`] order).
-    pub rows: Vec<(&'static str, Vec<RunMetrics>)>,
+    run_study(
+        "fgr",
+        "Extension — fine-grained refresh sweep (IPC normalised to 1x baseline)",
+        columns,
+        |b, i| fgr_config(b, FGR_MODES[i / 2], i % 2 == 1, spec.seed),
+        spec,
+        exec,
+    )
 }
 
 /// Systems compared by [`run_per_bank_study`]: all-bank baseline, ROP on
@@ -183,55 +190,20 @@ pub const PER_BANK_SYSTEMS: [SystemKind; 5] = [
 
 /// Runs the §VII future-work study: does refresh-oriented prefetching
 /// still pay off when refresh granularity shrinks to a single bank?
-pub fn run_per_bank_study(spec: RunSpec) -> PerBankStudy {
-    let mut items = Vec::new();
-    for &b in &EXTENSION_BENCHMARKS {
-        for &k in &PER_BANK_SYSTEMS {
-            items.push((b, k));
-        }
-    }
-    let metrics = parallel_map(items, |&(b, k)| {
-        let mut sys = System::new(SystemConfig::single_core(b, k, spec.seed));
-        sys.run_until(spec.instructions, spec.max_cycles)
-    });
-    let rows = EXTENSION_BENCHMARKS
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            (
-                b.name(),
-                metrics[i * PER_BANK_SYSTEMS.len()..(i + 1) * PER_BANK_SYSTEMS.len()].to_vec(),
-            )
-        })
-        .collect();
-    PerBankStudy { rows }
-}
-
-impl PerBankStudy {
-    /// Renders IPC normalised to the all-bank Baseline.
-    pub fn render(&self) -> String {
-        let header: Vec<String> = std::iter::once("benchmark".to_string())
-            .chain(PER_BANK_SYSTEMS.iter().map(|k| k.label()))
-            .collect();
-        let mut t = TableBuilder::new(
-            "Extension (§VII) — per-bank refresh: IPC normalised to all-bank Baseline",
-        )
-        .header(header);
-        for (name, ms) in &self.rows {
-            let base = ms[0].ipc();
-            let mut cells = vec![name.to_string()];
-            for m in ms {
-                cells.push(format!("{:.3}", m.ipc() / base));
-            }
-            t.row(cells);
-        }
-        t.render()
-    }
+pub fn run_per_bank_study(spec: RunSpec, exec: &dyn SweepExecutor) -> ExtensionStudy {
+    run_systems_study(
+        "per-bank",
+        "Extension (§VII) — per-bank refresh: IPC normalised to all-bank Baseline",
+        &PER_BANK_SYSTEMS,
+        spec,
+        exec,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::System;
 
     #[test]
     fn elastic_system_runs_and_refreshes() {
@@ -260,22 +232,14 @@ mod tests {
 
     #[test]
     fn fgr_modes_change_refresh_count() {
-        use rop_dram::TimingParams;
         let spec = RunSpec {
             instructions: 300_000,
             max_cycles: 60_000_000,
             seed: 3,
         };
         let mut counts = Vec::new();
-        for timing in [
-            TimingParams::ddr4_1600_8gb(),
-            TimingParams::ddr4_1600_8gb_fgr4x(),
-        ] {
-            let mut cfg =
-                SystemConfig::single_core(Benchmark::Libquantum, SystemKind::Baseline, spec.seed);
-            let mut ctrl = cfg.kind.memctrl_config(cfg.ranks, cfg.seed);
-            ctrl.dram.timing = timing;
-            cfg.ctrl_override = Some(ctrl);
+        for mode in [1, 4] {
+            let cfg = fgr_config(Benchmark::Libquantum, mode, false, spec.seed);
             let mut sys = System::new(cfg);
             let m = sys.run_until(spec.instructions, spec.max_cycles);
             counts.push((m.refreshes, m.total_cycles));

@@ -16,7 +16,7 @@ use rop_trace::Benchmark;
 
 use crate::config::{SystemConfig, SystemKind};
 use crate::metrics::RunMetrics;
-use crate::runner::{LocalExecutor, RunSpec, SweepExecutor, SweepJob};
+use crate::runner::{RunSpec, SweepExecutor, SweepJob};
 
 /// Benchmarks in the head-to-head: the two streaming refresh-sensitive
 /// ones plus a phase-structured one (DARP's idle-window fodder).
@@ -78,7 +78,7 @@ fn mechanism_config(kind: SystemKind, divisor: u64, b: Benchmark, seed: u64) -> 
     cfg
 }
 
-/// The declarative job set behind [`run_mechanisms_on`], in result
+/// The declarative job set behind [`run_mechanisms_with`], in result
 /// order: per shape, per benchmark, one job per
 /// [`SystemKind::MECHANISMS`] element.
 pub fn mechanism_jobs(benchmarks: &[Benchmark], spec: RunSpec) -> Vec<SweepJob> {
@@ -97,18 +97,8 @@ pub fn mechanism_jobs(benchmarks: &[Benchmark], spec: RunSpec) -> Vec<SweepJob> 
     jobs
 }
 
-/// Runs the head-to-head on the default benchmark set.
-pub fn run_mechanisms(spec: RunSpec) -> MechanismsResult {
-    run_mechanisms_on(&MECHANISM_BENCHMARKS, spec)
-}
-
-/// Same sweep on a chosen benchmark subset (used by tests and CI smoke).
-pub fn run_mechanisms_on(benchmarks: &[Benchmark], spec: RunSpec) -> MechanismsResult {
-    run_mechanisms_with(benchmarks, spec, &LocalExecutor)
-}
-
-/// The head-to-head through an arbitrary executor (fresh runs locally,
-/// store-backed in the sweep harness).
+/// The head-to-head on `benchmarks` through an arbitrary executor (fresh
+/// runs locally, store-backed in the sweep harness).
 pub fn run_mechanisms_with(
     benchmarks: &[Benchmark],
     spec: RunSpec,
@@ -266,7 +256,11 @@ mod tests {
             max_cycles: 40_000_000,
             seed: 42,
         };
-        let res = run_mechanisms_on(&[Benchmark::Libquantum], spec);
+        let res = run_mechanisms_with(
+            &[Benchmark::Libquantum],
+            spec,
+            &crate::runner::LocalExecutor,
+        );
         let heavy = &res.shapes[1];
         assert_eq!(heavy.shape, "refresh-heavy");
         let row = &heavy.rows[0];

@@ -3,11 +3,11 @@
 //! (normalised energy).
 
 use rop_stats::{geometric_mean, normalize_to, TableBuilder};
-use rop_trace::{Benchmark, WorkloadMix, ALL_BENCHMARKS, WORKLOAD_MIXES};
+use rop_trace::{Benchmark, WorkloadMix};
 
 use crate::config::{SystemConfig, SystemKind};
 use crate::metrics::RunMetrics;
-use crate::runner::{LocalExecutor, RunSpec, SweepExecutor, SweepJob};
+use crate::runner::{RunSpec, SweepExecutor, SweepJob};
 
 /// The ROP buffer size used in the multicore experiments (paper default).
 pub const ROP_BUFFER: usize = 64;
@@ -20,11 +20,6 @@ pub struct AloneIpcs {
 }
 
 impl AloneIpcs {
-    /// Measures alone-IPCs for every benchmark (parallelised).
-    pub fn measure(llc_mib: usize, spec: RunSpec) -> Self {
-        Self::measure_with(&ALL_BENCHMARKS, llc_mib, spec, &LocalExecutor)
-    }
-
     /// The declarative job set behind [`AloneIpcs::measure_with`]:
     /// each benchmark alone on the baseline 4-rank machine.
     pub fn jobs(benchmarks: &[Benchmark], llc_mib: usize, spec: RunSpec) -> Vec<SweepJob> {
@@ -104,22 +99,6 @@ pub struct MulticoreResult {
     pub rows: Vec<MulticoreRow>,
 }
 
-/// Runs Baseline / Baseline-RP / ROP for every mix at `llc_mib`.
-pub fn run_multicore(llc_mib: usize, spec: RunSpec) -> MulticoreResult {
-    let alone = AloneIpcs::measure(llc_mib, spec);
-    run_multicore_with_alone(llc_mib, spec, &alone)
-}
-
-/// As [`run_multicore`] but reusing a precomputed alone-IPC table (the
-/// LLC sweep shares one per size).
-pub fn run_multicore_with_alone(
-    llc_mib: usize,
-    spec: RunSpec,
-    alone: &AloneIpcs,
-) -> MulticoreResult {
-    run_multicore_on(&WORKLOAD_MIXES, llc_mib, spec, alone, &LocalExecutor)
-}
-
 /// The three comparison systems of Figures 10/11.
 pub const MULTICORE_SYSTEMS: [SystemKind; 3] = [
     SystemKind::Baseline,
@@ -139,8 +118,10 @@ pub fn multicore_jobs(mixes: &[WorkloadMix], llc_mib: usize, spec: RunSpec) -> V
     jobs
 }
 
-/// The multicore comparison for a mix subset through an arbitrary
-/// executor (figures assemble from whatever metrics it returns).
+/// Runs Baseline / Baseline-RP / ROP for every mix at `llc_mib` through
+/// an arbitrary executor (figures assemble from whatever metrics it
+/// returns), with a precomputed alone-IPC table (the LLC sweep shares
+/// one per size).
 pub fn run_multicore_on(
     mixes: &[WorkloadMix],
     llc_mib: usize,
@@ -236,6 +217,7 @@ impl MulticoreResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rop_trace::{ALL_BENCHMARKS, WORKLOAD_MIXES};
 
     #[test]
     fn alone_ipcs_cover_all_benchmarks() {
@@ -244,7 +226,8 @@ mod tests {
             max_cycles: 20_000_000,
             seed: 5,
         };
-        let alone = AloneIpcs::measure(4, spec);
+        let alone =
+            AloneIpcs::measure_with(&ALL_BENCHMARKS, 4, spec, &crate::runner::LocalExecutor);
         for b in ALL_BENCHMARKS {
             assert!(alone.get(b) > 0.0, "{} has zero alone IPC", b.name());
         }

@@ -2,10 +2,10 @@
 //! Figure 13 (energy vs. LLC) and Figure 14 (SRAM hit rate vs. LLC).
 
 use rop_stats::{geometric_mean, normalize_to, TableBuilder};
-use rop_trace::{Benchmark, WorkloadMix, ALL_BENCHMARKS, WORKLOAD_MIXES};
+use rop_trace::{Benchmark, WorkloadMix, ALL_BENCHMARKS};
 
 use crate::experiments::multicore::{run_multicore_on, AloneIpcs, MulticoreResult};
-use crate::runner::{LocalExecutor, RunSpec, SweepExecutor};
+use crate::runner::{RunSpec, SweepExecutor};
 
 /// LLC sizes swept (MiB), per the paper's sensitivity study.
 pub const LLC_SIZES_MIB: [usize; 3] = [1, 2, 4];
@@ -17,14 +17,10 @@ pub struct LlcSweepResult {
     pub per_size: Vec<MulticoreResult>,
 }
 
-/// Runs the full multicore comparison at each LLC size.
-pub fn run_llc_sweep(spec: RunSpec) -> LlcSweepResult {
-    run_llc_sweep_with(&LLC_SIZES_MIB, &WORKLOAD_MIXES, spec, &LocalExecutor)
-}
-
-/// The LLC sweep over chosen sizes and mixes through an arbitrary
-/// executor. Alone-IPC denominators are measured (per size) only for
-/// benchmarks appearing in `mixes`, in [`ALL_BENCHMARKS`] order.
+/// The multicore comparison at each of `sizes` (MiB) over `mixes`,
+/// through an arbitrary executor. Alone-IPC denominators are measured
+/// (per size) only for benchmarks appearing in `mixes`, in
+/// [`ALL_BENCHMARKS`] order.
 pub fn run_llc_sweep_with(
     sizes: &[usize],
     mixes: &[WorkloadMix],

@@ -3,11 +3,11 @@
 //! Figure 9 (SRAM buffer hit rate vs. capacity).
 
 use rop_stats::{normalize_to, TableBuilder};
-use rop_trace::{Benchmark, ALL_BENCHMARKS};
+use rop_trace::Benchmark;
 
 use crate::config::SystemKind;
 use crate::metrics::RunMetrics;
-use crate::runner::{LocalExecutor, RunSpec, SweepExecutor, SweepJob};
+use crate::runner::{RunSpec, SweepExecutor, SweepJob};
 
 /// SRAM capacities swept by the paper.
 pub const BUFFER_SIZES: [usize; 4] = [16, 32, 64, 128];
@@ -32,17 +32,7 @@ pub struct SinglecoreResult {
     pub rows: Vec<SinglecoreRow>,
 }
 
-/// Runs baseline, no-refresh and four ROP sizes for all benchmarks.
-pub fn run_singlecore(spec: RunSpec) -> SinglecoreResult {
-    run_singlecore_on(&ALL_BENCHMARKS, spec)
-}
-
-/// Same sweep on a chosen benchmark subset (used by tests and benches).
-pub fn run_singlecore_on(benchmarks: &[Benchmark], spec: RunSpec) -> SinglecoreResult {
-    run_singlecore_with(benchmarks, spec, &LocalExecutor)
-}
-
-/// The declarative job set behind [`run_singlecore_on`], in row order:
+/// The declarative job set behind [`run_singlecore_with`], in row order:
 /// per benchmark, baseline, no-refresh, then each [`BUFFER_SIZES`] entry.
 pub fn singlecore_jobs(benchmarks: &[Benchmark], spec: RunSpec) -> Vec<SweepJob> {
     let mut jobs = Vec::new();
@@ -61,9 +51,10 @@ pub fn singlecore_jobs(benchmarks: &[Benchmark], spec: RunSpec) -> Vec<SweepJob>
     jobs
 }
 
-/// The single-core sweep through an arbitrary executor: the figures are
-/// assembled from whatever metrics the executor returns (fresh runs for
-/// [`LocalExecutor`], store-backed results for the sweep harness).
+/// Runs baseline, no-refresh and four ROP sizes for `benchmarks` through
+/// `exec`: the figures are assembled from whatever metrics the executor
+/// returns (fresh runs for [`crate::runner::LocalExecutor`], store-backed
+/// results for the sweep harness).
 pub fn run_singlecore_with(
     benchmarks: &[Benchmark],
     spec: RunSpec,
@@ -181,7 +172,11 @@ mod tests {
             max_cycles: 60_000_000,
             seed: 11,
         };
-        let res = run_singlecore_on(&[Benchmark::Libquantum], spec);
+        let res = run_singlecore_with(
+            &[Benchmark::Libquantum],
+            spec,
+            &crate::runner::LocalExecutor,
+        );
         let row = &res.rows[0];
         assert!(!row.baseline.hit_cycle_cap);
         // No-refresh is the upper bound.

@@ -15,7 +15,7 @@ use rop_trace::{AddressPattern, ArrivalProcess};
 
 use crate::config::{OpenLoopSpec, SystemConfig, SystemKind};
 use crate::metrics::RunMetrics;
-use crate::runner::{LocalExecutor, RunSpec, SweepExecutor, SweepJob};
+use crate::runner::{RunSpec, SweepExecutor, SweepJob};
 use crate::Cycle;
 
 /// Offered loads swept, in requests per kilo-cycle summed over tenants.
@@ -134,13 +134,8 @@ pub struct TailLatencyResult {
     pub rows: Vec<TailRow>,
 }
 
-/// Runs the sweep in-process.
-pub fn run_tail_latency(spec: RunSpec) -> TailLatencyResult {
-    run_tail_latency_with(spec, &LocalExecutor)
-}
-
-/// The sweep through an arbitrary executor (store-backed in the
-/// harness, dry in the planner).
+/// The sweep through an arbitrary executor (fresh runs locally,
+/// store-backed in the harness, dry in the planner).
 pub fn run_tail_latency_with(spec: RunSpec, exec: &dyn SweepExecutor) -> TailLatencyResult {
     let duration = duration_for(spec);
     let metrics = exec.execute(tail_latency_jobs(spec));
@@ -293,7 +288,7 @@ mod tests {
             max_cycles: 1_000_000,
             seed: 42,
         };
-        let res = run_tail_latency(spec);
+        let res = run_tail_latency_with(spec, &crate::runner::LocalExecutor);
         assert_eq!(res.rows.len(), 3 * OFFERED_LOADS_RPKC.len());
         for r in &res.rows {
             assert_eq!(r.per_mechanism.len(), 4);

@@ -31,8 +31,8 @@ pub use config::{OpenLoopSpec, SystemConfig, SystemKind};
 pub use metrics::{CoreMetrics, LatencyHistogram, OpenLoopMetrics, RunMetrics};
 pub use openloop::OpenLoopSystem;
 pub use runner::{
-    parallel_map, run_multi, run_single, AuditingExecutor, LocalExecutor, RunSpec, SweepExecutor,
-    SweepJob,
+    parallel_map, run_single, AuditingExecutor, LocalExecutor, MemoExecutor, RunSpec,
+    SweepExecutor, SweepJob,
 };
 pub use system::System;
 

@@ -166,14 +166,6 @@ pub fn run_single_reference(benchmark: Benchmark, kind: SystemKind, spec: RunSpe
     sys.run_until_reference(spec.instructions, spec.max_cycles)
 }
 
-/// Runs one 4-core multiprogram experiment with the given LLC size (MiB).
-pub fn run_multi(mix: WorkloadMix, kind: SystemKind, llc_mib: usize, spec: RunSpec) -> RunMetrics {
-    let mut cfg = SystemConfig::multi_core(mix.programs, kind, spec.seed);
-    cfg.llc = rop_cache::CacheConfig::llc_mib(llc_mib);
-    let mut sys = System::new(cfg);
-    sys.run_until(spec.instructions, spec.max_cycles)
-}
-
 /// One fully-resolved simulation in a sweep: everything needed to build
 /// and run a [`System`], plus a human-readable label for progress
 /// reporting and panic attribution.
@@ -386,7 +378,7 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// one [`RunMetrics`] per job, in input order.
 ///
 /// The in-process [`LocalExecutor`] runs everything fresh via
-/// [`parallel_map_labeled`]; the harness crate provides a store-backed
+/// [`parallel_map`]; the harness crate provides a store-backed
 /// executor with persistence, fault isolation and resume.
 pub trait SweepExecutor {
     /// Executes (or resolves from cache) every job, preserving order.
@@ -416,9 +408,48 @@ impl SweepExecutor for AuditingExecutor<'_> {
     }
 }
 
+/// Executor adapter that runs each distinct job (by
+/// [`SweepJob::fingerprint`]) once through the wrapped executor and
+/// answers every later request for it from memory. Experiments that
+/// re-request shared jobs (the 4 MiB point `multi` and `llc` share, the
+/// ablation baselines, the analysis runs inside the single-core grid)
+/// then simulate each of them once per process, store or no store.
+pub struct MemoExecutor<'a> {
+    inner: &'a dyn SweepExecutor,
+    done: std::cell::RefCell<std::collections::HashMap<u64, RunMetrics>>,
+}
+
+impl<'a> MemoExecutor<'a> {
+    /// An empty memo over `inner`.
+    pub fn new(inner: &'a dyn SweepExecutor) -> Self {
+        MemoExecutor {
+            inner,
+            done: Default::default(),
+        }
+    }
+}
+
+impl SweepExecutor for MemoExecutor<'_> {
+    fn execute(&self, jobs: Vec<SweepJob>) -> Vec<RunMetrics> {
+        let ids: Vec<u64> = jobs.iter().map(SweepJob::fingerprint).collect();
+        let mut done = self.done.borrow_mut();
+        let (mut fresh, mut fresh_ids) = (Vec::new(), Vec::new());
+        for (job, &id) in jobs.into_iter().zip(&ids) {
+            if !done.contains_key(&id) && !fresh_ids.contains(&id) {
+                fresh_ids.push(id);
+                fresh.push(job);
+            }
+        }
+        done.extend(fresh_ids.into_iter().zip(self.inner.execute(fresh)));
+        ids.iter().map(|id| done[id].clone()).collect()
+    }
+}
+
 /// Applies `f` to every item of `items` on scoped worker threads and
 /// returns the results in input order. The simulator is single-threaded
-/// per system, so figure-level sweeps parallelise across runs.
+/// per system, so figure-level sweeps parallelise across runs. A panic
+/// in `f` is re-raised with its own payload once every worker has
+/// stopped ([`SweepJob::run`] labels its panics with the job).
 ///
 /// Workers pull indices from a shared atomic counter and send each
 /// `(index, result)` over a channel as soon as it is ready, so no lock
@@ -429,25 +460,6 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    parallel_map_labeled(items, |_| None, f)
-}
-
-/// [`parallel_map`] variant that labels each item: when a worker
-/// panics, the propagated message is prefixed with the failing item's
-/// label (see [`with_panic_label`]) instead of losing which input died.
-pub fn parallel_map_labeled<T, R, F, L>(items: Vec<T>, label: L, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    L: Fn(&T) -> Option<String> + Sync,
-{
-    let run_one = |item: &T| -> R {
-        match label(item) {
-            Some(l) => with_panic_label(&l, || f(item)),
-            None => f(item),
-        }
-    };
     if items.is_empty() {
         return Vec::new();
     }
@@ -456,7 +468,7 @@ where
         .unwrap_or(4)
         .min(items.len());
     if threads <= 1 {
-        return items.iter().map(run_one).collect();
+        return items.iter().map(f).collect();
     }
 
     let next = std::sync::atomic::AtomicUsize::new(0);
@@ -466,7 +478,7 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let tx = tx.clone();
-                let (next, items, run_one) = (&next, &items, &run_one);
+                let (next, items, f) = (&next, &items, &f);
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if i >= items.len() {
@@ -474,7 +486,7 @@ where
                     }
                     // A send error means the receiver is gone, which only
                     // happens if the scope is unwinding from a panic.
-                    let _ = tx.send((i, run_one(&items[i])));
+                    let _ = tx.send((i, f(&items[i])));
                 })
             })
             .collect();
@@ -555,23 +567,47 @@ mod tests {
     }
 
     #[test]
-    fn labeled_panic_names_the_failing_item() {
-        let items: Vec<u64> = (0..8).collect();
+    fn local_executor_panic_names_the_failing_job() {
+        let spec = RunSpec {
+            instructions: 1_000,
+            max_cycles: 1_000_000,
+            seed: 1,
+        };
+        let ok = SweepJob::single("t", rop_trace::Benchmark::Bzip2, SystemKind::Baseline, spec);
+        let mut broken = ok.clone();
+        broken.label = "t/broken".into();
+        broken.config.benchmarks.clear();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            parallel_map_labeled(
-                items,
-                |&x| Some(format!("job-{x}")),
-                |&x| {
-                    if x == 5 {
-                        panic!("boom at {x}");
-                    }
-                    x
-                },
-            )
+            LocalExecutor.execute(vec![ok, broken])
         }));
         let msg = panic_message(caught.unwrap_err().as_ref());
-        assert!(msg.contains("[job-5]"), "label missing from '{msg}'");
-        assert!(msg.contains("boom at 5"), "message lost in '{msg}'");
+        assert!(msg.contains("[t/broken]"), "label missing from '{msg}'");
+        assert!(msg.contains("invalid config"), "message lost in '{msg}'");
+    }
+
+    #[test]
+    fn memo_executor_runs_each_distinct_job_once() {
+        let spec = RunSpec {
+            instructions: 1_000,
+            max_cycles: 1_000_000,
+            seed: 1,
+        };
+        let a = SweepJob::single("a", rop_trace::Benchmark::Bzip2, SystemKind::Baseline, spec);
+        let b = SweepJob::single("b", rop_trace::Benchmark::Lbm, SystemKind::Baseline, spec);
+        let plan = crate::experiments::PlanExecutor::new();
+        let memo = MemoExecutor::new(&plan);
+        let first = memo.execute(vec![a.clone(), a.clone(), b.clone()]);
+        let mut relabeled = a.clone();
+        relabeled.label = "renamed".into();
+        let second = memo.execute(vec![b, relabeled]);
+        // The wrapped executor saw `a` and `b` once each, in order…
+        let seen: Vec<String> = plan.into_jobs().into_iter().map(|j| j.label).collect();
+        assert_eq!(seen, ["a/bzip2/Baseline", "b/lbm/Baseline"]);
+        // …and every request was still answered, in request order.
+        assert_eq!(first.len(), 3);
+        assert_eq!(second.len(), 2);
+        assert_eq!(second[1].cores[0].benchmark, "bzip2");
+        assert_eq!(second[0].cores[0].benchmark, "lbm");
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! (the statistical claims live in the unit/property tests).
 
 use rop_sim_system::experiments::{
-    ablate_drain, ablate_table, ablate_throttle, ablate_window, run_analysis, run_fgr_sweep,
-    run_llc_sweep_with, run_per_bank_study, run_policy_comparison, run_singlecore_on,
+    ablate_drain_with, ablate_table_with, ablate_throttle_with, ablate_window_with, run_analysis,
+    run_fgr_sweep, run_llc_sweep_with, run_per_bank_study, run_policy_comparison,
+    run_singlecore_with,
 };
 use rop_sim_system::runner::{LocalExecutor, RunSpec};
-use rop_trace::{Benchmark, WORKLOAD_MIXES};
+use rop_trace::{Benchmark, ALL_BENCHMARKS, WORKLOAD_MIXES};
 
 fn spec() -> RunSpec {
     RunSpec::quick()
@@ -18,7 +19,7 @@ fn spec() -> RunSpec {
 #[test]
 fn fig7_fig8_fig9_render_from_quick_run() {
     let benchmarks = [Benchmark::Lbm, Benchmark::Bzip2];
-    let res = run_singlecore_on(&benchmarks, spec());
+    let res = run_singlecore_with(&benchmarks, spec(), &LocalExecutor);
     for (name, fig) in [
         ("fig7", res.render_fig7()),
         ("fig8", res.render_fig8()),
@@ -66,7 +67,7 @@ fn fig12_fig13_fig14_render_from_quick_run() {
 
 #[test]
 fn analysis_figures_render_from_quick_run() {
-    let res = run_analysis(spec());
+    let res = run_analysis(&ALL_BENCHMARKS, spec(), &LocalExecutor);
     for (name, fig) in [
         ("fig1", res.render_fig1()),
         ("fig2", res.render_fig2()),
@@ -82,10 +83,16 @@ fn analysis_figures_render_from_quick_run() {
 #[test]
 fn ablation_tables_render_from_quick_run() {
     for (name, table) in [
-        ("window", ablate_window(spec()).render()),
-        ("throttle", ablate_throttle(spec()).render()),
-        ("drain", ablate_drain(spec()).render()),
-        ("table", ablate_table(spec()).render()),
+        (
+            "window",
+            ablate_window_with(spec(), &LocalExecutor).render(),
+        ),
+        (
+            "throttle",
+            ablate_throttle_with(spec(), &LocalExecutor).render(),
+        ),
+        ("drain", ablate_drain_with(spec(), &LocalExecutor).render()),
+        ("table", ablate_table_with(spec(), &LocalExecutor).render()),
     ] {
         assert!(table.contains("Ablation"), "{name}:\n{table}");
         assert!(table.contains("libquantum"), "{name}:\n{table}");
@@ -95,10 +102,10 @@ fn ablation_tables_render_from_quick_run() {
 
 #[test]
 fn extension_studies_render_from_quick_run() {
-    let policies = run_policy_comparison(spec()).render();
+    let policies = run_policy_comparison(spec(), &LocalExecutor).render();
     assert!(policies.contains("libquantum"), "{policies}");
-    let fgr = run_fgr_sweep(spec()).render();
+    let fgr = run_fgr_sweep(spec(), &LocalExecutor).render();
     assert!(fgr.contains("libquantum"), "{fgr}");
-    let per_bank = run_per_bank_study(spec()).render();
+    let per_bank = run_per_bank_study(spec(), &LocalExecutor).render();
     assert!(per_bank.contains("libquantum"), "{per_bank}");
 }

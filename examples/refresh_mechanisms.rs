@@ -8,8 +8,8 @@
 //! cargo run --release --example refresh_mechanisms [benchmark] [instructions]
 //! ```
 
-use rop_sim::sim::experiments::run_mechanisms_on;
-use rop_sim::sim::runner::RunSpec;
+use rop_sim::sim::experiments::run_mechanisms_with;
+use rop_sim::sim::runner::{LocalExecutor, RunSpec};
 use rop_sim::trace::{Benchmark, ALL_BENCHMARKS};
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
         "=== {} — refresh-mechanism head-to-head ===\n",
         bench.name()
     );
-    let res = run_mechanisms_on(&[bench], spec);
+    let res = run_mechanisms_with(&[bench], spec, &LocalExecutor);
     println!("{}", res.render_ipc());
     println!("{}", res.render_blocked());
     println!("{}", res.render_energy());

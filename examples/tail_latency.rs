@@ -12,8 +12,8 @@
 //! cargo run --release --example tail_latency [window_cycles]
 //! ```
 
-use rop_sim::sim::experiments::run_tail_latency;
-use rop_sim::sim::runner::RunSpec;
+use rop_sim::sim::experiments::run_tail_latency_with;
+use rop_sim::sim::runner::{LocalExecutor, RunSpec};
 
 fn main() {
     let window: u64 = std::env::args()
@@ -30,7 +30,7 @@ fn main() {
         seed: 42,
     };
     println!("=== open-loop tail latency, {window}-cycle windows ===\n");
-    let res = run_tail_latency(spec);
+    let res = run_tail_latency_with(spec, &LocalExecutor);
     println!("{}", res.render_tail());
     println!("{}", res.render_refresh_tail());
     println!("{}", res.render_saturation());
